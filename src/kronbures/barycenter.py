@@ -357,22 +357,32 @@ def leaf_barycenter(leaf: FactorLeaf, points, weights) -> LeafBarycenter:
 def _project_centered_box(vec: np.ndarray, bound: float) -> np.ndarray:
     """Euclidean projection onto {sum = 0} intersected with [-bound, bound]^n.
 
-    The shift making the clipped sum vanish is found by bisection; the
-    residual sum is then redistributed over the unclipped coordinates.
+    A continuous quadratic knapsack problem, solved exactly by the
+    breakpoint method (Helgason, Kennington and Lall, Math. Program. 18,
+    1980; Kiwiel, Math. Program. 112, 2008). The projection is
+    clip(vec - tau, -bound, bound), where tau is the root of the
+    nonincreasing piecewise-linear g(tau) = sum clip(vec - tau, -bound, bound),
+    whose slope changes only at the 2n breakpoints vec +- bound. g is
+    evaluated at the sorted breakpoints in one (2n, n) broadcast, exact to
+    round-off at each of them; the first breakpoint with g <= 0 closes the
+    segment holding the root, and tau follows by linear interpolation
+    there. Tied breakpoints give empty segments, which are never chosen;
+    a root on a flat piece of g lands on that piece's left end. An input
+    already in the set is returned unchanged. A constant input, n = 1
+    included, projects to 0; it is the one input whose breakpoints can
+    all round to a single value (bound below half an ulp of the entries),
+    leaving no sign change to find.
     """
-    lo = float(vec.min()) - bound
-    hi = float(vec.max()) + bound
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.clip(vec - mid, -bound, bound).sum() > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    out = np.clip(vec - 0.5 * (lo + hi), -bound, bound)
-    free = np.abs(out) < bound * (1.0 - 1e-12)
-    if np.any(free):
-        out[free] -= out.sum() / free.sum()
-    return out
+    if np.all(vec == vec[0]):
+        return np.zeros_like(vec)
+    if vec.sum() == 0.0 and np.abs(vec).max() <= bound:
+        return vec.copy()
+    breaks = np.sort(np.concatenate([vec - bound, vec + bound]))
+    g = np.clip(vec - breaks[:, None], -bound, bound).sum(axis=1)
+    k = int(np.argmax(g <= 0.0))
+    lo, hi = breaks[k - 1], breaks[k]
+    tau = lo + (hi - lo) * (g[k - 1] / (g[k - 1] - g[k]))
+    return np.clip(vec - tau, -bound, bound)
 
 
 def log_coordinate_oracle(

@@ -70,8 +70,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
     sizes: tuple = DEFAULT_PAIRWISE_SIZES
-    output_path: str | None = None
-    format: str = "table"
     ambient_cutoff: int = DEFAULT_AMBIENT_CUTOFF
     profile_out: str | None = None
 
@@ -82,8 +80,6 @@ class ExperimentConfig:
             raise ConfigError("sizes must be nonempty")
         if any(n < 1 for n in self.sizes):
             raise ConfigError(f"sizes must be positive, got {self.sizes}")
-        if self.format not in ("csv", "json", "table"):
-            raise ConfigError(f"unknown format {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -522,8 +518,6 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
                 seed=args.seed,
                 trials=args.trials,
                 sizes=sizes_override if use_override else _DEFAULT_SIZES[kind],
-                output_path=args.out,
-                format=args.format,
                 ambient_cutoff=args.ambient_cutoff,
                 profile_out=args.profile_out,
             )

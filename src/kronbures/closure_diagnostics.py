@@ -25,7 +25,7 @@ from .errors import (
     ParameterOutOfRange,
     TraceNotZero,
 )
-from .kron_model import KroneckerPoint
+from .kron_model import LEAF_TOL, KroneckerPoint
 from .spd_core import (
     SpdMatrix,
     kron,
@@ -36,12 +36,17 @@ from .spd_core import (
     symmetrize,
 )
 
-# Thresholds for rank-one, residual, and 2x2 pattern checks. The leaf vs
-# generic gap is many orders of magnitude, so any value in [1e-12, 1e-6]
-# classifies identically.
+# Thresholds for the rank-one and 2x2 pattern checks.
 RANK_TOL = 1e-10
-RESIDUAL_TOL = 1e-10
 PATTERN_TOL = 1e-10
+
+# Bound on ||Pi(Z0)||_F relative to ||P||_F ||Q||_F, the size of the terms
+# of Z0 that cancel on a common leaf. For exact leaf pairs with G G^T +
+# 0.01 I factors the relative residual is a round-off floor that grows with
+# n and with conditioning (at most 1.1e-10 at n = 8, 4.6e-10 at n = 16 and
+# 1.5e-9 at n = 32 over 40 seeds); generic pairs stay above 0.97. The value
+# must sit between the two, with room for that growth.
+RESIDUAL_TOL = 1e-8
 
 # Off-diagonal mass allowed when verifying a joint eigenbasis.
 CHART_TOL = 1e-8
@@ -431,33 +436,35 @@ def endpoint_rigidity_classify(
 ) -> TangencyReport:
     """Classify an endpoint pair by the partial-trace residual of Z0.
 
-    The verdict comes from direct factor comparisons; the report asserts
-    the rigidity equivalence, so a small residual must coincide with a
-    common-leaf verdict. Disagreement raises InconsistentVerdict.
+    The verdict comes from direct factor comparisons at relative tolerance
+    LEAF_TOL; the report asserts the rigidity equivalence, so a residual of
+    at most residual_tol * ||P||_F ||Q||_F must coincide with a common-leaf
+    verdict. Disagreement raises InconsistentVerdict.
     """
     ft = factor_transports(p0, p1)
     z0 = whitened_initial_velocity(ft)
     residual = pi_residual(z0, p0.n)
     residual_norm = float(np.linalg.norm(residual))
+    relative = residual_norm / float(
+        np.linalg.norm(ft.p_mat) * np.linalg.norm(ft.q_mat)
+    )
 
     u0, u1 = p0.u_factor.mat, p1.u_factor.mat
     v0, v1 = p0.v_factor.mat, p1.v_factor.mat
-    if np.linalg.norm(u1 - u0) <= residual_tol * np.linalg.norm(u0):
+    if np.linalg.norm(u1 - u0) <= LEAF_TOL * np.linalg.norm(u0):
         verdict = RigidityVerdict.COMMON_ROW_LEAF
     else:
         tau = float(np.sum(v1 * v0) / np.sum(v0 * v0))
-        if tau > 0.0 and np.linalg.norm(v1 - tau * v0) <= residual_tol * np.linalg.norm(
-            v1
-        ):
+        if tau > 0.0 and np.linalg.norm(v1 - tau * v0) <= LEAF_TOL * np.linalg.norm(v1):
             verdict = RigidityVerdict.COMMON_COL_LEAF
         else:
             verdict = RigidityVerdict.DEPARTS
 
     on_leaf = verdict is not RigidityVerdict.DEPARTS
-    if on_leaf != (residual_norm <= residual_tol):
+    if on_leaf != (relative <= residual_tol):
         raise InconsistentVerdict(
-            f"factor verdict {verdict.value} conflicts with residual norm "
-            f"{residual_norm:.6e} at tolerance {residual_tol:.1e}"
+            f"factor verdict {verdict.value} conflicts with relative residual "
+            f"{relative:.6e} at tolerance {residual_tol:.1e}"
         )
     return TangencyReport(
         z0=z0, residual=residual, residual_norm=residual_norm, verdict=verdict

@@ -13,7 +13,12 @@ from enum import Enum
 
 import numpy as np
 
-from .bures_metric import bures_distance_sq, geodesic, geodesic_eval
+from .bures_metric import (
+    _clamp_distance_sq,
+    bures_distance_sq,
+    geodesic,
+    geodesic_eval,
+)
 from .errors import (
     DimensionMismatch,
     GaugeViolation,
@@ -41,8 +46,6 @@ MEMBERSHIP_TOL = 1e-8
 
 # Default tolerance for leaf membership checks.
 LEAF_TOL = 1e-8
-
-_NEGATIVE_CLAMP = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +187,7 @@ def pairwise_bures_sq_reduced(
         + p1.u_factor.trace() * p1.v_factor.trace()
     )
     d2 = tr_sum - 2.0 * float(np.sqrt(alpha).sum()) * float(np.sqrt(beta).sum())
-    if d2 < 0.0:
-        if d2 < -_NEGATIVE_CLAMP * tr_sum:
-            raise NotInModel(
-                f"reduced distance {d2:.6e} negative beyond round-off"
-            )
-        d2 = 0.0
-    return d2, PairwiseSpectrum(alpha=alpha, beta=beta)
+    return _clamp_distance_sq(d2, tr_sum), PairwiseSpectrum(alpha=alpha, beta=beta)
 
 
 def matrix_normal_w2_sq(l0: MatrixNormalLaw, l1: MatrixNormalLaw) -> float:

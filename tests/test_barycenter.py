@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kronbures import (
     KroneckerPoint,
@@ -23,6 +25,7 @@ from kronbures import (
     slice_data_to_json,
     slice_objective,
 )
+from kronbures.barycenter import _project_centered_box
 from kronbures.bench_cli import gen_log_diag
 
 from conftest import frob, rand_point, rand_spd
@@ -309,6 +312,147 @@ class TestLogCoordinateOracle:
         x, y, _ = log_coordinate_oracle(data)
         val = slice_objective(x, y, data)
         assert abs(val - sol.min_value) <= 1e-9 * max(abs(sol.min_value), 1.0)
+
+    def test_iterates_reach_the_box(self):
+        # Log-scale 3 data put the unconstrained minimizer outside [-2, 2]^n,
+        # so the box is active at the solution.
+        bound = 2.0
+        data = rand_slice_data(8, 8, np.random.default_rng(21), scale=3.0)
+        s0 = _project_centered_box(np.log(data.u_eigs).mean(axis=0), bound)
+        r0 = np.clip(np.log(data.v_eigs).mean(axis=0), -bound, bound)
+        x, y, residual = log_coordinate_oracle(data, bound=bound)
+        s, r = np.log(x), np.log(y)
+        assert residual <= 1e-6
+        assert abs(s.sum()) <= 1e-12 * s.size * bound
+        assert np.abs(np.concatenate([s, r])).max() <= bound * (1.0 + 1e-12)
+        assert np.abs(np.concatenate([s, r])).max() >= bound * (1.0 - 1e-12)
+        start = slice_objective(np.exp(s0), np.exp(r0), data)
+        assert slice_objective(x, y, data) <= start
+
+
+def _bisection_projection(vec, bound):
+    """Reference projection onto {sum = 0} and [-bound, bound]^n: the shift is
+    found by 200 bisection steps, then the residual sum is redistributed over
+    the unclipped coordinates."""
+    lo = float(vec.min()) - bound
+    hi = float(vec.max()) + bound
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(vec - mid, -bound, bound).sum() > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    out = np.clip(vec - 0.5 * (lo + hi), -bound, bound)
+    free = np.abs(out) < bound * (1.0 - 1e-12)
+    if np.any(free):
+        out[free] -= out.sum() / free.sum()
+    return out
+
+
+@st.composite
+def box_problems(draw):
+    """(v, b) with n in [1, 16], b in (0, 10] and entries of v within 4b of 0.
+
+    Round-off in v - tau is of order eps |v|, so entries are drawn on the
+    scale of b for the b-relative bounds to be attainable. Half the draws
+    put v on a b/2 lattice with b a power of two, so breakpoints v_i +- b
+    tie exactly and g can vanish on a whole segment.
+    """
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        bound = 2.0 ** draw(st.integers(-20, 3))
+        steps = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+        return 0.5 * bound * np.array(steps, dtype=float), bound
+    bound = draw(st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False))
+    unit = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    return bound * np.array(unit), bound
+
+
+@st.composite
+def feasible_points(draw):
+    """(v, b) with v exactly in the set: |v_i| <= b and an exact zero sum.
+
+    Entries are small multiples of a power of two below b, paired with their
+    negatives, so every partial sum is exact in floating point.
+    """
+    n = draw(st.integers(1, 16))
+    bound = draw(st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False))
+    unit = np.ldexp(1.0, int(np.frexp(bound)[1]) - 5)
+    half = draw(st.lists(st.integers(-16, 16), max_size=n // 2))
+    steps = draw(st.permutations(half + [-k for k in half] + [0] * (n - 2 * len(half))))
+    return unit * np.array(steps, dtype=float), bound
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=200, derandomize=True, deadline=None, database=None
+)
+
+# A flat piece of g at zero, and tied breakpoints.
+FLAT_AT_ZERO = (np.array([3.0, -3.0]), 1.0)
+TIED = (np.array([2.0, 0.0, 0.0, -2.0, 4.0, -4.0]), 1.0)
+
+
+class TestCenteredBoxProjection:
+    @PROPERTY_SETTINGS
+    @given(box_problems())
+    @example(FLAT_AT_ZERO)
+    @example(TIED)
+    def test_feasible(self, problem):
+        v, b = problem
+        s = _project_centered_box(v, b)
+        assert abs(s.sum()) <= 1e-12 * v.size * b
+        assert np.all(np.abs(s) <= b)
+
+    @PROPERTY_SETTINGS
+    @given(box_problems())
+    @example(FLAT_AT_ZERO)
+    @example(TIED)
+    def test_kkt_form(self, problem):
+        # s = clip(v - tau, -b, b) for a single tau: v - s equals tau on free
+        # coordinates, and clamped coordinates lie beyond the box at tau.
+        v, b = problem
+        s = _project_centered_box(v, b)
+        tol = 1e-12 * b
+        free = np.abs(s) < b
+        upper, lower = s == b, s == -b
+        if np.any(free):
+            shifts = (v - s)[free]
+            assert np.ptp(shifts) <= tol
+            tau = shifts.mean()
+            assert np.all(v[upper] - tau >= b - tol)
+            assert np.all(v[lower] - tau <= -b + tol)
+        else:
+            assert np.max(v[lower] + b, initial=-np.inf) <= np.min(
+                v[upper] - b, initial=np.inf
+            ) + tol
+
+    @PROPERTY_SETTINGS
+    @given(feasible_points())
+    def test_feasible_input_unchanged(self, problem):
+        v, b = problem
+        assert np.array_equal(_project_centered_box(v, b), v)
+
+    @PROPERTY_SETTINGS
+    @given(box_problems())
+    @example(FLAT_AT_ZERO)
+    @example(TIED)
+    def test_matches_bisection(self, problem):
+        v, b = problem
+        s = _project_centered_box(v, b)
+        assert np.max(np.abs(s - _bisection_projection(v, b))) <= 1e-12 * b
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 16),
+        st.floats(-40.0, 40.0),
+        st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False),
+    )
+    @example(2, 1.0, 1e-30)
+    def test_constant_input_is_zero(self, n, value, b):
+        # Covers n = 1, and b below half an ulp of the entries, where all
+        # breakpoints round to one value.
+        s = _project_centered_box(np.full(n, value), b)
+        assert np.array_equal(s, np.zeros(n))
 
 
 class TestSliceDataJson:

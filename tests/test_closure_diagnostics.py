@@ -359,9 +359,29 @@ class TestRigidity:
         assert report.residual_norm == pytest.approx(frob(report.residual))
         assert np.array_equal(report.z0, report.z0.T)
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_gen_spd_pairs(self, n):
+        # G G^T + 0.01 I factors put the absolute residual of exact leaf pairs
+        # above 1e-10 by round-off alone; relative to ||P|| ||Q|| it stays far
+        # below the tolerance, and generic pairs far above it.
+        from kronbures.bench_cli import gen_spd
+
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p0 = KroneckerPoint.from_factors(gen_spd(n, rng), gen_spd(n, rng))
+            row = KroneckerPoint(p0.u_factor, gen_spd(n, rng))
+            col = KroneckerPoint.from_factors(gen_spd(n, rng), p0.v_factor)
+            generic = KroneckerPoint.from_factors(gen_spd(n, rng), gen_spd(n, rng))
+            for p1, verdict in (
+                (row, RigidityVerdict.COMMON_ROW_LEAF),
+                (col, RigidityVerdict.COMMON_COL_LEAF),
+                (generic, RigidityVerdict.DEPARTS),
+            ):
+                assert endpoint_rigidity_classify(p0, p1).verdict is verdict
+
     def test_misconfigured_tolerance_raises(self):
-        # A coarse residual_tol accepts a mildly perturbed U factor as a leaf
-        # match while the residual stays above it; the conflict must surface.
+        # A coarse residual_tol accepts the residual of a mildly perturbed U
+        # factor, which the factor comparison rejects; the conflict must surface.
         from kronbures import InconsistentVerdict, gauge_normalize
 
         rng = np.random.default_rng(0)

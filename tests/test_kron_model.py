@@ -8,6 +8,7 @@ from kronbures import (
     MatrixNormalLaw,
     NotInModel,
     NotOnLeaf,
+    NumericalConsistencyError,
     SpdMatrix,
     bures_distance_sq,
     col_leaf,
@@ -27,6 +28,7 @@ from kronbures import (
     recover_factors,
     row_leaf,
 )
+from kronbures import kron_model
 
 from conftest import frob, rand_point, rand_spd
 
@@ -117,6 +119,17 @@ class TestPairwiseReduction:
         left = embed(KroneckerPoint(*gauge_normalize(u.scaled(c), v)))
         right = embed(KroneckerPoint(*gauge_normalize(u, v.scaled(c))))
         assert frob(left.mat - right.mat) <= 1e-12 * frob(left.mat)
+
+    def test_deficit_beyond_round_off_raises(self, monkeypatch):
+        # Inflated whitened spectra push the cross term past the trace sum,
+        # the failure bures_distance_sq reports for the ambient formula.
+        spectrum = kron_model._whitened_spectrum
+        monkeypatch.setattr(
+            kron_model, "_whitened_spectrum", lambda a0, a1: 4.0 * spectrum(a0, a1)
+        )
+        p = rand_point(3, np.random.default_rng(23))
+        with pytest.raises(NumericalConsistencyError):
+            pairwise_bures_sq_reduced(p, p)
 
 
 class TestMatrixNormal:
