@@ -18,18 +18,16 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NonPositiveCoordinate,
-    NotOnLeaf,
     NotSimultaneouslyDiagonalizable,
 )
 from .kron_model import (
     FactorLeaf,
     KroneckerPoint,
-    LeafKind,
-    _col_scale,
-    leaf_membership,
+    leaf_factor,
+    leaf_point,
     pairwise_bures_sq_reduced,
 )
-from .spd_core import SpdMatrix, log_det, spd_inv_sqrt, spd_sqrt
+from .spd_core import SpdMatrix, spd_inv_sqrt, spd_sqrt
 
 logger = logging.getLogger(__name__)
 
@@ -337,20 +335,8 @@ def leaf_barycenter(leaf: FactorLeaf, points, weights) -> LeafBarycenter:
     """Barycenter within a factor leaf via the factor-level BW barycenter."""
     points = list(points)
     w = _check_weights(weights, len(points))
-    for p in points:
-        if not leaf_membership(leaf, p):
-            raise NotOnLeaf(f"datum is not on the {leaf.kind.value} leaf")
-    if leaf.kind is LeafKind.ROW:
-        v_bar = bw_barycenter([p.v_factor for p in points], w)
-        point = KroneckerPoint(u_factor=leaf.anchor, v_factor=v_bar)
-        return LeafBarycenter(leaf=leaf, point=point, factor_solution=v_bar)
-    m_bar = bw_barycenter(
-        [p.u_factor.scaled(_col_scale(leaf, p)) for p in points], w
-    )
-    alpha = float(np.exp(log_det(m_bar) / m_bar.dim))
-    point = KroneckerPoint(
-        u_factor=m_bar.scaled(1.0 / alpha), v_factor=leaf.anchor.scaled(alpha)
-    )
+    m_bar = bw_barycenter([leaf_factor(leaf, p) for p in points], w)
+    point = leaf_point(leaf, m_bar)
     return LeafBarycenter(leaf=leaf, point=point, factor_solution=m_bar)
 
 

@@ -13,10 +13,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,9 +30,8 @@ from .bures_metric import bures_distance_sq
 from .closure_diagnostics import (
     DepartureCoefficients,
     SqrtProfile,
-    delta_diag,
     delta_geo_asymptote,
-    delta_geo_closed_form,
+    departure_profile_rows,
     write_departure_profile,
 )
 from .errors import ConfigError, NumericalConsistencyError
@@ -54,8 +51,6 @@ BARYCENTER_DATASETS = ("A", "B", "C")
 
 LEAF_MODULUS_TOL = 1e-12
 PAIRWISE_REL_ERR_TOL = 1e-10
-
-THREADS_ENV_VAR = "KRONBURES_THREADS"
 
 
 class ExperimentKind(Enum):
@@ -95,23 +90,6 @@ class SummaryRow:
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # Documented splitting rule: stream for trial k is default_rng(seed + k).
     return np.random.default_rng(seed + trial)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV_VAR}={raw!r} is not an integer") from exc
-    return max(1, workers)
-
-
-def _map_trials(fn, args, parallel_ok: bool = True) -> list:
-    workers = _worker_count()
-    if workers == 1 or not parallel_ok or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
 
 
 def gen_spd(n: int, rng: np.random.Generator) -> SpdMatrix:
@@ -248,14 +226,11 @@ def departure_draw(n: int, rng: np.random.Generator, regime: str) -> SqrtProfile
 
 def departure_draw_metrics(profile: SqrtProfile) -> dict:
     """Max moduli over the interior grid and the small-t quadratic fit."""
-    coeffs = DepartureCoefficients.from_profile(profile)
     grid = np.arange(1, 200) / 200.0
-    geo = np.array([delta_geo_closed_form(coeffs, t) for t in grid])
-    diag = np.array([delta_diag(profile, t) for t in grid])
-    fit_ts = np.arange(1, 11) / 200.0
-    fit_vals = np.array([delta_geo_closed_form(coeffs, t) ** 2 for t in fit_ts])
-    fitted = float((fit_ts**2 @ fit_vals) / (fit_ts**4).sum())
-    predicted = delta_geo_asymptote(coeffs)
+    _, geo, diag = np.array(list(departure_profile_rows(profile, grid))).T
+    fit_ts = grid[:10]
+    fitted = float((fit_ts**2 @ geo[:10] ** 2) / (fit_ts**4).sum())
+    predicted = delta_geo_asymptote(DepartureCoefficients.from_profile(profile))
     fit_rel_err = abs(fitted - predicted) / predicted if predicted > 0.0 else 0.0
     return {
         "max_delta_geo": float(geo.max()),
@@ -277,7 +252,7 @@ def run_departure_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
         ]
         if regime == "generic" and cfg.profile_out:
             write_departure_profile(cfg.profile_out, profiles[0])
-        trials = _map_trials(departure_draw_metrics, profiles)
+        trials = [departure_draw_metrics(p) for p in profiles]
         metrics = {metric: [t[metric] for t in trials] for metric in trials[0]}
         if regime != "generic":
             worst = max(max(metrics["max_delta_geo"]), max(metrics["max_delta_diag"]))
@@ -349,7 +324,7 @@ def run_barycenter_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
                 barycenter_dataset(name, n, BARYCENTER_DATA_COUNT, rng)
             )
     for name in BARYCENTER_DATASETS:
-        trials = _map_trials(barycenter_trial, datasets[name])
+        trials = [barycenter_trial(d) for d in datasets[name]]
         for tr in trials:
             gap = abs(tr["formula_obj"] - tr["numerical_obj"])
             if gap > 1e-6 * max(abs(tr["formula_obj"]), 1.0) or tr["coord_error"] > 1e-4:

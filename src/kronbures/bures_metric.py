@@ -76,8 +76,12 @@ def transport_map(a: SpdMatrix, b: SpdMatrix) -> TransportMap:
     _check_same_dim(a, b)
     s = spd_sqrt(a).mat
     r = spd_inv_sqrt(a).mat
-    mid = spd_sqrt(SpdMatrix(s @ b.mat @ s))
-    t = SpdMatrix(r @ mid.mat @ r)
+    # A^1/2 B A^1/2 can fall below the SPD margin while T is well
+    # conditioned (for V0 (x) U and V1 (x) U it carries U^2), so its root
+    # comes from a spectrum clipped at 0, as in bures_distance_sq.
+    w, q = np.linalg.eigh(symmetrize(s @ b.mat @ s))
+    mid = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+    t = SpdMatrix(r @ mid @ r)
     defect = np.linalg.norm(t.mat @ a.mat @ t.mat - b.mat)
     if defect > TRANSPORT_CHECK_TOL * np.linalg.norm(b.mat):
         raise NumericalConsistencyError(

@@ -25,7 +25,7 @@ from .errors import (
     ParameterOutOfRange,
     TraceNotZero,
 )
-from .kron_model import LEAF_TOL, KroneckerPoint
+from .kron_model import KroneckerPoint, col_leaf, leaf_membership, row_leaf
 from .spd_core import (
     SpdMatrix,
     kron,
@@ -436,9 +436,10 @@ def endpoint_rigidity_classify(
 ) -> TangencyReport:
     """Classify an endpoint pair by the partial-trace residual of Z0.
 
-    The verdict comes from direct factor comparisons at relative tolerance
-    LEAF_TOL; the report asserts the rigidity equivalence, so a residual of
-    at most residual_tol * ||P||_F ||Q||_F must coincide with a common-leaf
+    The verdict is whether p1 lies on the row leaf of p0's U factor, else
+    on the column leaf of p0's V factor (``leaf_membership``). The report
+    asserts the rigidity equivalence, so a residual of at most
+    residual_tol * ||P||_F ||Q||_F must coincide with a common-leaf
     verdict. Disagreement raises InconsistentVerdict.
     """
     ft = factor_transports(p0, p1)
@@ -449,16 +450,12 @@ def endpoint_rigidity_classify(
         np.linalg.norm(ft.p_mat) * np.linalg.norm(ft.q_mat)
     )
 
-    u0, u1 = p0.u_factor.mat, p1.u_factor.mat
-    v0, v1 = p0.v_factor.mat, p1.v_factor.mat
-    if np.linalg.norm(u1 - u0) <= LEAF_TOL * np.linalg.norm(u0):
+    if leaf_membership(row_leaf(p0.u_factor), p1):
         verdict = RigidityVerdict.COMMON_ROW_LEAF
+    elif leaf_membership(col_leaf(p0.v_factor), p1):
+        verdict = RigidityVerdict.COMMON_COL_LEAF
     else:
-        tau = float(np.sum(v1 * v0) / np.sum(v0 * v0))
-        if tau > 0.0 and np.linalg.norm(v1 - tau * v0) <= LEAF_TOL * np.linalg.norm(v1):
-            verdict = RigidityVerdict.COMMON_COL_LEAF
-        else:
-            verdict = RigidityVerdict.DEPARTS
+        verdict = RigidityVerdict.DEPARTS
 
     on_leaf = verdict is not RigidityVerdict.DEPARTS
     if on_leaf != (relative <= residual_tol):

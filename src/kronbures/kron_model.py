@@ -4,6 +4,12 @@ Points are pairs (U, V) of SPD factors with det U = 1, embedded in the
 ambient cone as V (x) U. This module provides the embedding and its
 inverse, the pairwise spectral reduction of the Bures distance, factor
 leaves with their geodesics, and matrix-normal W2.
+
+Every leaf operation goes through one chart. ``leaf_factor`` maps a leaf
+point to its moving factor, V on a row leaf and tau U on a column leaf
+(V = tau V_star), and ``leaf_point`` maps a factor back. The chart is a
+homothety of ratio tr(anchor) onto the SPD cone, so leaf geodesics,
+distances and barycenters are the standard Bures ones of the factors.
 """
 
 from __future__ import annotations
@@ -223,10 +229,24 @@ def leaf_membership(leaf: FactorLeaf, p: KroneckerPoint, tol: float = LEAF_TOL) 
     return defect <= tol * np.linalg.norm(anchor)
 
 
-def _require_on_leaf(leaf: FactorLeaf, *points: KroneckerPoint) -> None:
-    for p in points:
-        if not leaf_membership(leaf, p):
-            raise NotOnLeaf(f"point is not on the {leaf.kind.value} leaf")
+def leaf_factor(leaf: FactorLeaf, p: KroneckerPoint) -> SpdMatrix:
+    """Chart of a leaf point: V on a row leaf, tau U on a column leaf.
+
+    Raises NotOnLeaf off the leaf. The chart scales squared Bures distances
+    by tr(anchor) and carries Bures geodesics to Bures geodesics.
+    """
+    if not leaf_membership(leaf, p):
+        raise NotOnLeaf(f"point is not on the {leaf.kind.value} leaf")
+    if leaf.kind is LeafKind.ROW:
+        return p.v_factor
+    return p.u_factor.scaled(_col_scale(leaf, p))
+
+
+def leaf_point(leaf: FactorLeaf, m: SpdMatrix) -> KroneckerPoint:
+    """Inverse chart: the leaf point whose moving factor is m."""
+    if leaf.kind is LeafKind.ROW:
+        return KroneckerPoint(u_factor=leaf.anchor, v_factor=m)
+    return KroneckerPoint.from_factors(m, leaf.anchor)
 
 
 def leaf_geodesic(
@@ -239,18 +259,8 @@ def leaf_geodesic(
     """
     if not 0.0 <= t <= 1.0:
         raise ParameterOutOfRange(f"geodesic parameter {t} outside [0, 1]")
-    _require_on_leaf(leaf, p0, p1)
-    if leaf.kind is LeafKind.ROW:
-        v_t = geodesic_eval(geodesic(p0.v_factor, p1.v_factor), t)
-        return KroneckerPoint(u_factor=leaf.anchor, v_factor=v_t)
-    m0 = p0.u_factor.scaled(_col_scale(leaf, p0))
-    m1 = p1.u_factor.scaled(_col_scale(leaf, p1))
-    m_t = geodesic_eval(geodesic(m0, m1), t)
-    alpha_t = float(np.exp(log_det(m_t) / m_t.dim))
-    return KroneckerPoint(
-        u_factor=m_t.scaled(1.0 / alpha_t),
-        v_factor=leaf.anchor.scaled(alpha_t),
-    )
+    curve = geodesic(leaf_factor(leaf, p0), leaf_factor(leaf, p1))
+    return leaf_point(leaf, geodesic_eval(curve, t))
 
 
 def homothety_distance(leaf: FactorLeaf, p0: KroneckerPoint, p1: KroneckerPoint) -> float:
@@ -259,11 +269,7 @@ def homothety_distance(leaf: FactorLeaf, p0: KroneckerPoint, p1: KroneckerPoint)
     Each leaf is a homothetic copy of the SPD cone, so this equals the
     ambient squared distance between the embeddings.
     """
-    _require_on_leaf(leaf, p0, p1)
-    if leaf.kind is LeafKind.ROW:
-        return leaf.anchor.trace() * bures_distance_sq(p0.v_factor, p1.v_factor)
-    m0 = p0.u_factor.scaled(_col_scale(leaf, p0))
-    m1 = p1.u_factor.scaled(_col_scale(leaf, p1))
+    m0, m1 = leaf_factor(leaf, p0), leaf_factor(leaf, p1)
     return leaf.anchor.trace() * bures_distance_sq(m0, m1)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kronbures import (
@@ -27,8 +27,9 @@ from kronbures import (
 )
 from kronbures.barycenter import _project_centered_box
 from kronbures.bench_cli import gen_log_diag
+from kronbures.kron_model import leaf_factor
 
-from conftest import frob, rand_point, rand_spd
+from conftest import PROPERTY_SETTINGS, frob, rand_point, rand_spd
 
 
 def rand_slice_data(n, count, rng, scale=1.0):
@@ -280,11 +281,9 @@ class TestLeafBarycenter:
         ]
         w = np.full(4, 0.25)
         lb = leaf_barycenter(col_leaf(v_star), points, w)
-        from kronbures.kron_model import _col_scale
-
         leaf = col_leaf(v_star)
         factor_obj = sum(
-            wi * bures_distance_sq(lb.factor_solution, p.u_factor.scaled(_col_scale(leaf, p)))
+            wi * bures_distance_sq(lb.factor_solution, leaf_factor(leaf, p))
             for wi, p in zip(w, points)
         )
         total = objective_J(lb.point, points, w)
@@ -382,10 +381,6 @@ def feasible_points(draw):
     steps = draw(st.permutations(half + [-k for k in half] + [0] * (n - 2 * len(half))))
     return unit * np.array(steps, dtype=float), bound
 
-
-PROPERTY_SETTINGS = settings(
-    max_examples=200, derandomize=True, deadline=None, database=None
-)
 
 # A flat piece of g at zero, and tied breakpoints.
 FLAT_AT_ZERO = (np.array([3.0, -3.0]), 1.0)

@@ -216,25 +216,6 @@ class TestCli:
         first, second = (json.loads(p.read_text()) for p in paths)
         assert first == second
 
-    def test_thread_env_round_trip(self, tmp_path, monkeypatch):
-        results = []
-        for workers in ("1", "3"):
-            monkeypatch.setenv("KRONBURES_THREADS", workers)
-            out = tmp_path / f"t{workers}.json"
-            assert (
-                main(
-                    ["barycenter", "--trials", "2", "--sizes", "4", "--format", "json",
-                     "--out", str(out)]
-                )
-                == 0
-            )
-            results.append(json.loads(out.read_text()))
-        assert results[0] == results[1]
-
-    def test_bad_thread_env_exit_two(self, monkeypatch):
-        monkeypatch.setenv("KRONBURES_THREADS", "many")
-        assert main(["departure", "--trials", "1", "--sizes", "6"]) == 2
-
 
 class TestRngSplitting:
     def test_stream_is_seed_plus_trial(self):

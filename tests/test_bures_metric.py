@@ -3,17 +3,22 @@ import pytest
 
 from kronbures import (
     DimensionMismatch,
+    KroneckerPoint,
     NotCommuting,
     ParameterOutOfRange,
     SpdMatrix,
     bures_distance_sq,
     commuting_geodesic_eval,
+    embed,
     gaussian_w2_sq,
     geodesic,
     geodesic_eval,
+    pairwise_bures_sq_reduced,
+    recover_factors,
     spd_sqrt,
     transport_map,
 )
+from kronbures.bench_cli import gen_spd
 
 from conftest import frob, rand_orthogonal, rand_spd
 
@@ -88,6 +93,22 @@ class TestTransport:
         t_ba = transport_map(b, a).matrix.mat
         assert frob(t_ab @ a.mat @ t_ab - b.mat) <= 1e-10 * frob(b.mat)
         assert frob(t_ba @ b.mat @ t_ba - a.mat) <= 1e-10 * frob(a.mat)
+
+    def test_ill_conditioned_whitened_product(self):
+        # On a row leaf, A^1/2 B A^1/2 = (V0^1/2 V1 V0^1/2) (x) U^2 squares the
+        # conditioning of U and falls below the SPD margin (about 8.9e-14
+        # here), while T and the geodesic stay well conditioned.
+        rng = np.random.default_rng(1)
+        p0 = KroneckerPoint.from_factors(gen_spd(16, rng), gen_spd(16, rng))
+        p1 = KroneckerPoint(p0.u_factor, gen_spd(16, rng))
+        k0, k1 = embed(p0), embed(p1)
+        t = transport_map(k0, k1).matrix.mat
+        assert frob(t @ k0.mat @ t - k1.mat) <= 1e-10 * frob(k1.mat)
+        mid = recover_factors(geodesic_eval(geodesic(k0, k1), 0.5))
+        d2, _ = pairwise_bures_sq_reduced(p0, p1)
+        for p in (p0, p1):
+            half, _ = pairwise_bures_sq_reduced(p, mid)
+            assert abs(half - d2 / 4.0) <= 1e-11 * d2
 
 
 class TestGeodesic:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
 
 from kronbures import (
     ClosureVerdict,
@@ -8,6 +9,7 @@ from kronbures import (
     DepartureCoefficients,
     DimensionMismatch,
     KroneckerPoint,
+    LeafKind,
     NotSimultaneouslyDiagonalizable,
     RigidityVerdict,
     SpdMatrix,
@@ -36,7 +38,15 @@ from kronbures import (
 )
 from kronbures.closure_diagnostics import profile_matrix
 
-from conftest import frob, rand_orthogonal, rand_point, rand_spd, rand_symmetric
+from conftest import (
+    PROPERTY_SETTINGS,
+    frob,
+    leaf_pairs,
+    rand_orthogonal,
+    rand_point,
+    rand_spd,
+    rand_symmetric,
+)
 
 
 def example_noncommuting_pair():
@@ -378,6 +388,17 @@ class TestRigidity:
                 (generic, RigidityVerdict.DEPARTS),
             ):
                 assert endpoint_rigidity_classify(p0, p1).verdict is verdict
+
+    @PROPERTY_SETTINGS
+    @given(leaf_pairs())
+    def test_leaf_pairs_get_their_leaf(self, pair):
+        # At n = 1 every U factor is 1, so each pair shares the row leaf.
+        leaf, p0, p1 = pair
+        if leaf.kind is LeafKind.ROW or p0.n == 1:
+            expected = RigidityVerdict.COMMON_ROW_LEAF
+        else:
+            expected = RigidityVerdict.COMMON_COL_LEAF
+        assert endpoint_rigidity_classify(p0, p1).verdict is expected
 
     def test_misconfigured_tolerance_raises(self):
         # A coarse residual_tol accepts the residual of a mildly perturbed U

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kronbures import (
     DimensionMismatch,
     GaugeViolation,
     KroneckerPoint,
+    LeafKind,
     MatrixNormalLaw,
     NotInModel,
     NotOnLeaf,
@@ -29,8 +32,9 @@ from kronbures import (
     row_leaf,
 )
 from kronbures import kron_model
+from kronbures.kron_model import leaf_factor, leaf_point
 
-from conftest import frob, rand_point, rand_spd
+from conftest import PROPERTY_SETTINGS, frob, leaf_pair, leaf_pairs, rand_point, rand_spd
 
 
 class TestPoint:
@@ -190,23 +194,54 @@ class TestLeafMembership:
 
 
 def _row_leaf_pair(n, rng):
-    u_star = rand_spd(n, rng, normalized=True)
-    return (
-        row_leaf(u_star),
-        KroneckerPoint(u_star, rand_spd(n, rng)),
-        KroneckerPoint(u_star, rand_spd(n, rng)),
-    )
+    return leaf_pair(LeafKind.ROW, n, rng)
 
 
 def _col_leaf_pair(n, rng):
-    v_star = rand_spd(n, rng)
-    p0 = KroneckerPoint(
-        rand_spd(n, rng, normalized=True), v_star.scaled(float(np.exp(rng.standard_normal())))
-    )
-    p1 = KroneckerPoint(
-        rand_spd(n, rng, normalized=True), v_star.scaled(float(np.exp(rng.standard_normal())))
-    )
-    return col_leaf(v_star), p0, p1
+    return leaf_pair(LeafKind.COL, n, rng)
+
+
+class TestLeafChart:
+    def test_row_factor_is_v(self):
+        leaf, p0, _ = _row_leaf_pair(3, np.random.default_rng(20))
+        assert leaf_factor(leaf, p0) is p0.v_factor
+
+    def test_col_factor_absorbs_scale(self):
+        rng = np.random.default_rng(21)
+        u = rand_spd(3, rng, normalized=True)
+        v_star = rand_spd(3, rng)
+        m = leaf_factor(col_leaf(v_star), KroneckerPoint(u, v_star.scaled(2.5)))
+        assert frob(m.mat - 2.5 * u.mat) <= 1e-14 * frob(u.mat)
+
+    def test_off_leaf(self):
+        rng = np.random.default_rng(22)
+        leaf, _, _ = _col_leaf_pair(2, rng)
+        with pytest.raises(NotOnLeaf):
+            leaf_factor(leaf, rand_point(2, rng))
+
+    @PROPERTY_SETTINGS
+    @given(leaf_pairs())
+    def test_round_trip(self, pair):
+        leaf, p0, p1 = pair
+        for p in (p0, p1):
+            q = leaf_point(leaf, leaf_factor(leaf, p))
+            assert frob(embed(q).mat - embed(p).mat) <= 1e-12 * frob(embed(p).mat)
+
+    @PROPERTY_SETTINGS
+    @given(leaf_pairs())
+    def test_homothety_matches_reduced(self, pair):
+        leaf, p0, p1 = pair
+        d2, _ = pairwise_bures_sq_reduced(p0, p1)
+        scale = embed(p0).trace() + embed(p1).trace()
+        assert abs(homothety_distance(leaf, p0, p1) - d2) <= 1e-12 * scale
+
+    @PROPERTY_SETTINGS
+    @given(leaf_pairs(), st.floats(0.0, 1.0))
+    def test_geodesic_matches_ambient(self, pair, t):
+        leaf, p0, p1 = pair
+        got = embed(leaf_geodesic(leaf, p0, p1, t)).mat
+        ambient = geodesic_eval(geodesic(embed(p0), embed(p1)), t).mat
+        assert frob(got - ambient) <= 1e-11 * frob(ambient)
 
 
 class TestLeafGeodesic:
