@@ -16,13 +16,16 @@ import numpy as np
 from .bures_metric import bures_distance_sq, transport_map
 from .errors import (
     DimensionMismatch,
+    GaugeViolation,
     NoConvergence,
     NonPositiveCoordinate,
     NotSimultaneouslyDiagonalizable,
+    ParameterOutOfRange,
 )
 from .kron_model import (
     FactorLeaf,
     KroneckerPoint,
+    embed,
     leaf_factor,
     leaf_point,
     pairwise_bures_sq_reduced,
@@ -33,6 +36,16 @@ logger = logging.getLogger(__name__)
 
 WEIGHT_TOL = 1e-12
 
+# Solver iteration budgets and stopping tolerances. ORACLE_BOUND is the
+# half-width of the oracle's box on every log coordinate.
+PERRON_MAX_ITER = 10000
+PERRON_TOL = 1e-14
+BW_MAX_ITER = 500
+BW_TOL = 1e-10
+ORACLE_MAX_ITER = 20000
+ORACLE_GRAD_TOL = 1e-8
+ORACLE_BOUND = 8.0
+
 
 def _check_weights(weights, count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel()
@@ -41,7 +54,7 @@ def _check_weights(weights, count: int) -> np.ndarray:
     if np.any(w <= 0.0):
         raise NonPositiveCoordinate("weights must be strictly positive")
     if abs(w.sum() - 1.0) > WEIGHT_TOL * max(1.0, count):
-        raise NonPositiveCoordinate(f"weights sum to {w.sum()!r}, expected 1")
+        raise ParameterOutOfRange(f"weights sum to {w.sum()!r}, expected 1")
     return w
 
 
@@ -74,7 +87,7 @@ class SliceData:
         count, n = self.u_eigs.shape
         drift = np.abs(np.log(self.u_eigs).sum(axis=1)).max()
         if drift > 1e-10 * max(n, 1):
-            raise NonPositiveCoordinate(
+            raise GaugeViolation(
                 f"u eigenvalue rows drift from unit product by {drift:.6e}"
             )
         self.weights = _check_weights(self.weights, count)
@@ -181,8 +194,6 @@ def objective_J(k, data, weights) -> float:
         return float(
             sum(wi * pairwise_bures_sq_reduced(k, d)[0] for wi, d in zip(w, data))
         )
-    from .kron_model import embed
-
     k_amb = embed(k) if isinstance(k, KroneckerPoint) else k
     total = 0.0
     for wi, d in zip(w, data):
@@ -217,9 +228,7 @@ def slice_objective(x, y, data: SliceData) -> float:
     return float(x.sum() * y.sum() + data.kappa - 2.0 * cross)
 
 
-def perron_singular_pair(
-    c_mat, max_iter: int = 10000, tol: float = 1e-14
-) -> PerronSolution:
+def perron_singular_pair(c_mat) -> PerronSolution:
     """Top singular triple of a positive matrix by power iteration on CC^T.
 
     Starts from the all-ones vector, which stays entrywise positive
@@ -235,18 +244,18 @@ def perron_singular_pair(
     s_mat = c_mat @ c_mat.T
     u = np.full(n, 1.0 / np.sqrt(n))
     deltas = []
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         y = s_mat @ u
         u_new = y / np.linalg.norm(y)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
         deltas.append(delta)
-        if delta <= tol:
+        if delta <= PERRON_TOL:
             break
     else:
         gap = deltas[-1] / deltas[-2] if len(deltas) > 1 and deltas[-2] > 0 else 1.0
         raise NoConvergence(
-            f"power iteration stalled after {max_iter} iterations; last update "
+            f"power iteration stalled after {PERRON_MAX_ITER} iterations; last update "
             f"{deltas[-1]:.3e}, estimated contraction {gap:.3f}",
             best=u,
             residual=deltas[-1],
@@ -277,13 +286,11 @@ def slice_barycenter(data: SliceData) -> SliceBarycenter:
     )
 
 
-def bw_barycenter(
-    mats, weights, max_iter: int = 500, fp_tol: float = 1e-10
-) -> SpdMatrix:
+def bw_barycenter(mats, weights) -> SpdMatrix:
     """Bures-Wasserstein barycenter on the SPD cone by fixed-point iteration.
 
     Starts at the weighted arithmetic mean and stops when the stationarity
-    residual ||sum_i w_i T_{V -> V_i} - I||_F falls below fp_tol.
+    residual ||sum_i w_i T_{V -> V_i} - I||_F falls below BW_TOL.
     """
     mats = list(mats)
     w = _check_weights(weights, len(mats))
@@ -295,7 +302,7 @@ def bw_barycenter(
     eye = np.eye(n)
     prev_residual = np.inf
     best = (np.inf, v)
-    for _ in range(max_iter):
+    for _ in range(BW_MAX_ITER):
         s = spd_sqrt(v).mat
         r = spd_inv_sqrt(v).mat
         g = sum(
@@ -311,12 +318,12 @@ def bw_barycenter(
                 residual,
             )
         prev_residual = residual
-        if residual <= fp_tol:
+        if residual <= BW_TOL:
             return v
         half = r @ g
         v = SpdMatrix(half @ half.T)
     raise NoConvergence(
-        f"fixed point not stationary after {max_iter} iterations; residual "
+        f"fixed point not stationary after {BW_MAX_ITER} iterations; residual "
         f"{best[0]:.3e}",
         best=best[1],
         residual=best[0],
@@ -371,23 +378,19 @@ def _project_centered_box(vec: np.ndarray, bound: float) -> np.ndarray:
     return np.clip(vec - tau, -bound, bound)
 
 
-def log_coordinate_oracle(
-    data: SliceData,
-    max_iter: int = 20000,
-    grad_tol: float = 1e-8,
-    bound: float = 8.0,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def log_coordinate_oracle(data: SliceData) -> tuple[np.ndarray, np.ndarray, float]:
     """Slice minimizer by projected gradient descent in log coordinates.
 
     Works in s = log x, r = log y with the linear constraint sum(s) = 0 and
-    box bounds [-bound, bound], using Barzilai-Borwein steps safeguarded by
-    a backtracking line search. Independent of the Perron route; returns
-    (x, y, projected first-order residual). Stops early once the objective
-    decrease stays below float resolution, since the line search cannot
-    certify progress past that point.
+    box bounds [-ORACLE_BOUND, ORACLE_BOUND], using Barzilai-Borwein steps
+    safeguarded by a backtracking line search. Independent of the Perron
+    route; returns (x, y, projected first-order residual). Stops early once
+    the objective decrease stays below float resolution, since the line
+    search cannot certify progress past that point.
     """
     c_mat = coefficient_matrix(data)
     n = data.n
+    bound = ORACLE_BOUND
 
     def split(z):
         return z[:n], z[n:]
@@ -425,8 +428,8 @@ def log_coordinate_oracle(
     step = 1.0
     stalled = 0
     residual = float(np.linalg.norm(z - project(z - g)))
-    for _ in range(max_iter):
-        if residual <= grad_tol or stalled >= 20:
+    for _ in range(ORACLE_MAX_ITER):
+        if residual <= ORACLE_GRAD_TOL or stalled >= 20:
             s, r = split(z)
             return np.exp(s), np.exp(r), residual
         while True:
@@ -448,11 +451,11 @@ def log_coordinate_oracle(
         stalled = stalled + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
         z, f, g = z_new, f_new, g_new
         residual = float(np.linalg.norm(z - project(z - g)))
-    if residual <= grad_tol:
+    if residual <= ORACLE_GRAD_TOL:
         s, r = split(z)
         return np.exp(s), np.exp(r), residual
     raise NoConvergence(
-        f"projected gradient made no further progress after {max_iter} "
+        f"projected gradient made no further progress after {ORACLE_MAX_ITER} "
         f"iterations; residual {residual:.3e}",
         best=z,
         residual=residual,

@@ -40,7 +40,6 @@ from .spd_core import SpdMatrix
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 20
-DEFAULT_AMBIENT_CUTOFF = 64
 DEFAULT_PAIRWISE_SIZES = (8, 16, 32)
 DEFAULT_DEPARTURE_SIZE = 32
 DEFAULT_BARYCENTER_SIZE = 8
@@ -51,6 +50,9 @@ BARYCENTER_DATASETS = ("A", "B", "C")
 
 LEAF_MODULUS_TOL = 1e-12
 PAIRWISE_REL_ERR_TOL = 1e-10
+
+# Pairwise evaluates the ambient n^2 x n^2 distance only up to this n.
+AMBIENT_CUTOFF = 64
 
 
 class ExperimentKind(Enum):
@@ -65,7 +67,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
     sizes: tuple = DEFAULT_PAIRWISE_SIZES
-    ambient_cutoff: int = DEFAULT_AMBIENT_CUTOFF
     profile_out: str | None = None
 
     def __post_init__(self):
@@ -170,7 +171,7 @@ def run_pairwise_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
     """Per-size timing, speedup, relative error, and storage ratio rows."""
     rows = []
     for n in cfg.sizes:
-        with_ambient = n <= cfg.ambient_cutoff
+        with_ambient = n <= AMBIENT_CUTOFF
         # One untimed warm-up evaluation per size.
         pairwise_trial(n, _trial_rng(cfg.seed, 0), with_ambient)
         trials = [
@@ -463,7 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--format", choices=("csv", "json", "table"), default="table")
     common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    common.add_argument("--ambient-cutoff", type=int, default=DEFAULT_AMBIENT_CUTOFF)
     common.add_argument(
         "--profile-out",
         type=str,
@@ -493,7 +493,6 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
                 seed=args.seed,
                 trials=args.trials,
                 sizes=sizes_override if use_override else _DEFAULT_SIZES[kind],
-                ambient_cutoff=args.ambient_cutoff,
                 profile_out=args.profile_out,
             )
         )

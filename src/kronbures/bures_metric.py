@@ -105,16 +105,14 @@ def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
     return SpdMatrix(ct @ curve.start.mat @ ct)
 
 
-def commuting_geodesic_eval(
-    a: SpdMatrix, b: SpdMatrix, t: float, commute_tol: float = COMMUTE_TOL
-) -> SpdMatrix:
+def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     """Geodesic ((1-t) A^1/2 + t B^1/2)^2 for commuting endpoints."""
     _check_same_dim(a, b)
     comm = np.linalg.norm(a.mat @ b.mat - b.mat @ a.mat)
     scale = np.linalg.norm(a.mat) * np.linalg.norm(b.mat)
-    if comm > commute_tol * scale:
+    if comm > COMMUTE_TOL * scale:
         raise NotCommuting(
-            f"relative commutator norm {comm / scale:.6e} exceeds {commute_tol:.1e}"
+            f"relative commutator norm {comm / scale:.6e} exceeds {COMMUTE_TOL:.1e}"
         )
     mix = (1.0 - t) * spd_sqrt(a).mat + t * spd_sqrt(b).mat
     return SpdMatrix(mix @ mix)

@@ -198,18 +198,16 @@ class FactorTransports:
 
 @dataclass(frozen=True, eq=False)
 class TangencyReport:
-    """Whitened initial velocity, its partial-trace residual, and the verdict."""
+    """Frobenius norm of the partial-trace residual Pi(Z0), and the verdict."""
 
-    z0: np.ndarray
-    residual: np.ndarray
     residual_norm: float
     verdict: RigidityVerdict
 
 
-def _check_commuting(a: np.ndarray, b: np.ndarray, label: str, tol: float) -> None:
+def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
     comm = np.linalg.norm(a @ b - b @ a)
     scale = np.linalg.norm(a) * np.linalg.norm(b)
-    if comm > tol * scale:
+    if comm > COMMUTE_TOL * scale:
         raise NotSimultaneouslyDiagonalizable(
             f"{label} factors do not commute: relative commutator "
             f"{comm / scale:.6e}"
@@ -238,7 +236,7 @@ def _joint_eigenbasis(a: SpdMatrix, b_mat: np.ndarray) -> np.ndarray:
 
 
 def _diagonalize_pair(
-    a0: SpdMatrix, a1: SpdMatrix, label: str, chart_tol: float
+    a0: SpdMatrix, a1: SpdMatrix, label: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     basis = _joint_eigenbasis(a0, a1.mat)
     vals = []
@@ -246,7 +244,7 @@ def _diagonalize_pair(
         rotated = basis.T @ m @ basis
         diag = np.diag(rotated).copy()
         off = np.linalg.norm(rotated - np.diag(diag))
-        if off > chart_tol * np.linalg.norm(m):
+        if off > CHART_TOL * np.linalg.norm(m):
             raise NotSimultaneouslyDiagonalizable(
                 f"{label} factors have off-diagonal mass {off:.6e} in the joint basis"
             )
@@ -254,19 +252,14 @@ def _diagonalize_pair(
     return basis, vals[0], vals[1]
 
 
-def build_chart(
-    p0: KroneckerPoint,
-    p1: KroneckerPoint,
-    commute_tol: float = COMMUTE_TOL,
-    chart_tol: float = CHART_TOL,
-) -> CommutingChart:
+def build_chart(p0: KroneckerPoint, p1: KroneckerPoint) -> CommutingChart:
     """Joint diagonalizing chart for simultaneously diagonalizable endpoints."""
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    _check_commuting(p0.u_factor.mat, p1.u_factor.mat, "U", commute_tol)
-    _check_commuting(p0.v_factor.mat, p1.v_factor.mat, "V", commute_tol)
-    q, u0, u1 = _diagonalize_pair(p0.u_factor, p1.u_factor, "U", chart_tol)
-    r, v0, v1 = _diagonalize_pair(p0.v_factor, p1.v_factor, "V", chart_tol)
+    _check_commuting(p0.u_factor.mat, p1.u_factor.mat, "U")
+    _check_commuting(p0.v_factor.mat, p1.v_factor.mat, "V")
+    q, u0, u1 = _diagonalize_pair(p0.u_factor, p1.u_factor, "U")
+    r, v0, v1 = _diagonalize_pair(p0.v_factor, p1.v_factor, "V")
     return CommutingChart(q_basis=q, r_basis=r, u0=u0, u1=u1, v0=v0, v1=v1)
 
 
@@ -289,19 +282,17 @@ def sqrt_profile_at(chart: CommutingChart, t: float) -> np.ndarray:
     return profile_matrix(SqrtProfile.from_chart(chart), t)
 
 
-def classify_closure_commuting(
-    chart: CommutingChart, rank_tol: float = RANK_TOL
-) -> ClosureVerdict:
+def classify_closure_commuting(chart: CommutingChart) -> ClosureVerdict:
     """Fixed-chart closure verdict from the eigenvalue vectors.
 
     Row leaf iff the U eigenvalues agree entrywise, column leaf iff the V
     eigenvalues are positively proportional; anything else departs the
     model immediately.
     """
-    if np.max(np.abs(chart.u1 - chart.u0)) <= rank_tol * np.max(chart.u0):
+    if np.max(np.abs(chart.u1 - chart.u0)) <= RANK_TOL * np.max(chart.u0):
         return ClosureVerdict.ALWAYS_IN_MODEL_ROW_LEAF
     tau = float(np.dot(chart.v0, chart.v1) / np.dot(chart.v0, chart.v0))
-    if tau > 0.0 and np.max(np.abs(chart.v1 - tau * chart.v0)) <= rank_tol * np.max(
+    if tau > 0.0 and np.max(np.abs(chart.v1 - tau * chart.v0)) <= RANK_TOL * np.max(
         chart.v1
     ):
         return ClosureVerdict.ALWAYS_IN_MODEL_COL_LEAF
@@ -431,21 +422,32 @@ def whitened_initial_velocity(ft: FactorTransports) -> np.ndarray:
     return z0
 
 
+def _trace_free_norm(m: np.ndarray) -> float:
+    """Frobenius norm of the trace-free part dev(M) = M - (tr M / n) I."""
+    n = m.shape[0]
+    return float(np.linalg.norm(m - (np.trace(m) / n) * np.eye(n)))
+
+
 def endpoint_rigidity_classify(
-    p0: KroneckerPoint, p1: KroneckerPoint, residual_tol: float = RESIDUAL_TOL
+    p0: KroneckerPoint, p1: KroneckerPoint
 ) -> TangencyReport:
     """Classify an endpoint pair by the partial-trace residual of Z0.
 
     The verdict is whether p1 lies on the row leaf of p0's U factor, else
     on the column leaf of p0's V factor (``leaf_membership``). The report
     asserts the rigidity equivalence, so a residual of at most
-    residual_tol * ||P||_F ||Q||_F must coincide with a common-leaf
-    verdict. Disagreement raises InconsistentVerdict.
+    RESIDUAL_TOL * ||P||_F ||Q||_F must coincide with a common-leaf
+    verdict. Disagreement raises InconsistentVerdict. The residual norm
+    comes from the n x n factor transports; no n^2 x n^2 matrix is formed.
     """
     ft = factor_transports(p0, p1)
-    z0 = whitened_initial_velocity(ft)
-    residual = pi_residual(z0, p0.n)
-    residual_norm = float(np.linalg.norm(residual))
+    # Pi(X (x) Y) = dev(X) (x) dev(Y), so Pi(Z0) = dev(P) (x) dev(Q) + its
+    # transpose and ||Pi(Z0)||_F^2 = 2 (||dev P||^2 ||dev Q||^2 +
+    # tr(dev(P)^2) tr(dev(Q)^2)). dev(P) is similar to the symmetric
+    # dev(S_V), so tr(dev(P)^2) = ||dev S_V||^2 >= 0, and likewise for Q.
+    cross = _trace_free_norm(ft.p_mat) * _trace_free_norm(ft.q_mat)
+    twisted = _trace_free_norm(ft.s_v.mat) * _trace_free_norm(ft.s_u.mat)
+    residual_norm = float(np.sqrt(2.0) * np.hypot(cross, twisted))
     relative = residual_norm / float(
         np.linalg.norm(ft.p_mat) * np.linalg.norm(ft.q_mat)
     )
@@ -458,14 +460,12 @@ def endpoint_rigidity_classify(
         verdict = RigidityVerdict.DEPARTS
 
     on_leaf = verdict is not RigidityVerdict.DEPARTS
-    if on_leaf != (relative <= residual_tol):
+    if on_leaf != (relative <= RESIDUAL_TOL):
         raise InconsistentVerdict(
             f"factor verdict {verdict.value} conflicts with relative residual "
-            f"{relative:.6e} at tolerance {residual_tol:.1e}"
+            f"{relative:.6e} at tolerance {RESIDUAL_TOL:.1e}"
         )
-    return TangencyReport(
-        z0=z0, residual=residual, residual_norm=residual_norm, verdict=verdict
-    )
+    return TangencyReport(residual_norm=residual_norm, verdict=verdict)
 
 
 _PATTERN_RELATIONS = (
@@ -477,9 +477,7 @@ _PATTERN_RELATIONS = (
 )
 
 
-def pattern_2x2_check(
-    z0, pattern_tol: float = PATTERN_TOL
-) -> tuple[bool, list[str]]:
+def pattern_2x2_check(z0) -> tuple[bool, list[str]]:
     """Entrywise tangency relations for n = 2.
 
     Returns whether all relations hold and the list of violated ones;
@@ -490,7 +488,7 @@ def pattern_2x2_check(
         raise DimensionMismatch(f"expected a 4 x 4 matrix, got shape {z0.shape}")
     scale = max(1.0, float(np.linalg.norm(z0)))
     violated = [
-        name for name, gap in _PATTERN_RELATIONS if gap(z0) > pattern_tol * scale
+        name for name, gap in _PATTERN_RELATIONS if gap(z0) > PATTERN_TOL * scale
     ]
     return not violated, violated
 

@@ -50,7 +50,7 @@ GAUGE_TOL = 1e-10
 # Relative reconstruction error above which a matrix is rejected as off-model.
 MEMBERSHIP_TOL = 1e-8
 
-# Default tolerance for leaf membership checks.
+# Relative tolerance of leaf membership checks.
 LEAF_TOL = 1e-8
 
 
@@ -152,22 +152,23 @@ def embed(p: KroneckerPoint) -> SpdMatrix:
 def recover_factors(k: SpdMatrix) -> KroneckerPoint:
     """Invert the embedding on the model via partial traces.
 
-    U is the determinant-normalized first partial trace and V follows from
-    the second; membership is verified by reconstructing the input.
+    Since tr1(K) = tr(V) U and tr2(K) = tr(U) V, the pair (tr1(K),
+    tr2(K) / tr tr1(K)) represents V (x) U before the gauge; membership is
+    verified by reconstructing the input.
     """
     n = round(float(np.sqrt(k.dim)))
     if n * n != k.dim:
         raise DimensionMismatch(f"dimension {k.dim} is not a perfect square")
     t1 = SpdMatrix(partial_trace_1(k.mat, n))
-    u = t1.scaled(float(np.exp(-log_det(t1) / n)))
-    v = SpdMatrix(partial_trace_2(k.mat, n) / u.trace())
-    defect = np.linalg.norm(kron(v.mat, u.mat) - k.mat)
+    t2 = SpdMatrix(partial_trace_2(k.mat, n) / t1.trace())
+    p = KroneckerPoint.from_factors(t1, t2)
+    defect = np.linalg.norm(kron(p.v_factor.mat, p.u_factor.mat) - k.mat)
     if defect > MEMBERSHIP_TOL * np.linalg.norm(k.mat):
         raise NotInModel(
             f"reconstruction defect {defect / np.linalg.norm(k.mat):.6e} exceeds "
             f"{MEMBERSHIP_TOL:.1e}"
         )
-    return KroneckerPoint(u_factor=u, v_factor=v)
+    return p
 
 
 def _whitened_spectrum(a0: SpdMatrix, a1: SpdMatrix) -> np.ndarray:
@@ -213,20 +214,20 @@ def _col_scale(leaf: FactorLeaf, p: KroneckerPoint) -> float:
     return float(np.sum(p.v_factor.mat * anchor) / np.sum(anchor * anchor))
 
 
-def leaf_membership(leaf: FactorLeaf, p: KroneckerPoint, tol: float = LEAF_TOL) -> bool:
-    """Whether a point lies on the leaf, up to relative tolerance tol."""
+def leaf_membership(leaf: FactorLeaf, p: KroneckerPoint) -> bool:
+    """Whether a point lies on the leaf, up to relative tolerance LEAF_TOL."""
     if leaf.anchor.dim != p.n:
         raise DimensionMismatch(
             f"leaf dimension {leaf.anchor.dim} does not match point dimension {p.n}"
         )
     anchor = leaf.anchor.mat
+    tol = LEAF_TOL * np.linalg.norm(anchor)
     if leaf.kind is LeafKind.ROW:
-        return np.linalg.norm(p.u_factor.mat - anchor) <= tol * np.linalg.norm(anchor)
+        return np.linalg.norm(p.u_factor.mat - anchor) <= tol
     tau = _col_scale(leaf, p)
     if tau <= 0.0:
         return False
-    defect = np.linalg.norm(p.v_factor.mat / tau - anchor)
-    return defect <= tol * np.linalg.norm(anchor)
+    return np.linalg.norm(p.v_factor.mat / tau - anchor) <= tol
 
 
 def leaf_factor(leaf: FactorLeaf, p: KroneckerPoint) -> SpdMatrix:

@@ -83,3 +83,11 @@ def leaf_pairs(draw):
     n = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     return leaf_pair(kind, n, np.random.default_rng(seed))
+
+
+@st.composite
+def point_pairs(draw, min_n=1, max_n=4):
+    """(p0, p1) of independent rand_point draws with n in [min_n, max_n]."""
+    n = draw(st.integers(min_n, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rand_point(n, rng), rand_point(n, rng)

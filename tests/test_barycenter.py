@@ -4,9 +4,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kronbures import (
+    GaugeViolation,
     KroneckerPoint,
     NonPositiveCoordinate,
     NotOnLeaf,
+    ParameterOutOfRange,
     SliceData,
     SpdMatrix,
     bures_distance_sq,
@@ -25,6 +27,7 @@ from kronbures import (
     slice_data_to_json,
     slice_objective,
 )
+from kronbures import barycenter
 from kronbures.barycenter import _project_centered_box
 from kronbures.bench_cli import gen_log_diag
 from kronbures.kron_model import leaf_factor
@@ -312,14 +315,15 @@ class TestLogCoordinateOracle:
         val = slice_objective(x, y, data)
         assert abs(val - sol.min_value) <= 1e-9 * max(abs(sol.min_value), 1.0)
 
-    def test_iterates_reach_the_box(self):
+    def test_iterates_reach_the_box(self, monkeypatch):
         # Log-scale 3 data put the unconstrained minimizer outside [-2, 2]^n,
         # so the box is active at the solution.
         bound = 2.0
+        monkeypatch.setattr(barycenter, "ORACLE_BOUND", bound)
         data = rand_slice_data(8, 8, np.random.default_rng(21), scale=3.0)
         s0 = _project_centered_box(np.log(data.u_eigs).mean(axis=0), bound)
         r0 = np.clip(np.log(data.v_eigs).mean(axis=0), -bound, bound)
-        x, y, residual = log_coordinate_oracle(data, bound=bound)
+        x, y, residual = log_coordinate_oracle(data)
         s, r = np.log(x), np.log(y)
         assert residual <= 1e-6
         assert abs(s.sum()) <= 1e-12 * s.size * bound
@@ -468,7 +472,7 @@ class TestSliceDataJson:
         assert np.array_equal(back.q_basis, np.eye(3))
 
     def test_weight_validation(self):
-        with pytest.raises(NonPositiveCoordinate):
+        with pytest.raises(ParameterOutOfRange):
             SliceData(
                 u_eigs=np.ones((2, 2)),
                 v_eigs=np.ones((2, 2)),
@@ -476,7 +480,7 @@ class TestSliceDataJson:
             )
 
     def test_gauge_validation(self):
-        with pytest.raises(NonPositiveCoordinate):
+        with pytest.raises(GaugeViolation):
             SliceData(
                 u_eigs=2.0 * np.ones((2, 2)),
                 v_eigs=np.ones((2, 2)),

@@ -6,6 +6,7 @@ import pytest
 
 from kronbures import ConfigError, NumericalConsistencyError
 from kronbures.bench_cli import (
+    AMBIENT_CUTOFF,
     ExperimentConfig,
     ExperimentKind,
     SummaryRow,
@@ -53,9 +54,7 @@ class TestGenerators:
 
 class TestPairwiseExperiment:
     def test_rows_and_accuracy(self):
-        cfg = ExperimentConfig(
-            experiment=ExperimentKind.PAIRWISE, trials=3, sizes=(8,), ambient_cutoff=64
-        )
+        cfg = ExperimentConfig(experiment=ExperimentKind.PAIRWISE, trials=3, sizes=(8,))
         rows = run_pairwise_experiment(cfg)
         metrics = {r.metric: r for r in rows}
         assert metrics["rel_err"].mean <= 1e-12
@@ -64,7 +63,7 @@ class TestPairwiseExperiment:
 
     def test_ambient_skipped_above_cutoff(self):
         cfg = ExperimentConfig(
-            experiment=ExperimentKind.PAIRWISE, trials=2, sizes=(8,), ambient_cutoff=4
+            experiment=ExperimentKind.PAIRWISE, trials=2, sizes=(AMBIENT_CUTOFF + 1,)
         )
         rows = run_pairwise_experiment(cfg)
         metrics = {r.metric for r in rows}
@@ -72,9 +71,7 @@ class TestPairwiseExperiment:
         assert "ambient_time" not in metrics and "rel_err" not in metrics
 
     def test_storage_ratio_table_values(self):
-        cfg = ExperimentConfig(
-            experiment=ExperimentKind.PAIRWISE, trials=1, sizes=(8, 16), ambient_cutoff=4
-        )
+        cfg = ExperimentConfig(experiment=ExperimentKind.PAIRWISE, trials=1, sizes=(8, 16))
         rows = run_pairwise_experiment(cfg)
         got = {r.n: r.mean for r in rows if r.metric == "storage_ratio"}
         assert got == {8: 32.0, 16: 128.0}
@@ -191,6 +188,11 @@ class TestCli:
 
     def test_bad_sizes_exit_two(self):
         assert main(["pairwise", "--sizes", "4,x"]) == 2
+
+    def test_ambient_cutoff_is_not_an_option(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["pairwise", "--ambient-cutoff", "4"])
+        assert exc.value.code == 2
 
     def test_numerical_failure_exit_three(self, monkeypatch):
         def boom(cfg):

@@ -36,12 +36,15 @@ from kronbures import (
     whitened_initial_velocity,
     write_departure_profile,
 )
+from kronbures import closure_diagnostics
 from kronbures.closure_diagnostics import profile_matrix
 
 from conftest import (
     PROPERTY_SETTINGS,
     frob,
+    leaf_pair,
     leaf_pairs,
+    point_pairs,
     rand_orthogonal,
     rand_point,
     rand_spd,
@@ -363,11 +366,49 @@ class TestRigidity:
         assert report.verdict is RigidityVerdict.DEPARTS
         assert report.residual_norm > 1e-3
 
-    def test_report_residual_consistency(self):
-        rng = np.random.default_rng(15)
-        report = endpoint_rigidity_classify(rand_point(2, rng), rand_point(2, rng))
-        assert report.residual_norm == pytest.approx(frob(report.residual))
-        assert np.array_equal(report.z0, report.z0.T)
+    @PROPERTY_SETTINGS
+    @given(point_pairs(2, 6))
+    def test_residual_norm_matches_projection(self, pair):
+        # The factor-size norm against ||Pi(Z0)||_F built at n^2 size.
+        p0, p1 = pair
+        z0 = whitened_initial_velocity(factor_transports(p0, p1))
+        assert np.array_equal(z0, z0.T)
+        expected = frob(pi_residual(z0, p0.n))
+        report = endpoint_rigidity_classify(p0, p1)
+        assert report.verdict is RigidityVerdict.DEPARTS
+        assert abs(report.residual_norm - expected) <= 1e-12 * expected
+
+    @PROPERTY_SETTINGS
+    @given(leaf_pairs())
+    def test_leaf_residual_matches_projection(self, pair):
+        # On a row leaf Q = I, on a column leaf P is a multiple of I, so the
+        # residual is round-off of the size of ||P|| ||Q||.
+        leaf, p0, p1 = pair
+        n = p0.n
+        ft = factor_transports(p0, p1)
+        scale = frob(ft.p_mat) * frob(ft.q_mat)
+        expected = frob(pi_residual(whitened_initial_velocity(ft), n))
+        got = endpoint_rigidity_classify(p0, p1).residual_norm
+        assert abs(got - expected) <= 1e-12 * scale
+        moving = ft.q_mat if leaf.kind is LeafKind.ROW else ft.p_mat
+        trace_free = moving - np.trace(moving) / n * np.eye(n)
+        assert frob(trace_free) <= 1e-8 * frob(moving)
+
+    def test_no_n2_matrix_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("n^2 x n^2 matrix built")
+
+        monkeypatch.setattr(closure_diagnostics, "pi_residual", refuse)
+        monkeypatch.setattr(closure_diagnostics, "whitened_initial_velocity", refuse)
+        rng = np.random.default_rng(24)
+        _, row0, row1 = leaf_pair(LeafKind.ROW, 8, rng)
+        _, col0, col1 = leaf_pair(LeafKind.COL, 8, rng)
+        for p0, p1, verdict in (
+            (row0, row1, RigidityVerdict.COMMON_ROW_LEAF),
+            (col0, col1, RigidityVerdict.COMMON_COL_LEAF),
+            (rand_point(8, rng), rand_point(8, rng), RigidityVerdict.DEPARTS),
+        ):
+            assert endpoint_rigidity_classify(p0, p1).verdict is verdict
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_gen_spd_pairs(self, n):
@@ -400,8 +441,8 @@ class TestRigidity:
             expected = RigidityVerdict.COMMON_COL_LEAF
         assert endpoint_rigidity_classify(p0, p1).verdict is expected
 
-    def test_misconfigured_tolerance_raises(self):
-        # A coarse residual_tol accepts the residual of a mildly perturbed U
+    def test_misconfigured_tolerance_raises(self, monkeypatch):
+        # A coarse RESIDUAL_TOL accepts the residual of a mildly perturbed U
         # factor, which the factor comparison rejects; the conflict must surface.
         from kronbures import InconsistentVerdict, gauge_normalize
 
@@ -412,8 +453,9 @@ class TestRigidity:
         u1, _ = gauge_normalize(SpdMatrix(u0.mat + 0.5 * (bump + bump.T)), v0)
         p0 = KroneckerPoint(u0, v0)
         p1 = KroneckerPoint(u1, rand_spd(3, rng))
+        monkeypatch.setattr(closure_diagnostics, "RESIDUAL_TOL", 1e-3)
         with pytest.raises(InconsistentVerdict):
-            endpoint_rigidity_classify(p0, p1, residual_tol=1e-3)
+            endpoint_rigidity_classify(p0, p1)
 
 
 class TestRankOneEquivalence:

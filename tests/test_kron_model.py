@@ -34,7 +34,15 @@ from kronbures import (
 from kronbures import kron_model
 from kronbures.kron_model import leaf_factor, leaf_point
 
-from conftest import PROPERTY_SETTINGS, frob, leaf_pair, leaf_pairs, rand_point, rand_spd
+from conftest import (
+    PROPERTY_SETTINGS,
+    frob,
+    leaf_pair,
+    leaf_pairs,
+    point_pairs,
+    rand_point,
+    rand_spd,
+)
 
 
 class TestPoint:
@@ -50,6 +58,17 @@ class TestPoint:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             KroneckerPoint(SpdMatrix.identity(2), SpdMatrix.identity(3))
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    def test_gauge_invariance(self, n, seed, log10_c):
+        # (cU, V/c) and (U, V) are the same model point for every c > 0.
+        rng = np.random.default_rng(seed)
+        u, v = rand_spd(n, rng), rand_spd(n, rng)
+        c = 10.0**log10_c
+        k = embed(KroneckerPoint.from_factors(u, v)).mat
+        got = embed(KroneckerPoint.from_factors(u.scaled(c), v.scaled(1.0 / c))).mat
+        assert frob(got - k) <= 1e-12 * frob(k)
 
 
 class TestEmbedRecover:
@@ -115,6 +134,24 @@ class TestPairwiseReduction:
             reduced, _ = pairwise_bures_sq_reduced(p0, p1)
             ambient = bures_distance_sq(embed(p0), embed(p1))
             assert abs(reduced - ambient) <= 1e-12 * ambient
+
+    @PROPERTY_SETTINGS
+    @given(point_pairs(1, 4))
+    def test_matches_ambient_property(self, pair):
+        p0, p1 = pair
+        k0, k1 = embed(p0), embed(p1)
+        reduced, _ = pairwise_bures_sq_reduced(p0, p1)
+        ambient = bures_distance_sq(k0, k1)
+        assert abs(reduced - ambient) <= 1e-10 * (k0.trace() + k1.trace())
+
+    @PROPERTY_SETTINGS
+    @given(point_pairs(1, 8))
+    def test_symmetric(self, pair):
+        p0, p1 = pair
+        forward, _ = pairwise_bures_sq_reduced(p0, p1)
+        backward, _ = pairwise_bures_sq_reduced(p1, p0)
+        tr_sum = embed(p0).trace() + embed(p1).trace()
+        assert abs(forward - backward) <= 1e-12 * tr_sum
 
     def test_scaling_consistency(self):
         rng = np.random.default_rng(5)
