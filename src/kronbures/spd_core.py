@@ -49,10 +49,15 @@ def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
 class SpdMatrix:
     """Dense SPD matrix with a write-once cached eigendecomposition.
 
-    Entries are symmetrized on construction, so downstream solvers never
-    see asymmetric round-off, and the spectrum is validated against the
-    relative margin ``PD_TOLERANCE``. Instances are immutable and safe to
-    share across threads.
+    Validation policy: every construction symmetrizes the entries, so
+    downstream solvers never see asymmetric round-off, rejects non-finite
+    entries, and tests the spectrum against the relative margin
+    ``PD_TOLERANCE``. The spectrum comes from one ``eigh`` unless ``_eig``
+    supplies it. ``_eig`` is passed only where the spectrum is known by
+    construction: ``scaled``, ``identity``, ``spd_sqrt``, ``spd_inv_sqrt``
+    and ``kron_model.embed`` (the factors' product spectrum). The margin
+    test then reads that spectrum; no check is skipped. Instances are
+    immutable and safe to share across threads.
     """
 
     __slots__ = ("mat", "eig")

@@ -77,10 +77,10 @@ def leaf_pair(kind, n, rng):
 
 
 @st.composite
-def leaf_pairs(draw):
-    """(leaf, p0, p1) from leaf_pair with n in [1, 3] and either leaf kind."""
+def leaf_pairs(draw, max_n=3):
+    """(leaf, p0, p1) from leaf_pair with n in [1, max_n] and either leaf kind."""
     kind = draw(st.sampled_from(LeafKind))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     return leaf_pair(kind, n, np.random.default_rng(seed))
 

@@ -11,6 +11,7 @@ from kronbures import (
     MatrixNormalLaw,
     NotInModel,
     NotOnLeaf,
+    NotPositiveDefinite,
     NumericalConsistencyError,
     SpdMatrix,
     bures_distance_sq,
@@ -33,6 +34,7 @@ from kronbures import (
 )
 from kronbures import kron_model
 from kronbures.kron_model import leaf_factor, leaf_point
+from kronbures.spd_core import ORTHO_TOL, RECON_TOL, kron
 
 from conftest import (
     PROPERTY_SETTINGS,
@@ -40,6 +42,7 @@ from conftest import (
     leaf_pair,
     leaf_pairs,
     point_pairs,
+    rand_orthogonal,
     rand_point,
     rand_spd,
 )
@@ -106,6 +109,94 @@ class TestEmbedRecover:
     def test_non_square_dimension(self):
         with pytest.raises(DimensionMismatch):
             recover_factors(SpdMatrix.identity(6))
+
+
+def _commuting_point(basis, u_eigs, v_eigs):
+    def factor(eigs):
+        return SpdMatrix((basis * np.asarray(eigs)) @ basis.T)
+    return KroneckerPoint.from_factors(factor(u_eigs), factor(v_eigs))
+
+
+class TestEmbedSpectrum:
+    """embed(p).eig is the factors' product spectrum, validated as usual."""
+
+    def _check_contract(self, p):
+        k = embed(p)
+        w, q = k.eig.eigenvalues, k.eig.eigenvectors
+        product = np.multiply.outer(
+            p.v_factor.eig.eigenvalues, p.u_factor.eig.eigenvalues
+        ).ravel()
+        assert np.all(np.diff(w) <= 0)
+        assert np.array_equal(w, np.sort(product)[::-1])
+        assert frob((q * w) @ q.T - k.mat) <= RECON_TOL * frob(k.mat)
+        assert frob(q.T @ q - np.eye(p.n * p.n)) <= ORTHO_TOL
+
+    def _check_distance(self, p0, p1):
+        k0, k1 = embed(p0), embed(p1)
+        # Reference: the same matrices validated by SpdMatrix's own eigh.
+        expected = bures_distance_sq(*(SpdMatrix(k.mat) for k in (k0, k1)))
+        got = bures_distance_sq(k0, k1)
+        assert abs(got - expected) <= 1e-12 * (k0.trace() + k1.trace())
+
+    @PROPERTY_SETTINGS
+    @given(point_pairs(1, 6))
+    def test_point_pairs(self, pair):
+        for p in pair:
+            self._check_contract(p)
+        self._check_distance(*pair)
+
+    @PROPERTY_SETTINGS
+    @given(leaf_pairs(max_n=6))
+    def test_leaf_pairs(self, pair):
+        _, p0, p1 = pair
+        for p in (p0, p1):
+            self._check_contract(p)
+        self._check_distance(p0, p1)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_identity_times_scalar(self, n):
+        # Every eigenvalue ties: the spectrum is n^2 copies of the scalar.
+        p0 = KroneckerPoint(SpdMatrix.identity(n), SpdMatrix.identity(n).scaled(2.5))
+        p1 = KroneckerPoint(SpdMatrix.identity(n), SpdMatrix.identity(n).scaled(0.4))
+        for p in (p0, p1):
+            self._check_contract(p)
+        self._check_distance(p0, p1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_commuting_repeated_eigenvalues(self, seed):
+        # Repeated factor eigenvalues, and products that tie across factors
+        # (4 * 0.5 = 1 * 2), in a shared random basis.
+        rng = np.random.default_rng(seed)
+        basis = rand_orthogonal(4, rng)
+        p0 = _commuting_point(basis, [2.0, 2.0, 0.5, 0.5], [4.0, 1.0, 1.0, 3.0])
+        p1 = _commuting_point(basis, [1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 0.5, 2.0])
+        for p in (p0, p1):
+            self._check_contract(p)
+        self._check_distance(p0, p1)
+
+    def test_product_margin_still_rejected(self):
+        # Each factor passes the margin (ratios 1e-6 and 1e-7) but their
+        # product spectrum spans 1e-13, below PD_TOLERANCE.
+        p = KroneckerPoint(
+            SpdMatrix(np.diag([1e3, 1.0, 1e-3])), SpdMatrix(np.diag([1e3, 1.0, 1e-4]))
+        )
+        with pytest.raises(NotPositiveDefinite):
+            embed(p)
+
+    def test_no_n2_sized_eigh(self, monkeypatch):
+        n = 8
+        p = rand_point(n, np.random.default_rng(31))
+        eigh = np.linalg.eigh
+
+        def factor_size_only(a, *args, **kwargs):
+            if np.shape(a)[-1] > n:
+                raise AssertionError(f"eigh of a {np.shape(a)[-1]}-dimensional matrix")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", factor_size_only)
+        k = embed(p)
+        assert k.dim == n * n
+        assert np.array_equal(k.mat, kron(p.v_factor.mat, p.u_factor.mat))
 
 
 class TestPairwiseReduction:
