@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bures_metric import bures_distance_sq, transport_map
+from .bures_metric import _whitened_root, bures_distance_sq, transport_map
 from .errors import (
     DimensionMismatch,
     GaugeViolation,
     NoConvergence,
     NonPositiveCoordinate,
     NotSimultaneouslyDiagonalizable,
+    NumericalConsistencyError,
     ParameterOutOfRange,
 )
 from .kron_model import (
@@ -38,8 +39,6 @@ WEIGHT_TOL = 1e-12
 
 # Solver iteration budgets and stopping tolerances. ORACLE_BOUND is the
 # half-width of the oracle's box on every log coordinate.
-PERRON_MAX_ITER = 10000
-PERRON_TOL = 1e-14
 BW_MAX_ITER = 500
 BW_TOL = 1e-10
 ORACLE_MAX_ITER = 20000
@@ -229,37 +228,18 @@ def slice_objective(x, y, data: SliceData) -> float:
 
 
 def perron_singular_pair(c_mat) -> PerronSolution:
-    """Top singular triple of a positive matrix by power iteration on CC^T.
+    """Top singular triple of a positive matrix from one eigh of CC^T.
 
-    Starts from the all-ones vector, which stays entrywise positive
-    throughout; the Perron eigenvalue of CC^T is simple, so convergence is
-    geometric in the singular-value gap.
+    CC^T is entrywise positive, so its top eigenvalue is simple and its
+    eigenvector can be taken entrywise positive (Perron-Frobenius); eigh
+    fixes it only up to sign, hence the absolute value.
     """
     c_mat = np.asarray(c_mat, dtype=float)
     if c_mat.ndim != 2 or c_mat.shape[0] != c_mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {c_mat.shape}")
     if np.any(c_mat <= 0.0):
         raise NonPositiveCoordinate("coefficient matrix must be entrywise positive")
-    n = c_mat.shape[0]
-    s_mat = c_mat @ c_mat.T
-    u = np.full(n, 1.0 / np.sqrt(n))
-    deltas = []
-    for _ in range(PERRON_MAX_ITER):
-        y = s_mat @ u
-        u_new = y / np.linalg.norm(y)
-        delta = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        deltas.append(delta)
-        if delta <= PERRON_TOL:
-            break
-    else:
-        gap = deltas[-1] / deltas[-2] if len(deltas) > 1 and deltas[-2] > 0 else 1.0
-        raise NoConvergence(
-            f"power iteration stalled after {PERRON_MAX_ITER} iterations; last update "
-            f"{deltas[-1]:.3e}, estimated contraction {gap:.3f}",
-            best=u,
-            residual=deltas[-1],
-        )
+    u = np.abs(np.linalg.eigh(c_mat @ c_mat.T)[1][:, -1])
     v = c_mat.T @ u
     sigma1 = float(np.linalg.norm(v))
     v1 = v / sigma1
@@ -268,8 +248,8 @@ def perron_singular_pair(c_mat) -> PerronSolution:
         float(np.linalg.norm(c_mat.T @ u - sigma1 * v1)),
     )
     if res > 1e-10 * sigma1:
-        raise NoConvergence(
-            f"singular residual {res:.3e} exceeds tolerance", best=u, residual=res
+        raise NumericalConsistencyError(
+            f"Perron singular residual {res:.3e} exceeds 1e-10 * sigma1"
         )
     alpha = float(np.exp(-np.log(u).mean()))
     return PerronSolution(sigma1=sigma1, u1=u, v1=v1, alpha=alpha)
@@ -305,9 +285,7 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     for _ in range(BW_MAX_ITER):
         s = spd_sqrt(v).mat
         r = spd_inv_sqrt(v).mat
-        g = sum(
-            wi * spd_sqrt(SpdMatrix(s @ m.mat @ s)).mat for wi, m in zip(w, mats)
-        )
+        g = sum(wi * _whitened_root(s, m.mat) for wi, m in zip(w, mats))
         residual = float(np.linalg.norm(r @ g @ r - eye))
         if residual < best[0]:
             best = (residual, v)

@@ -60,12 +60,35 @@ def _clamp_distance_sq(d2: float, scale: float) -> float:
     )
 
 
+def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
+    comm = np.linalg.norm(a @ b - b @ a)
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    if comm > COMMUTE_TOL * scale:
+        raise NotCommuting(
+            f"{label} do not commute: relative commutator norm "
+            f"{comm / scale:.6e} exceeds {COMMUTE_TOL:.1e}"
+        )
+
+
+# The whitened product S B S, S = A^1/2, is formed and decomposed only by
+# the two helpers below; see SpdMatrix for why it is never validated.
+
+
+def _whitened_eigvals(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized S B S, clipped at 0."""
+    return np.clip(np.linalg.eigvalsh(symmetrize(s @ b @ s)), 0.0, None)
+
+
+def _whitened_root(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(S B S)^1/2 from one eigh of the symmetrized product, clipped at 0."""
+    w, q = np.linalg.eigh(symmetrize(s @ b @ s))
+    return (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+
+
 def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Bures-Wasserstein distance tr(A) + tr(B) - 2 tr((A^1/2 B A^1/2)^1/2)."""
     _check_same_dim(a, b)
-    s = spd_sqrt(a).mat
-    mid = symmetrize(s @ b.mat @ s)
-    w = np.clip(np.linalg.eigvalsh(mid), 0.0, None)
+    w = _whitened_eigvals(spd_sqrt(a).mat, b.mat)
     tr_sum = a.trace() + b.trace()
     d2 = tr_sum - 2.0 * float(np.sqrt(w).sum())
     return _clamp_distance_sq(d2, tr_sum)
@@ -74,14 +97,8 @@ def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
 def transport_map(a: SpdMatrix, b: SpdMatrix) -> TransportMap:
     """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2."""
     _check_same_dim(a, b)
-    s = spd_sqrt(a).mat
     r = spd_inv_sqrt(a).mat
-    # A^1/2 B A^1/2 can fall below the SPD margin while T is well
-    # conditioned (for V0 (x) U and V1 (x) U it carries U^2), so its root
-    # comes from a spectrum clipped at 0, as in bures_distance_sq.
-    w, q = np.linalg.eigh(symmetrize(s @ b.mat @ s))
-    mid = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
-    t = SpdMatrix(r @ mid @ r)
+    t = SpdMatrix(r @ _whitened_root(spd_sqrt(a).mat, b.mat) @ r)
     defect = np.linalg.norm(t.mat @ a.mat @ t.mat - b.mat)
     if defect > TRANSPORT_CHECK_TOL * np.linalg.norm(b.mat):
         raise NumericalConsistencyError(
@@ -108,12 +125,7 @@ def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
 def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     """Geodesic ((1-t) A^1/2 + t B^1/2)^2 for commuting endpoints."""
     _check_same_dim(a, b)
-    comm = np.linalg.norm(a.mat @ b.mat - b.mat @ a.mat)
-    scale = np.linalg.norm(a.mat) * np.linalg.norm(b.mat)
-    if comm > COMMUTE_TOL * scale:
-        raise NotCommuting(
-            f"relative commutator norm {comm / scale:.6e} exceeds {COMMUTE_TOL:.1e}"
-        )
+    _check_commuting(a.mat, b.mat, "endpoints")
     mix = (1.0 - t) * spd_sqrt(a).mat + t * spd_sqrt(b).mat
     return SpdMatrix(mix @ mix)
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bures_metric import COMMUTE_TOL, transport_map
+from .bures_metric import _check_commuting, _whitened_eigvals, transport_map
 from .errors import (
     DimensionMismatch,
     GaugeViolation,
@@ -204,16 +204,6 @@ class TangencyReport:
     verdict: RigidityVerdict
 
 
-def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
-    comm = np.linalg.norm(a @ b - b @ a)
-    scale = np.linalg.norm(a) * np.linalg.norm(b)
-    if comm > COMMUTE_TOL * scale:
-        raise NotSimultaneouslyDiagonalizable(
-            f"{label} factors do not commute: relative commutator "
-            f"{comm / scale:.6e}"
-        )
-
-
 def _joint_eigenbasis(a: SpdMatrix, b_mat: np.ndarray) -> np.ndarray:
     """Orthogonal basis diagonalizing A and, within its eigenspaces, B.
 
@@ -256,8 +246,8 @@ def build_chart(p0: KroneckerPoint, p1: KroneckerPoint) -> CommutingChart:
     """Joint diagonalizing chart for simultaneously diagonalizable endpoints."""
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    _check_commuting(p0.u_factor.mat, p1.u_factor.mat, "U")
-    _check_commuting(p0.v_factor.mat, p1.v_factor.mat, "V")
+    _check_commuting(p0.u_factor.mat, p1.u_factor.mat, "U factors")
+    _check_commuting(p0.v_factor.mat, p1.v_factor.mat, "V factors")
     q, u0, u1 = _diagonalize_pair(p0.u_factor, p1.u_factor, "U")
     r, v0, v1 = _diagonalize_pair(p0.v_factor, p1.v_factor, "V")
     return CommutingChart(q_basis=q, r_basis=r, u0=u0, u1=u1, v0=v0, v1=v1)
@@ -370,10 +360,8 @@ def delta_diag(profile: SqrtProfile, t: float) -> float:
     eps = 1e-14 * float(np.trace(gram_p))
     wp, qp = np.linalg.eigh(gram_p + eps * np.eye(3))
     root = (qp * np.sqrt(np.clip(wp, 0.0, None))) @ qp.T
-    gamma = symmetrize(root @ gram_q @ root)
-    w = np.linalg.eigvalsh(gamma)
-    tail = max(w[0], 0.0) + max(w[1], 0.0)
-    return float(np.sqrt(tail))
+    w = _whitened_eigvals(root, gram_q)
+    return float(np.sqrt(w[0] + w[1]))
 
 
 def pi_residual(z, n: int) -> np.ndarray:

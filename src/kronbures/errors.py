@@ -17,10 +17,6 @@ class ParameterOutOfRange(KronburesError):
     """A scalar parameter lies outside its admissible interval."""
 
 
-class NotCommuting(KronburesError):
-    """Two matrices were required to commute but do not."""
-
-
 class GaugeViolation(KronburesError):
     """A factor violates the unit-determinant normalization."""
 
@@ -35,6 +31,14 @@ class NotOnLeaf(KronburesError):
 
 class NotSimultaneouslyDiagonalizable(KronburesError):
     """A matrix pair admits no common orthogonal eigenbasis."""
+
+
+class NotCommuting(NotSimultaneouslyDiagonalizable):
+    """Two symmetric matrices were required to commute but do not.
+
+    For symmetric matrices, commuting is the same condition as having a
+    common orthogonal eigenbasis, hence the base class.
+    """
 
 
 class TraceNotZero(KronburesError):

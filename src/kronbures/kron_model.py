@@ -21,6 +21,7 @@ import numpy as np
 
 from .bures_metric import (
     _clamp_distance_sq,
+    _whitened_eigvals,
     bures_distance_sq,
     geodesic,
     geodesic_eval,
@@ -42,7 +43,6 @@ from .spd_core import (
     partial_trace_1,
     partial_trace_2,
     spd_sqrt,
-    symmetrize,
 )
 
 # |log det U| per dimension allowed by the determinant gauge.
@@ -189,9 +189,9 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
 
 
 def _whitened_spectrum(a0: SpdMatrix, a1: SpdMatrix) -> np.ndarray:
-    s = spd_sqrt(a0).mat
-    w = np.linalg.eigvalsh(symmetrize(s @ a1.mat @ s))
-    return np.ascontiguousarray(np.clip(w[::-1], 1e-300, None))
+    # Floored positive for PairwiseSpectrum; descending.
+    w = _whitened_eigvals(spd_sqrt(a0).mat, a1.mat)
+    return np.ascontiguousarray(np.maximum(w[::-1], 1e-300))
 
 
 def pairwise_bures_sq_reduced(

@@ -56,8 +56,12 @@ class SpdMatrix:
     supplies it. ``_eig`` is passed only where the spectrum is known by
     construction: ``scaled``, ``identity``, ``spd_sqrt``, ``spd_inv_sqrt``
     and ``kron_model.embed`` (the factors' product spectrum). The margin
-    test then reads that spectrum; no check is skipped. Instances are
-    immutable and safe to share across threads.
+    test then reads that spectrum; no check is skipped. The whitened
+    product A^1/2 B A^1/2 is never wrapped: it can fall below the margin
+    while what is built from it is well conditioned (for V0 (x) U and
+    V1 (x) U it carries U^2), so ``bures_metric`` clips its spectrum at 0
+    and validates the result instead. Instances are immutable and safe to
+    share across threads.
     """
 
     __slots__ = ("mat", "eig")

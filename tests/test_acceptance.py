@@ -89,9 +89,16 @@ def test_criterion_2_complexity_ordering():
         pairwise_trial(n, np.random.default_rng(SEED), True)  # warm-up
         speedups = []
         for k in range(trials):
-            t = pairwise_trial(n, np.random.default_rng(SEED + k), True)
-            every_faster &= t["reduced_time"] < t["ambient_time"]
-            speedups.append(t["speedup"])
+            # Three calls on the same draw; their minimum times drop one-off
+            # scheduling delays, as the benchmark's per-unit minima do.
+            runs = [
+                pairwise_trial(n, np.random.default_rng(SEED + k), True)
+                for _ in range(3)
+            ]
+            reduced = min(r["reduced_time"] for r in runs)
+            ambient = min(r["ambient_time"] for r in runs)
+            every_faster &= reduced < ambient
+            speedups.append(ambient / reduced)
         ratios[n] = float(np.mean(speedups))
     increasing = ratios[8] < ratios[16] < ratios[32]
     _report(

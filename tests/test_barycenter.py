@@ -8,6 +8,7 @@ from kronbures import (
     KroneckerPoint,
     NonPositiveCoordinate,
     NotOnLeaf,
+    NumericalConsistencyError,
     ParameterOutOfRange,
     SliceData,
     SpdMatrix,
@@ -17,6 +18,8 @@ from kronbures import (
     coefficient_matrix,
     col_leaf,
     embed,
+    geodesic,
+    geodesic_eval,
     leaf_barycenter,
     log_coordinate_oracle,
     objective_J,
@@ -161,6 +164,36 @@ class TestPerron:
         with pytest.raises(NonPositiveCoordinate):
             perron_singular_pair(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 12),
+        spread=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_svd(self, n, spread, seed):
+        c = np.exp(spread * np.random.default_rng(seed).standard_normal((n, n)))
+        sol = perron_singular_pair(c)
+        sigma_svd = np.linalg.svd(c, compute_uv=False)[0]
+        assert abs(sol.sigma1 - sigma_svd) <= 1e-13 * sigma_svd
+        assert np.all(sol.u1 > 0.0) and np.all(sol.v1 > 0.0)
+        assert frob(c @ sol.v1 - sol.sigma1 * sol.u1) <= 1e-12 * sol.sigma1
+        assert frob(c.T @ sol.u1 - sol.sigma1 * sol.v1) <= 1e-12 * sol.sigma1
+
+    def test_residual_failure_is_a_consistency_error(self, monkeypatch):
+        # An eigh patched to sort descending hands over the bottom
+        # eigenvector; the singular residual check rejects it the way
+        # transport_map's defect check rejects a wrong T.
+        eigh = np.linalg.eigh
+
+        def descending(m):
+            w, q = eigh(m)
+            return w[::-1], q[:, ::-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", descending)
+        c = np.exp(np.random.default_rng(3).standard_normal((4, 4)))
+        with pytest.raises(NumericalConsistencyError):
+            perron_singular_pair(c)
+
 
 class TestSliceBarycenter:
     def test_single_datum_is_the_datum(self):
@@ -239,6 +272,32 @@ class TestBwBarycenter:
         w = np.full(5, 0.2)
         bar = bw_barycenter(mats, w)
         assert bw_stationarity_residual(bar, mats, w) <= 1e-10
+
+    def test_ill_conditioned_pair_is_the_geodesic_midpoint(self):
+        # Valid data (condition numbers 1.4e8 and 30) whose whitened
+        # products fall below the SPD margin; they must not be validated.
+        rng = np.random.default_rng(11)
+        mats = []
+        for _ in range(2):
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            mats.append(SpdMatrix((q * np.exp(rng.uniform(-12, 12, 2))) @ q.T))
+        bar = bw_barycenter(mats, [0.5, 0.5])
+        mid = geodesic_eval(geodesic(*mats), 0.5)
+        assert frob(bar.mat - mid.mat) <= 1e-11 * frob(mid.mat)
+        assert bw_stationarity_residual(bar, mats, [0.5, 0.5]) <= 1e-10
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 4),
+        t=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_data_lie_on_the_geodesic(self, n, t, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rand_spd(n, rng), rand_spd(n, rng)
+        bar = bw_barycenter([a, b], [1.0 - t, t])
+        point = geodesic_eval(geodesic(a, b), t)
+        assert frob(bar.mat - point.mat) <= 1e-8 * frob(point.mat)
 
 
 class TestLeafBarycenter:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kronbures import (
     DimensionMismatch,
@@ -20,7 +23,7 @@ from kronbures import (
 )
 from kronbures.bench_cli import gen_spd
 
-from conftest import frob, rand_orthogonal, rand_spd
+from conftest import PROPERTY_SETTINGS, frob, rand_orthogonal, rand_spd
 
 
 def commuting_pair(n, rng):
@@ -61,6 +64,22 @@ class TestDistance:
         a, b, c = (rand_spd(4, rng) for _ in range(3))
         d = lambda x, y: np.sqrt(bures_distance_sq(x, y))
         assert d(a, c) <= d(a, b) + d(b, c) + 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 6),
+        log_scale=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sqrtm_reference(self, n, log_scale, seed):
+        # An independent route through scipy's Schur-based sqrtm, sharing
+        # none of the whitened-product code.
+        rng = np.random.default_rng(seed)
+        a, b = rand_spd(n, rng, log_scale), rand_spd(n, rng, log_scale)
+        s = scipy.linalg.sqrtm(a.mat).real
+        cross = np.trace(scipy.linalg.sqrtm(s @ b.mat @ s)).real
+        tr_sum = a.trace() + b.trace()
+        assert abs(bures_distance_sq(a, b) - (tr_sum - 2.0 * cross)) <= 1e-10 * tr_sum
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -11,6 +11,7 @@ from kronbures import (
     DimensionMismatch,
     KroneckerPoint,
     LeafKind,
+    NotCommuting,
     NotSimultaneouslyDiagonalizable,
     RigidityVerdict,
     SpdMatrix,
@@ -125,6 +126,13 @@ class TestBuildChart:
     def test_noncommuting_rejected(self):
         p0, p1 = example_noncommuting_pair()
         with pytest.raises(NotSimultaneouslyDiagonalizable):
+            build_chart(p0, p1)
+
+    def test_noncommuting_u_pair_raises_not_commuting(self):
+        # The same relative-commutator test as commuting_geodesic_eval, and
+        # its error type, naming the factor that fails.
+        p0, p1 = example_noncommuting_pair()
+        with pytest.raises(NotCommuting, match="U factors"):
             build_chart(p0, p1)
 
 
