@@ -30,8 +30,9 @@ from .bures_metric import bures_distance_sq
 from .closure_diagnostics import (
     DepartureCoefficients,
     SqrtProfile,
+    delta_diag,
     delta_geo_asymptote,
-    departure_profile_rows,
+    delta_geo_closed_form,
     write_departure_profile,
 )
 from .errors import ConfigError, NumericalConsistencyError
@@ -228,10 +229,12 @@ def departure_draw(n: int, rng: np.random.Generator, regime: str) -> SqrtProfile
 def departure_draw_metrics(profile: SqrtProfile) -> dict:
     """Max moduli over the interior grid and the small-t quadratic fit."""
     grid = np.arange(1, 200) / 200.0
-    _, geo, diag = np.array(list(departure_profile_rows(profile, grid))).T
+    coeffs = DepartureCoefficients.from_profile(profile)
+    geo = delta_geo_closed_form(coeffs, grid)
+    diag = delta_diag(profile, grid)
     fit_ts = grid[:10]
     fitted = float((fit_ts**2 @ geo[:10] ** 2) / (fit_ts**4).sum())
-    predicted = delta_geo_asymptote(DepartureCoefficients.from_profile(profile))
+    predicted = delta_geo_asymptote(coeffs)
     fit_rel_err = abs(fitted - predicted) / predicted if predicted > 0.0 else 0.0
     return {
         "max_delta_geo": float(geo.max()),

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bures_metric import _check_commuting, _whitened_eigvals, transport_map
+from .bures_metric import _check_commuting, transport_map
 from .errors import (
     DimensionMismatch,
     GaugeViolation,
@@ -297,30 +297,52 @@ def _collinearity_defects(coeffs: DepartureCoefficients) -> tuple[float, float]:
     return du, dv
 
 
-def delta_geo_closed_form(coeffs: DepartureCoefficients, t: float) -> float:
-    """Square-root departure modulus sigma_2(H_t) in closed form."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterOutOfRange(f"modulus parameter {t} outside [0, 1]")
+def _t_grid(t) -> np.ndarray:
+    """t as a 1-D float grid; every entry must lie in [0, 1]."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise DimensionMismatch(
+            f"modulus parameter must be a scalar or 1-D, got shape {ts.shape}"
+        )
+    ts = ts.reshape(-1)
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise ParameterOutOfRange(
+            f"modulus parameter {ts[outside][0]} outside [0, 1]"
+        )
+    return ts
+
+
+def _like_t(t, values: np.ndarray):
+    """A float for a scalar t, else the array of values over the grid."""
+    return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def delta_geo_closed_form(coeffs: DepartureCoefficients, t):
+    """Square-root departure modulus sigma_2(H_t) in closed form.
+
+    t is a scalar (returns a float) or a 1-D grid (returns an array).
+    """
+    ts = _t_grid(t)
     du, dv = _collinearity_defects(coeffs)
+    s = 1.0 - ts
     big_t = (
-        (1.0 - t) ** 2 * coeffs.A * coeffs.B
-        + 2.0 * t * (1.0 - t) * coeffs.rho * coeffs.sigma
-        + t * t * coeffs.C * coeffs.D
+        s**2 * coeffs.A * coeffs.B
+        + 2.0 * ts * s * coeffs.rho * coeffs.sigma
+        + ts * ts * coeffs.C * coeffs.D
     )
-    delta = t * t * (1.0 - t) ** 2 * du * dv
+    delta = ts * ts * s**2 * du * dv
     rad = big_t * big_t - 4.0 * delta
-    if rad < 0.0:
-        if rad < -1e-12 * big_t * big_t:
-            raise NumericalConsistencyError(
-                f"discriminant {rad:.6e} negative beyond round-off"
-            )
-        rad = 0.0
+    negative = rad < -1e-12 * big_t * big_t
+    if negative.any():
+        raise NumericalConsistencyError(
+            f"discriminant {rad[negative][0]:.6e} negative beyond round-off"
+        )
     # Smaller quadratic root in product form: no cancellation for small
     # Delta and an exact zero whenever a collinearity defect vanishes.
-    denom = big_t + np.sqrt(rad)
-    if denom <= 0.0:
-        return 0.0
-    return float(np.sqrt(2.0 * delta / denom))
+    denom = big_t + np.sqrt(np.maximum(rad, 0.0))
+    ratio = np.divide(2.0 * delta, denom, out=np.zeros_like(ts), where=denom > 0.0)
+    return _like_t(t, np.sqrt(ratio))
 
 
 def delta_geo_svd(h: np.ndarray) -> float:
@@ -337,31 +359,30 @@ def delta_geo_asymptote(coeffs: DepartureCoefficients) -> float:
     return du * dv / (coeffs.A * coeffs.B)
 
 
-def delta_diag(profile: SqrtProfile, t: float) -> float:
-    """Diagonal-profile departure modulus via the 3x3 Gram spectrum.
+def delta_diag(profile: SqrtProfile, t):
+    """Diagonal-profile departure modulus, the singular-value tail of M_t.
 
-    M_t = H_t o H_t factors as P_t Q_t^T with three columns each, so the
-    singular-value tail reduces to the two trailing eigenvalues of the 3x3
-    matrix (P_t^T P_t)^1/2 (Q_t^T Q_t) (P_t^T P_t)^1/2.
+    M_t = H_t o H_t = X diag(w_t) Y^T with X = [a o a, a o c, c o c],
+    Y = [b o b, b o d, d o d] and w_t = ((1-t)^2, 2t(1-t), t^2). The thin
+    QR factorizations X = Q_X R_X and Y = Q_Y R_Y do not depend on t, and
+    M_t has the singular values of the 3x3 matrix R_X diag(w_t) R_Y^T, so a
+    grid of t is one stacked SVD. Nothing is squared, so the tail keeps
+    absolute accuracy near round-off times ||M_t||_2 even where it is tiny.
+    t is a scalar (returns a float) or a 1-D grid (returns an array).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterOutOfRange(f"modulus parameter {t} outside [0, 1]")
+    ts = _t_grid(t)
     du, dv = _collinearity_defects(DepartureCoefficients.from_profile(profile))
     if du == 0.0 or dv == 0.0:
         # Collinear profile vectors make H_t rank one for every t.
-        return 0.0
+        return _like_t(t, np.zeros_like(ts))
     a, b, c, d = profile.a, profile.b, profile.c, profile.d
-    s_mid = np.sqrt(2.0 * t * (1.0 - t))
-    p_cols = np.column_stack(((1.0 - t) * a * a, s_mid * a * c, t * c * c))
-    q_cols = np.column_stack(((1.0 - t) * b * b, s_mid * b * d, t * d * d))
-    gram_p = p_cols.T @ p_cols
-    gram_q = q_cols.T @ q_cols
-    # Regularize before the square root so a singular Gram stays harmless.
-    eps = 1e-14 * float(np.trace(gram_p))
-    wp, qp = np.linalg.eigh(gram_p + eps * np.eye(3))
-    root = (qp * np.sqrt(np.clip(wp, 0.0, None))) @ qp.T
-    w = _whitened_eigvals(root, gram_q)
-    return float(np.sqrt(w[0] + w[1]))
+    r_x = np.linalg.qr(np.column_stack((a * a, a * c, c * c)), mode="r")
+    r_y = np.linalg.qr(np.column_stack((b * b, b * d, d * d)), mode="r")
+    weights = np.column_stack(((1.0 - ts) ** 2, 2.0 * ts * (1.0 - ts), ts**2))
+    sv = np.linalg.svd((r_x * weights[:, None, :]) @ r_y.T, compute_uv=False)
+    tail = np.sqrt(np.sum(sv[:, 1:] ** 2, axis=1))
+    # At t = 0 and t = 1 a single weight survives and M_t has rank one.
+    return _like_t(t, np.where((ts > 0.0) & (ts < 1.0), tail, 0.0))
 
 
 def pi_residual(z, n: int) -> np.ndarray:
@@ -503,13 +524,14 @@ def pullback_metric_isotropic(n: int, s: float, h_u, h_v) -> float:
 
 
 def departure_profile_rows(profile: SqrtProfile, ts=None):
-    """Yield (t, delta_geo, delta_diag) records over a t grid."""
-    if ts is None:
-        ts = np.linspace(0.0, 1.0, 201)
-    coeffs = DepartureCoefficients.from_profile(profile)
-    for t in ts:
-        t = float(t)
-        yield t, delta_geo_closed_form(coeffs, t), delta_diag(profile, t)
+    """Yield (t, delta_geo, delta_diag) records over a t grid.
+
+    Each modulus is evaluated once over the whole grid.
+    """
+    ts = np.linspace(0.0, 1.0, 201) if ts is None else np.asarray(ts, dtype=float)
+    geo = delta_geo_closed_form(DepartureCoefficients.from_profile(profile), ts)
+    diag = delta_diag(profile, ts)
+    yield from zip(ts.tolist(), geo.tolist(), diag.tolist())
 
 
 def write_departure_profile(path, profile: SqrtProfile, ts=None) -> None:

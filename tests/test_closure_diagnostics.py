@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from kronbures import (
     LeafKind,
     NotCommuting,
     NotSimultaneouslyDiagonalizable,
+    ParameterOutOfRange,
     RigidityVerdict,
     SpdMatrix,
     SqrtProfile,
@@ -195,8 +198,10 @@ class TestDeltaGeo:
         prof = rand_profile(6, rng)
         leaf = SqrtProfile(a=prof.a, b=prof.b, c=prof.a.copy(), d=prof.d)
         coeffs = DepartureCoefficients.from_profile(leaf)
-        for t in np.linspace(0.0, 1.0, 21):
+        ts = np.linspace(0.0, 1.0, 21)
+        for t in ts:
             assert delta_geo_closed_form(coeffs, float(t)) == 0.0
+        assert np.all(delta_geo_closed_form(coeffs, ts) == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_svd(self, seed):
@@ -240,13 +245,21 @@ class TestDeltaDiag:
     def test_leaf_profile_zero(self):
         rng = np.random.default_rng(5)
         prof = rand_profile(6, rng)
-        leaf = SqrtProfile(a=prof.a, b=prof.b, c=prof.a.copy(), d=prof.d)
-        for t in np.linspace(0.0, 1.0, 21):
-            assert delta_diag(leaf, float(t)) == 0.0
+        ts = np.linspace(0.0, 1.0, 21)
+        for leaf in (
+            SqrtProfile(a=prof.a, b=prof.b, c=prof.a.copy(), d=prof.d),
+            SqrtProfile(a=prof.a, b=prof.b, c=prof.c, d=prof.b.copy()),
+        ):
+            for t in ts:
+                assert delta_diag(leaf, float(t)) == 0.0
+            assert np.all(delta_diag(leaf, ts) == 0.0)
 
     def test_t0_rank_one(self):
+        # Also at t = 1: a single column weight survives at either end.
         prof = rand_profile(6, np.random.default_rng(6))
         assert delta_diag(prof, 0.0) == 0.0
+        assert delta_diag(prof, 1.0) == 0.0
+        assert delta_diag(prof, np.array([0.0, 0.5, 1.0]))[[0, 2]].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_svd_tail(self, seed):
@@ -255,6 +268,124 @@ class TestDeltaDiag:
             m = profile_matrix(prof, float(t)) ** 2
             tail = float(np.sqrt(np.sum(np.linalg.svd(m, compute_uv=False)[1:] ** 2)))
             assert abs(delta_diag(prof, float(t)) - tail) <= 1e-9
+
+
+def svd_tails(profile, t):
+    """sigma_2(H_t) and the singular-value tail of H_t o H_t, with their scales."""
+    h = profile_matrix(profile, t)
+    s_h = np.linalg.svd(h, compute_uv=False)
+    s_m = np.linalg.svd(h * h, compute_uv=False)
+    return s_h[1], s_h[0], float(np.sqrt(np.sum(s_m[1:] ** 2))), s_m[0]
+
+
+def scalar_delta_geo(coeffs, t):
+    """The closed form for delta_geo in scalar Python float arithmetic."""
+    du = max(coeffs.A * coeffs.C - coeffs.rho * coeffs.rho, 0.0)
+    dv = max(coeffs.B * coeffs.D - coeffs.sigma * coeffs.sigma, 0.0)
+    big_t = (
+        (1.0 - t) ** 2 * coeffs.A * coeffs.B
+        + 2.0 * t * (1.0 - t) * coeffs.rho * coeffs.sigma
+        + t * t * coeffs.C * coeffs.D
+    )
+    delta = t * t * (1.0 - t) ** 2 * du * dv
+    denom = big_t + math.sqrt(max(big_t * big_t - 4.0 * delta, 0.0))
+    return math.sqrt(2.0 * delta / denom) if denom > 0.0 else 0.0
+
+
+grids = st.lists(st.floats(0.0, 1.0), max_size=8).map(
+    lambda xs: np.array([0.0, *xs, 1.0])
+)
+
+
+class TestModulusGrid:
+    """Both moduli over a 1-D t grid, against the SVD of each H_t."""
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(2, 32), st.integers(0, 2**32 - 1), grids)
+    def test_grid_matches_svd(self, n, seed, ts):
+        prof = rand_profile(n, np.random.default_rng(seed))
+        geo = delta_geo_closed_form(DepartureCoefficients.from_profile(prof), ts)
+        diag = delta_diag(prof, ts)
+        assert geo.shape == diag.shape == ts.shape
+        for t, got_geo, got_diag in zip(ts, geo, diag):
+            sigma2, scale_h, tail, scale_m = svd_tails(prof, t)
+            assert abs(got_geo - sigma2) <= 1e-12 * scale_h
+            assert abs(got_diag - tail) <= 1e-10 * scale_m
+
+    def test_grid_equals_scalar_calls(self):
+        prof = rand_profile(8, np.random.default_rng(90))
+        coeffs = DepartureCoefficients.from_profile(prof)
+        ts = np.linspace(0.0, 1.0, 41)
+        geo = delta_geo_closed_form(coeffs, ts)
+        assert geo.tolist() == [delta_geo_closed_form(coeffs, float(t)) for t in ts]
+        diag = delta_diag(prof, ts)
+        assert diag.tolist() == [delta_diag(prof, float(t)) for t in ts]
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_delta_geo_bitwise_equals_scalar_arithmetic(self, n):
+        # The elementwise closed form does the scalar arithmetic in the same
+        # order, so the benchmark's and the harness's grids agree bit for bit.
+        for seed in range(5):
+            coeffs = DepartureCoefficients.from_profile(
+                rand_profile(n, np.random.default_rng(100 + seed))
+            )
+            for ts in (np.arange(1, 200) / 200.0, np.linspace(0.0, 1.0, 201)):
+                expected = [scalar_delta_geo(coeffs, t) for t in ts.tolist()]
+                assert delta_geo_closed_form(coeffs, ts).tolist() == expected
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.0 + 1e-9], [-1e-9, 0.5], [0.5, np.nan]])
+    def test_one_bad_entry_raises(self, bad):
+        prof = rand_profile(4, np.random.default_rng(93))
+        coeffs = DepartureCoefficients.from_profile(prof)
+        with pytest.raises(ParameterOutOfRange):
+            delta_geo_closed_form(coeffs, np.array(bad))
+        with pytest.raises(ParameterOutOfRange):
+            delta_diag(prof, np.array(bad))
+
+    def test_scalar_returns_float_and_empty_grid_empty_array(self):
+        prof = rand_profile(4, np.random.default_rng(94))
+        coeffs = DepartureCoefficients.from_profile(prof)
+        for modulus in (
+            lambda t: delta_geo_closed_form(coeffs, t),
+            lambda t: delta_diag(prof, t),
+        ):
+            assert type(modulus(0.5)) is float
+            assert type(modulus(np.float64(0.5))) is float
+            empty = modulus(np.array([]))
+            assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    def test_two_dimensional_grid_rejected(self):
+        prof = rand_profile(4, np.random.default_rng(95))
+        with pytest.raises(DimensionMismatch):
+            delta_diag(prof, np.full((2, 2), 0.5))
+
+    def test_profile_rows_make_constant_lapack_calls(self, monkeypatch):
+        # Two thin QRs and one stacked SVD per grid, however long; a per-t
+        # loop made an eigh and an eigvalsh call for every t.
+        names = ("eigh", "eigvalsh", "qr", "svd")
+        counts = dict.fromkeys(names, 0)
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        prof = rand_profile(32, np.random.default_rng(96))
+        per_grid = []
+        for grid in (np.array([0.5]), np.arange(1, 200) / 200.0):
+            counts.update(dict.fromkeys(names, 0))
+            rows = list(closure_diagnostics.departure_profile_rows(prof, grid))
+            assert len(rows) == grid.size
+            assert all(type(x) is float for row in rows for x in row)
+            per_grid.append(dict(counts))
+        assert per_grid[0] == per_grid[1]
+        assert sum(per_grid[1].values()) <= 3
 
 
 class TestPiResidual:
