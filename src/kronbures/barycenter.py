@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bures_metric import _whitened_root, bures_distance_sq, transport_map
+from .bures_metric import _whitened_root, transport_map
 from .errors import (
     DimensionMismatch,
     GaugeViolation,
@@ -24,9 +24,9 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .kron_model import (
+    GAUGE_TOL,
     FactorLeaf,
     KroneckerPoint,
-    embed,
     leaf_factor,
     leaf_point,
     pairwise_bures_sq_reduced,
@@ -46,12 +46,18 @@ ORACLE_GRAD_TOL = 1e-8
 ORACLE_BOUND = 8.0
 
 
+def _check_positive(name: str, vec) -> np.ndarray:
+    arr = np.asarray(vec, dtype=float).ravel()
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise NonPositiveCoordinate(f"{name} must be entrywise finite and positive")
+    return arr
+
+
 def _check_weights(weights, count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape != (count,):
         raise DimensionMismatch(f"expected {count} weights, got shape {w.shape}")
-    if np.any(w <= 0.0):
-        raise NonPositiveCoordinate("weights must be strictly positive")
+    _check_positive("weights", w)
     if abs(w.sum() - 1.0) > WEIGHT_TOL * max(1.0, count):
         raise ParameterOutOfRange(f"weights sum to {w.sum()!r}, expected 1")
     return w
@@ -81,11 +87,11 @@ class SliceData:
                 f"eigenvalue arrays have shapes {self.u_eigs.shape} and "
                 f"{self.v_eigs.shape}"
             )
-        if np.any(self.u_eigs <= 0.0) or np.any(self.v_eigs <= 0.0):
-            raise NonPositiveCoordinate("slice eigenvalues must be positive")
+        _check_positive("u_eigs", self.u_eigs)
+        _check_positive("v_eigs", self.v_eigs)
         count, n = self.u_eigs.shape
         drift = np.abs(np.log(self.u_eigs).sum(axis=1)).max()
-        if drift > 1e-10 * max(n, 1):
+        if drift > GAUGE_TOL * max(n, 1):
             raise GaugeViolation(
                 f"u eigenvalue rows drift from unit product by {drift:.6e}"
             )
@@ -177,35 +183,14 @@ class LeafBarycenter:
     factor_solution: SpdMatrix
 
 
-def objective_J(k, data, weights) -> float:
-    """Weighted sum of squared Bures distances from k to the data.
-
-    Uses the reduced pairwise formula when every argument is a
-    KroneckerPoint; otherwise mixed inputs are embedded and evaluated in
-    the ambient cone.
-    """
+def objective_J(k: KroneckerPoint, data, weights) -> float:
+    """Weighted sum of squared Bures distances from the model point k to the
+    model points in data, by the reduced pairwise formula."""
     data = list(data)
     w = _check_weights(weights, len(data))
-    all_kron = isinstance(k, KroneckerPoint) and all(
-        isinstance(d, KroneckerPoint) for d in data
+    return float(
+        sum(wi * pairwise_bures_sq_reduced(k, d)[0] for wi, d in zip(w, data))
     )
-    if all_kron:
-        return float(
-            sum(wi * pairwise_bures_sq_reduced(k, d)[0] for wi, d in zip(w, data))
-        )
-    k_amb = embed(k) if isinstance(k, KroneckerPoint) else k
-    total = 0.0
-    for wi, d in zip(w, data):
-        d_amb = embed(d) if isinstance(d, KroneckerPoint) else d
-        total += wi * bures_distance_sq(k_amb, d_amb)
-    return float(total)
-
-
-def _check_positive(name: str, vec) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float).ravel()
-    if np.any(arr <= 0.0):
-        raise NonPositiveCoordinate(f"{name} must be entrywise positive")
-    return arr
 
 
 def coefficient_matrix(data: SliceData) -> np.ndarray:
@@ -237,8 +222,7 @@ def perron_singular_pair(c_mat) -> PerronSolution:
     c_mat = np.asarray(c_mat, dtype=float)
     if c_mat.ndim != 2 or c_mat.shape[0] != c_mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {c_mat.shape}")
-    if np.any(c_mat <= 0.0):
-        raise NonPositiveCoordinate("coefficient matrix must be entrywise positive")
+    _check_positive("coefficient matrix", c_mat)
     u = np.abs(np.linalg.eigh(c_mat @ c_mat.T)[1][:, -1])
     v = c_mat.T @ u
     sigma1 = float(np.linalg.norm(v))
@@ -283,8 +267,8 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     prev_residual = np.inf
     best = (np.inf, v)
     for _ in range(BW_MAX_ITER):
-        s = spd_sqrt(v).mat
-        r = spd_inv_sqrt(v).mat
+        s = spd_sqrt(v)
+        r = spd_inv_sqrt(v)
         g = sum(wi * _whitened_root(s, m.mat) for wi, m in zip(w, mats))
         residual = float(np.linalg.norm(r @ g @ r - eye))
         if residual < best[0]:
@@ -312,7 +296,7 @@ def bw_stationarity_residual(v: SpdMatrix, mats, weights) -> float:
     """Residual ||sum_i w_i T_{V -> V_i} - I||_F of the barycenter fixed point."""
     mats = list(mats)
     w = _check_weights(weights, len(mats))
-    total = sum(wi * transport_map(v, m).matrix.mat for wi, m in zip(w, mats))
+    total = sum(wi * transport_map(v, m).mat for wi, m in zip(w, mats))
     return float(np.linalg.norm(total - np.eye(v.dim)))
 
 

@@ -25,13 +25,6 @@ _NEGATIVE_CLAMP = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class TransportMap:
-    """SPD matrix T with T @ A @ T = B for the endpoints it was built from."""
-
-    matrix: SpdMatrix
-
-
-@dataclass(frozen=True, eq=False)
 class GeodesicCurve:
     """Bures geodesic with its transport map precomputed once.
 
@@ -39,8 +32,7 @@ class GeodesicCurve:
     """
 
     start: SpdMatrix
-    end: SpdMatrix
-    transport: TransportMap
+    transport: SpdMatrix
 
 
 def _check_same_dim(a: SpdMatrix, b: SpdMatrix) -> None:
@@ -88,29 +80,29 @@ def _whitened_root(s: np.ndarray, b: np.ndarray) -> np.ndarray:
 def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Bures-Wasserstein distance tr(A) + tr(B) - 2 tr((A^1/2 B A^1/2)^1/2)."""
     _check_same_dim(a, b)
-    w = _whitened_eigvals(spd_sqrt(a).mat, b.mat)
+    w = _whitened_eigvals(spd_sqrt(a), b.mat)
     tr_sum = a.trace() + b.trace()
     d2 = tr_sum - 2.0 * float(np.sqrt(w).sum())
     return _clamp_distance_sq(d2, tr_sum)
 
 
-def transport_map(a: SpdMatrix, b: SpdMatrix) -> TransportMap:
-    """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2."""
+def transport_map(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
+    """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2, with T A T = B."""
     _check_same_dim(a, b)
-    r = spd_inv_sqrt(a).mat
-    t = SpdMatrix(r @ _whitened_root(spd_sqrt(a).mat, b.mat) @ r)
+    r = spd_inv_sqrt(a)
+    t = SpdMatrix(r @ _whitened_root(spd_sqrt(a), b.mat) @ r)
     defect = np.linalg.norm(t.mat @ a.mat @ t.mat - b.mat)
     if defect > TRANSPORT_CHECK_TOL * np.linalg.norm(b.mat):
         raise NumericalConsistencyError(
             f"transport defining property violated: relative defect "
             f"{defect / np.linalg.norm(b.mat):.6e}"
         )
-    return TransportMap(matrix=t)
+    return t
 
 
 def geodesic(a: SpdMatrix, b: SpdMatrix) -> GeodesicCurve:
     """Bures geodesic curve from A to B."""
-    return GeodesicCurve(start=a, end=b, transport=transport_map(a, b))
+    return GeodesicCurve(start=a, transport=transport_map(a, b))
 
 
 def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
@@ -118,7 +110,7 @@ def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
     if not 0.0 <= t <= 1.0:
         raise ParameterOutOfRange(f"geodesic parameter {t} outside [0, 1]")
     n = curve.start.dim
-    ct = (1.0 - t) * np.eye(n) + t * curve.transport.matrix.mat
+    ct = (1.0 - t) * np.eye(n) + t * curve.transport.mat
     return SpdMatrix(ct @ curve.start.mat @ ct)
 
 
@@ -126,7 +118,7 @@ def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     """Geodesic ((1-t) A^1/2 + t B^1/2)^2 for commuting endpoints."""
     _check_same_dim(a, b)
     _check_commuting(a.mat, b.mat, "endpoints")
-    mix = (1.0 - t) * spd_sqrt(a).mat + t * spd_sqrt(b).mat
+    mix = (1.0 - t) * spd_sqrt(a) + t * spd_sqrt(b)
     return SpdMatrix(mix @ mix)
 
 

@@ -25,7 +25,13 @@ from .errors import (
     ParameterOutOfRange,
     TraceNotZero,
 )
-from .kron_model import KroneckerPoint, col_leaf, leaf_membership, row_leaf
+from .kron_model import (
+    GAUGE_TOL,
+    KroneckerPoint,
+    col_leaf,
+    leaf_membership,
+    row_leaf,
+)
 from .spd_core import (
     SpdMatrix,
     kron,
@@ -93,11 +99,13 @@ class CommutingChart:
                     f"{name} is not orthogonal: defect {defect:.6e}"
                 )
         for name, vals in (("u0", self.u0), ("u1", self.u1), ("v0", self.v0), ("v1", self.v1)):
-            if np.any(vals <= 0.0):
-                raise NonPositiveCoordinate(f"{name} has nonpositive eigenvalues")
+            if not np.all(np.isfinite(vals) & (vals > 0.0)):
+                raise NonPositiveCoordinate(
+                    f"{name} has non-finite or nonpositive eigenvalues"
+                )
         for name, vals in (("u0", self.u0), ("u1", self.u1)):
             drift = abs(float(np.log(vals).sum()))
-            if drift > 1e-10 * n:
+            if drift > GAUGE_TOL * n:
                 raise GaugeViolation(f"{name} eigenvalue product drifts by {drift:.6e}")
 
     @property
@@ -123,8 +131,10 @@ class SqrtProfile:
         for name, vec in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
             if vec.shape != (n,):
                 raise DimensionMismatch(f"{name} has shape {vec.shape}, expected {(n,)}")
-            if np.any(vec <= 0.0):
-                raise NonPositiveCoordinate(f"profile vector {name} must be positive")
+            if not np.all(np.isfinite(vec) & (vec > 0.0)):
+                raise NonPositiveCoordinate(
+                    f"profile vector {name} must be finite and positive"
+                )
         for name, vec in (("a", self.a), ("c", self.c)):
             drift = abs(float(np.log(vec).sum()))
             if drift > _PROFILE_GAUGE_TOL * max(n, 1):
@@ -162,8 +172,13 @@ class DepartureCoefficients:
 
     def __post_init__(self):
         for name, val in (("A", self.A), ("B", self.B), ("C", self.C), ("D", self.D)):
-            if val <= 0.0:
-                raise NonPositiveCoordinate(f"coefficient {name} must be positive")
+            if not (np.isfinite(val) and val > 0.0):
+                raise NonPositiveCoordinate(
+                    f"coefficient {name} must be finite and positive"
+                )
+        for name, val in (("rho", self.rho), ("sigma", self.sigma)):
+            if not np.isfinite(val):
+                raise NonPositiveCoordinate(f"coefficient {name} must be finite")
         # Cauchy-Schwarz, with slack for round-off on collinear profiles.
         if self.rho**2 > self.A * self.C * (1.0 + 1e-9):
             raise NumericalConsistencyError("rho^2 exceeds A*C beyond round-off")
@@ -409,17 +424,13 @@ def factor_transports(p0: KroneckerPoint, p1: KroneckerPoint) -> FactorTransport
     """Factor Bures transports S_U, S_V and the whitened maps P, Q."""
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    s_v = transport_map(p0.v_factor, p1.v_factor).matrix
-    s_u = transport_map(p0.u_factor, p1.u_factor).matrix
-    v_isqrt = spd_inv_sqrt(p0.v_factor).mat
-    v_sqrt = spd_sqrt(p0.v_factor).mat
-    u_isqrt = spd_inv_sqrt(p0.u_factor).mat
-    u_sqrt = spd_sqrt(p0.u_factor).mat
+    s_v = transport_map(p0.v_factor, p1.v_factor)
+    s_u = transport_map(p0.u_factor, p1.u_factor)
     return FactorTransports(
         s_u=s_u,
         s_v=s_v,
-        p_mat=v_isqrt @ s_v.mat @ v_sqrt,
-        q_mat=u_isqrt @ s_u.mat @ u_sqrt,
+        p_mat=spd_inv_sqrt(p0.v_factor) @ s_v.mat @ spd_sqrt(p0.v_factor),
+        q_mat=spd_inv_sqrt(p0.u_factor) @ s_u.mat @ spd_sqrt(p0.u_factor),
     )
 
 
@@ -508,8 +519,10 @@ def pullback_metric_isotropic(n: int, s: float, h_u, h_v) -> float:
     H_U must be trace-free, matching the tangent space of the
     determinant-normalized factor.
     """
-    if s <= 0.0:
-        raise ParameterOutOfRange(f"isotropic scale must be positive, got {s}")
+    if not (np.isfinite(s) and s > 0.0):
+        raise ParameterOutOfRange(
+            f"isotropic scale must be finite and positive, got {s}"
+        )
     h_u = symmetrize(h_u)
     h_v = symmetrize(h_v)
     if h_u.shape != (n, n) or h_v.shape != (n, n):

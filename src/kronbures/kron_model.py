@@ -31,7 +31,6 @@ from .errors import (
     GaugeViolation,
     NotInModel,
     NotOnLeaf,
-    NotPositiveDefinite,
     ParameterOutOfRange,
 )
 from .spd_core import (
@@ -139,11 +138,6 @@ class PairwiseSpectrum:
     alpha: np.ndarray
     beta: np.ndarray
 
-    def __post_init__(self):
-        for name, vals in (("alpha", self.alpha), ("beta", self.beta)):
-            if np.any(np.asarray(vals) <= 0.0):
-                raise NotPositiveDefinite(f"{name} spectrum has nonpositive entries")
-
 
 def embed(p: KroneckerPoint) -> SpdMatrix:
     """Ambient embedding V (x) U of a model point.
@@ -189,9 +183,8 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
 
 
 def _whitened_spectrum(a0: SpdMatrix, a1: SpdMatrix) -> np.ndarray:
-    # Floored positive for PairwiseSpectrum; descending.
-    w = _whitened_eigvals(spd_sqrt(a0).mat, a1.mat)
-    return np.ascontiguousarray(np.maximum(w[::-1], 1e-300))
+    # Descending, the order PairwiseSpectrum documents.
+    return np.ascontiguousarray(_whitened_eigvals(spd_sqrt(a0), a1.mat)[::-1])
 
 
 def pairwise_bures_sq_reduced(

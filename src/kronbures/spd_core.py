@@ -49,18 +49,23 @@ def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
 class SpdMatrix:
     """Dense SPD matrix with a write-once cached eigendecomposition.
 
-    Validation policy: every construction symmetrizes the entries, so
-    downstream solvers never see asymmetric round-off, rejects non-finite
-    entries, and tests the spectrum against the relative margin
+    This is the type for matrices the library asserts are SPD, and only
+    those; operators derived from them (roots, whitened products) are
+    plain arrays. Validation policy: every construction symmetrizes the
+    entries, so downstream solvers never see asymmetric round-off, rejects
+    non-finite entries, and tests the spectrum against the relative margin
     ``PD_TOLERANCE``. The spectrum comes from one ``eigh`` unless ``_eig``
     supplies it. ``_eig`` is passed only where the spectrum is known by
-    construction: ``scaled``, ``identity``, ``spd_sqrt``, ``spd_inv_sqrt``
-    and ``kron_model.embed`` (the factors' product spectrum). The margin
-    test then reads that spectrum; no check is skipped. The whitened
-    product A^1/2 B A^1/2 is never wrapped: it can fall below the margin
-    while what is built from it is well conditioned (for V0 (x) U and
-    V1 (x) U it carries U^2), so ``bures_metric`` clips its spectrum at 0
-    and validates the result instead. Instances are immutable and safe to
+    construction: ``scaled``, ``identity`` and ``kron_model.embed`` (the
+    factors' product spectrum). The margin test then reads that spectrum;
+    no check is skipped. ``spd_sqrt`` and ``spd_inv_sqrt`` return arrays
+    unvalidated: A^{+-1/2} of a validated A has finite entries and margin
+    sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) = 1e-6, far above
+    ``PD_TOLERANCE``, so the check could not fail. The whitened product
+    A^1/2 B A^1/2 is never wrapped: it can fall below the margin while
+    what is built from it is well conditioned (for V0 (x) U and V1 (x) U
+    it carries U^2), so ``bures_metric`` clips its spectrum at 0 and
+    validates the result instead. Instances are immutable and safe to
     share across threads.
     """
 
@@ -110,26 +115,20 @@ def log_det(a: SpdMatrix) -> float:
     return float(np.log(a.eig.eigenvalues).sum())
 
 
-def spd_sqrt(a: SpdMatrix) -> SpdMatrix:
-    """Principal matrix square root S with S @ S = A.
+def spd_sqrt(a: SpdMatrix) -> np.ndarray:
+    """Principal matrix square root S with S @ S = A, as a symmetric array.
 
     Computed from the cached eigendecomposition with eigenvalue square
     roots, so no extra factorization is performed.
     """
-    w = np.sqrt(a.eig.eigenvalues)
     q = a.eig.eigenvectors
-    return SpdMatrix((q * w) @ q.T, _eig=EigenDecomposition(w, q))
+    return symmetrize((q * np.sqrt(a.eig.eigenvalues)) @ q.T)
 
 
-def spd_inv_sqrt(a: SpdMatrix) -> SpdMatrix:
-    """Inverse square root R with R @ A @ R = I."""
-    w = 1.0 / np.sqrt(a.eig.eigenvalues)
+def spd_inv_sqrt(a: SpdMatrix) -> np.ndarray:
+    """Inverse square root R with R @ A @ R = I, as a symmetric array."""
     q = a.eig.eigenvectors
-    # Reciprocals reverse the ordering; flip back to descending.
-    eig = EigenDecomposition(
-        np.ascontiguousarray(w[::-1]), np.ascontiguousarray(q[:, ::-1])
-    )
-    return SpdMatrix((q * w) @ q.T, _eig=eig)
+    return symmetrize((q * (1.0 / np.sqrt(a.eig.eigenvalues))) @ q.T)
 
 
 def kron(a, b) -> np.ndarray:

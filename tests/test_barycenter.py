@@ -545,3 +545,30 @@ class TestSliceDataJson:
                 v_eigs=np.ones((2, 2)),
                 weights=np.array([0.5, 0.5]),
             )
+
+
+def _unit_slice(u_eigs=None, v_eigs=None):
+    return SliceData(
+        u_eigs=np.ones((2, 2)) if u_eigs is None else u_eigs,
+        v_eigs=np.ones((2, 2)) if v_eigs is None else v_eigs,
+        weights=np.array([0.5, 0.5]),
+    )
+
+
+class TestNonFiniteRejected:
+    # NaN <= 0 is False, so a plain sign test lets NaN (and inf) through.
+    SITES = {
+        "weights": lambda bad: bw_barycenter([SpdMatrix.identity(2)] * 2, [bad, 0.5]),
+        "slice_u_eigs": lambda bad: _unit_slice(u_eigs=np.array([[bad, 1.0], [1.0, 1.0]])),
+        "slice_v_eigs": lambda bad: _unit_slice(v_eigs=np.array([[1.0, bad], [1.0, 1.0]])),
+        "slice_objective": lambda bad: slice_objective(
+            np.array([1.0, bad]), np.ones(2), _unit_slice()
+        ),
+        "perron": lambda bad: perron_singular_pair(np.array([[1.0, bad], [1.0, 1.0]])),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_raises_non_positive_coordinate(self, site, bad):
+        with pytest.raises(NonPositiveCoordinate):
+            self.SITES[site](bad)

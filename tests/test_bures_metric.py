@@ -90,26 +90,26 @@ class TestTransport:
     def test_identity_endpoints(self):
         a = rand_spd(4, np.random.default_rng(1))
         t = transport_map(a, a)
-        assert frob(t.matrix.mat - np.eye(4)) <= 1e-12
+        assert frob(t.mat - np.eye(4)) <= 1e-12
 
     def test_from_identity(self):
         b = rand_spd(4, np.random.default_rng(2))
         t = transport_map(SpdMatrix.identity(4), b)
-        assert frob(t.matrix.mat - spd_sqrt(b).mat) <= 1e-12 * frob(b.mat)
+        assert frob(t.mat - spd_sqrt(b)) <= 1e-12 * frob(b.mat)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_defining_property(self, seed):
         rng = np.random.default_rng(30 + seed)
         a, b = rand_spd(5, rng), rand_spd(5, rng)
-        t = transport_map(a, b).matrix.mat
+        t = transport_map(a, b).mat
         assert frob(t @ a.mat @ t - b.mat) <= 1e-10 * frob(b.mat)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_both_directions(self, seed):
         rng = np.random.default_rng(40 + seed)
         a, b = rand_spd(4, rng), rand_spd(4, rng)
-        t_ab = transport_map(a, b).matrix.mat
-        t_ba = transport_map(b, a).matrix.mat
+        t_ab = transport_map(a, b).mat
+        t_ba = transport_map(b, a).mat
         assert frob(t_ab @ a.mat @ t_ab - b.mat) <= 1e-10 * frob(b.mat)
         assert frob(t_ba @ b.mat @ t_ba - a.mat) <= 1e-10 * frob(a.mat)
 
@@ -121,7 +121,7 @@ class TestTransport:
         p0 = KroneckerPoint.from_factors(gen_spd(16, rng), gen_spd(16, rng))
         p1 = KroneckerPoint(p0.u_factor, gen_spd(16, rng))
         k0, k1 = embed(p0), embed(p1)
-        t = transport_map(k0, k1).matrix.mat
+        t = transport_map(k0, k1).mat
         assert frob(t @ k0.mat @ t - k1.mat) <= 1e-10 * frob(k1.mat)
         mid = recover_factors(geodesic_eval(geodesic(k0, k1), 0.5))
         d2, _ = pairwise_bures_sq_reduced(p0, p1)
@@ -204,3 +204,42 @@ class TestGaussianW2:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gaussian_w2_sq(np.zeros(2), SpdMatrix.identity(3), np.zeros(2), SpdMatrix.identity(3))
+
+
+def spd_builds(monkeypatch, fn, *args) -> int:
+    """Number of SpdMatrix constructions made by fn(*args)."""
+    calls = []
+    init = SpdMatrix.__init__
+
+    def counting(self, *a, **kw):
+        calls.append(None)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(SpdMatrix, "__init__", counting)
+    try:
+        fn(*args)
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+class TestSpdConstructions:
+    """SpdMatrix wraps only matrices the library asserts are SPD: roots and
+    whitened products stay arrays, and a transport builds only T."""
+
+    def test_reduced_distance_builds_none(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        p0 = KroneckerPoint.from_factors(rand_spd(4, rng), rand_spd(4, rng))
+        p1 = KroneckerPoint.from_factors(rand_spd(4, rng), rand_spd(4, rng))
+        assert spd_builds(monkeypatch, pairwise_bures_sq_reduced, p0, p1) == 0
+
+    def test_ambient_distance_builds_none(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        a, b = rand_spd(5, rng), rand_spd(5, rng)
+        assert spd_builds(monkeypatch, bures_distance_sq, a, b) == 0
+
+    def test_transport_builds_only_t(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        a, b = rand_spd(5, rng), rand_spd(5, rng)
+        assert spd_builds(monkeypatch, transport_map, a, b) == 1
+        assert isinstance(transport_map(a, b), SpdMatrix)

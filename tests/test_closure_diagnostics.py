@@ -13,6 +13,7 @@ from kronbures import (
     DimensionMismatch,
     KroneckerPoint,
     LeafKind,
+    NonPositiveCoordinate,
     NotCommuting,
     NotSimultaneouslyDiagonalizable,
     ParameterOutOfRange,
@@ -457,7 +458,7 @@ class TestFactorTransports:
         rng = np.random.default_rng(50 + seed)
         p0, p1 = rand_point(2, rng), rand_point(2, rng)
         ft = factor_transports(p0, p1)
-        ambient = transport_map(embed(p0), embed(p1)).matrix.mat
+        ambient = transport_map(embed(p0), embed(p1)).mat
         assert frob(kron(ft.s_v.mat, ft.s_u.mat) - ambient) <= 1e-10 * frob(ambient)
 
     def test_similarity_spectra(self):
@@ -488,9 +489,9 @@ class TestWhitenedVelocity:
         p0, p1 = rand_point(2, rng), rand_point(2, rng)
         z0 = whitened_initial_velocity(factor_transports(p0, p1))
         k0 = embed(p0)
-        t = transport_map(k0, embed(p1)).matrix.mat
+        t = transport_map(k0, embed(p1)).mat
         velocity = (t - np.eye(4)) @ k0.mat + k0.mat @ (t - np.eye(4))
-        w = kron(spd_inv_sqrt(p0.v_factor).mat, spd_inv_sqrt(p0.u_factor).mat)
+        w = kron(spd_inv_sqrt(p0.v_factor), spd_inv_sqrt(p0.u_factor))
         direct = w @ velocity @ w
         assert frob(z0 - direct) <= 1e-9 * max(frob(direct), 1.0)
 
@@ -715,3 +716,52 @@ def test_write_departure_profile(tmp_path):
     assert len(lines) == 202
     t, dgeo, ddiag = (float(x) for x in lines[1].split(","))
     assert (t, dgeo, ddiag) == (0.0, 0.0, 0.0)
+
+
+class TestNonFiniteRejected:
+    # NaN <= 0 is False, so a plain sign test lets NaN (and inf) through;
+    # a NaN profile entry used to give delta_geo = 0.0, "stays in the model".
+    SITES = {
+        "chart": (
+            lambda bad: CommutingChart(
+                q_basis=np.eye(2),
+                r_basis=np.eye(2),
+                u0=np.ones(2),
+                u1=np.ones(2),
+                v0=np.array([1.0, bad]),
+                v1=np.ones(2),
+            ),
+            NonPositiveCoordinate,
+        ),
+        "profile": (
+            lambda bad: SqrtProfile(
+                a=np.ones(2), b=np.array([1.0, bad]), c=np.ones(2), d=np.ones(2)
+            ),
+            NonPositiveCoordinate,
+        ),
+        "coefficient_B": (
+            lambda bad: DepartureCoefficients(
+                A=1.0, B=bad, C=1.0, D=1.0, rho=0.5, sigma=0.5
+            ),
+            NonPositiveCoordinate,
+        ),
+        "coefficient_rho": (
+            lambda bad: DepartureCoefficients(
+                A=1.0, B=1.0, C=1.0, D=1.0, rho=bad, sigma=0.5
+            ),
+            NonPositiveCoordinate,
+        ),
+        "pullback_scale": (
+            lambda bad: pullback_metric_isotropic(
+                2, bad, np.diag([1.0, -1.0]), np.eye(2)
+            ),
+            ParameterOutOfRange,
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_raises(self, site, bad):
+        build, error = self.SITES[site]
+        with pytest.raises(error):
+            build(bad)

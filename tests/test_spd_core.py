@@ -54,18 +54,18 @@ class TestSpdMatrix:
 
 class TestSqrt:
     def test_identity(self):
-        assert np.allclose(spd_sqrt(SpdMatrix.identity(3)).mat, np.eye(3))
+        assert np.allclose(spd_sqrt(SpdMatrix.identity(3)), np.eye(3))
 
     def test_diagonal(self):
         s = spd_sqrt(SpdMatrix(np.diag([4.0, 9.0])))
-        assert np.allclose(s.mat, np.diag([2.0, 3.0]))
+        assert np.allclose(s, np.diag([2.0, 3.0]))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_multiply_back(self, seed):
         rng = np.random.default_rng(seed)
         a = rand_spd(8, rng)
         s = spd_sqrt(a)
-        assert frob(s.mat @ s.mat - a.mat) <= 1e-12 * frob(a.mat)
+        assert frob(s @ s - a.mat) <= 1e-12 * frob(a.mat)
 
     def test_multiply_back_ill_conditioned(self):
         # Condition numbers up to 1e8 stay within the 1e-12 contract.
@@ -73,26 +73,32 @@ class TestSqrt:
         q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         a = SpdMatrix((q * np.logspace(0, 8, 6)) @ q.T)
         s = spd_sqrt(a)
-        assert frob(s.mat @ s.mat - a.mat) <= 1e-12 * frob(a.mat)
+        assert frob(s @ s - a.mat) <= 1e-12 * frob(a.mat)
 
     def test_inv_sqrt_identity_and_diag(self):
-        assert np.allclose(spd_inv_sqrt(SpdMatrix.identity(4)).mat, np.eye(4))
+        assert np.allclose(spd_inv_sqrt(SpdMatrix.identity(4)), np.eye(4))
         r = spd_inv_sqrt(SpdMatrix([[4.0]]))
-        assert r.mat[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert r[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_inv_sqrt_multiply_back(self, seed):
         rng = np.random.default_rng(100 + seed)
         a = rand_spd(7, rng)
         r = spd_inv_sqrt(a)
-        assert frob(r.mat @ a.mat @ r.mat - np.eye(7)) <= 1e-11
+        assert frob(r @ a.mat @ r - np.eye(7)) <= 1e-11
+
+    @pytest.mark.parametrize("root", [spd_sqrt, spd_inv_sqrt])
+    def test_exactly_symmetric_array(self, root):
+        r = root(rand_spd(7, np.random.default_rng(300)))
+        assert type(r) is np.ndarray
+        assert np.array_equal(r, r.T)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_routes_agree(self, seed):
         rng = np.random.default_rng(200 + seed)
         a = rand_spd(6, rng)
-        via_inverse = np.linalg.inv(spd_sqrt(a).mat)
-        direct = spd_inv_sqrt(a).mat
+        via_inverse = np.linalg.inv(spd_sqrt(a))
+        direct = spd_inv_sqrt(a)
         assert frob(direct - via_inverse) <= 1e-10 * frob(direct)
 
 
