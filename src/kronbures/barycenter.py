@@ -29,7 +29,7 @@ from .kron_model import (
     KroneckerPoint,
     leaf_factor,
     leaf_point,
-    pairwise_bures_sq_reduced,
+    reduced_distances_sq,
 )
 from .spd_core import SpdMatrix, spd_inv_sqrt, spd_sqrt
 
@@ -188,9 +188,8 @@ def objective_J(k: KroneckerPoint, data, weights) -> float:
     model points in data, by the reduced pairwise formula."""
     data = list(data)
     w = _check_weights(weights, len(data))
-    return float(
-        sum(wi * pairwise_bures_sq_reduced(k, d)[0] for wi, d in zip(w, data))
-    )
+    d2 = reduced_distances_sq(k, data)
+    return float(sum(wi * di for wi, di in zip(w, d2)))
 
 
 def coefficient_matrix(data: SliceData) -> np.ndarray:
@@ -263,13 +262,15 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
         if m.dim != n:
             raise DimensionMismatch("barycenter data have mixed dimensions")
     v = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
+    stack = np.stack([m.mat for m in mats])
     eye = np.eye(n)
     prev_residual = np.inf
     best = (np.inf, v)
     for _ in range(BW_MAX_ITER):
         s = spd_sqrt(v)
         r = spd_inv_sqrt(v)
-        g = sum(wi * _whitened_root(s, m.mat) for wi, m in zip(w, mats))
+        # All N roots (S M_i S)^1/2 from one stacked eigh; summed in data order.
+        g = sum(wi * root for wi, root in zip(w, _whitened_root(s, stack)))
         residual = float(np.linalg.norm(r @ g @ r - eye))
         if residual < best[0]:
             best = (residual, v)

@@ -35,7 +35,12 @@ from .closure_diagnostics import (
     delta_geo_closed_form,
     write_departure_profile,
 )
-from .errors import ConfigError, NumericalConsistencyError
+from .errors import (
+    ConfigError,
+    InconsistentVerdict,
+    NoConvergence,
+    NumericalConsistencyError,
+)
 from .kron_model import KroneckerPoint, embed, pairwise_bures_sq_reduced
 from .spd_core import SpdMatrix
 
@@ -507,14 +512,19 @@ def main(argv=None) -> int:
     try:
         rows = []
         for cfg in _configs_from_args(args):
-            rows.extend(RUNNERS[cfg.experiment](cfg))
+            try:
+                rows.extend(RUNNERS[cfg.experiment](cfg))
+            except (NumericalConsistencyError, NoConvergence, InconsistentVerdict) as exc:
+                print(
+                    f"{cfg.experiment.value} experiment failed: "
+                    f"{type(exc).__name__}: {exc}",
+                    file=sys.stderr,
+                )
+                return 3
         emit_report(rows, args.format, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NumericalConsistencyError as exc:
-        print(f"numerical consistency failure: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

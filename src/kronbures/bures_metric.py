@@ -63,7 +63,10 @@ def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
 
 
 # The whitened product S B S, S = A^1/2, is formed and decomposed only by
-# the two helpers below; see SpdMatrix for why it is never validated.
+# the two helpers below; see SpdMatrix for why it is never validated. B may
+# be one n x n matrix or a stack of shape (m, n, n): S B S is then one
+# broadcast matmul and its decomposition one stacked LAPACK call, which runs
+# the same per-matrix routine as m separate calls and returns the same bits.
 
 
 def _whitened_eigvals(s: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,7 +77,8 @@ def _whitened_eigvals(s: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _whitened_root(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(S B S)^1/2 from one eigh of the symmetrized product, clipped at 0."""
     w, q = np.linalg.eigh(symmetrize(s @ b @ s))
-    return (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+    half = q * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return half @ np.swapaxes(q, -1, -2)
 
 
 def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -89,8 +93,12 @@ def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
 def transport_map(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2, with T A T = B."""
     _check_same_dim(a, b)
-    r = spd_inv_sqrt(a)
-    t = SpdMatrix(r @ _whitened_root(spd_sqrt(a), b.mat) @ r)
+    return _transport(a, b, spd_sqrt(a), spd_inv_sqrt(a))
+
+
+def _transport(a: SpdMatrix, b: SpdMatrix, s: np.ndarray, r: np.ndarray) -> SpdMatrix:
+    """transport_map(a, b) given the roots S = A^1/2 and R = A^-1/2."""
+    t = SpdMatrix(r @ _whitened_root(s, b.mat) @ r)
     defect = np.linalg.norm(t.mat @ a.mat @ t.mat - b.mat)
     if defect > TRANSPORT_CHECK_TOL * np.linalg.norm(b.mat):
         raise NumericalConsistencyError(

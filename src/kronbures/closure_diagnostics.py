@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bures_metric import _check_commuting, transport_map
+from .bures_metric import _check_commuting, _transport
 from .errors import (
     DimensionMismatch,
     GaugeViolation,
@@ -37,8 +37,6 @@ from .spd_core import (
     kron,
     partial_trace_1,
     partial_trace_2,
-    spd_inv_sqrt,
-    spd_sqrt,
     symmetrize,
 )
 
@@ -424,13 +422,15 @@ def factor_transports(p0: KroneckerPoint, p1: KroneckerPoint) -> FactorTransport
     """Factor Bures transports S_U, S_V and the whitened maps P, Q."""
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    s_v = transport_map(p0.v_factor, p1.v_factor)
-    s_u = transport_map(p0.u_factor, p1.u_factor)
+    # p0's roots come from its cache: each is taken once, for the transport
+    # and for the conjugation alike.
+    s_v = _transport(p0.v_factor, p1.v_factor, p0.v_sqrt, p0.v_inv_sqrt)
+    s_u = _transport(p0.u_factor, p1.u_factor, p0.u_sqrt, p0.u_inv_sqrt)
     return FactorTransports(
         s_u=s_u,
         s_v=s_v,
-        p_mat=spd_inv_sqrt(p0.v_factor) @ s_v.mat @ spd_sqrt(p0.v_factor),
-        q_mat=spd_inv_sqrt(p0.u_factor) @ s_u.mat @ spd_sqrt(p0.u_factor),
+        p_mat=p0.v_inv_sqrt @ s_v.mat @ p0.v_sqrt,
+        q_mat=p0.u_inv_sqrt @ s_u.mat @ p0.u_sqrt,
     )
 
 

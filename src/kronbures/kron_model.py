@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .spd_core import (
     log_det,
     partial_trace_1,
     partial_trace_2,
+    spd_inv_sqrt,
     spd_sqrt,
 )
 
@@ -54,9 +56,19 @@ MEMBERSHIP_TOL = 1e-8
 LEAF_TOL = 1e-8
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class KroneckerPoint:
-    """Gauge-normalized factor pair (U, V) representing V (x) U."""
+    """Gauge-normalized factor pair (U, V) representing V (x) U.
+
+    The factor roots U^1/2, V^1/2, U^-1/2 and V^-1/2 are computed on first
+    use, cached on the point and read-only. The cache holds only n x n
+    arrays; the n^2 x n^2 embedding caches nothing.
+    """
 
     u_factor: SpdMatrix
     v_factor: SpdMatrix
@@ -75,6 +87,22 @@ class KroneckerPoint:
     @property
     def n(self) -> int:
         return self.u_factor.dim
+
+    @cached_property
+    def u_sqrt(self) -> np.ndarray:
+        return _read_only(spd_sqrt(self.u_factor))
+
+    @cached_property
+    def v_sqrt(self) -> np.ndarray:
+        return _read_only(spd_sqrt(self.v_factor))
+
+    @cached_property
+    def u_inv_sqrt(self) -> np.ndarray:
+        return _read_only(spd_inv_sqrt(self.u_factor))
+
+    @cached_property
+    def v_inv_sqrt(self) -> np.ndarray:
+        return _read_only(spd_inv_sqrt(self.v_factor))
 
     @classmethod
     def from_factors(cls, u: SpdMatrix, v: SpdMatrix) -> "KroneckerPoint":
@@ -182,9 +210,10 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
     return p
 
 
-def _whitened_spectrum(a0: SpdMatrix, a1: SpdMatrix) -> np.ndarray:
-    # Descending, the order PairwiseSpectrum documents.
-    return np.ascontiguousarray(_whitened_eigvals(spd_sqrt(a0), a1.mat)[::-1])
+def _whitened_spectrum(s0: np.ndarray, b) -> np.ndarray:
+    # Descending along the last axis, the order PairwiseSpectrum documents;
+    # b is one factor or a stack of them.
+    return np.ascontiguousarray(_whitened_eigvals(s0, b)[..., ::-1])
 
 
 def pairwise_bures_sq_reduced(
@@ -193,18 +222,41 @@ def pairwise_bures_sq_reduced(
     """Squared Bures distance between embeddings from factor-size spectra.
 
     Uses the product form tr(A^1/2) tr(B^1/2) for the cross term, so the
-    whole computation costs two n x n eigendecompositions.
+    whole computation costs two n x n eigendecompositions, plus p0's two
+    factor roots on its first use.
     """
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    alpha = _whitened_spectrum(p0.v_factor, p1.v_factor)
-    beta = _whitened_spectrum(p0.u_factor, p1.u_factor)
+    alpha = _whitened_spectrum(p0.v_sqrt, p1.v_factor.mat)
+    beta = _whitened_spectrum(p0.u_sqrt, p1.u_factor.mat)
     tr_sum = (
         p0.u_factor.trace() * p0.v_factor.trace()
         + p1.u_factor.trace() * p1.v_factor.trace()
     )
     d2 = tr_sum - 2.0 * float(np.sqrt(alpha).sum()) * float(np.sqrt(beta).sum())
     return _clamp_distance_sq(d2, tr_sum), PairwiseSpectrum(alpha=alpha, beta=beta)
+
+
+def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
+    """Squared Bures distances from p to each point, by the reduced formula.
+
+    Entry i equals ``pairwise_bures_sq_reduced(p, points[i])[0]`` bit for
+    bit; the whitened spectra of all points come from one stacked
+    eigendecomposition per factor.
+    """
+    points = list(points)
+    for q in points:
+        if q.n != p.n:
+            raise DimensionMismatch(f"factor dimensions differ: {p.n} vs {q.n}")
+    if not points:
+        return np.empty(0)
+    alpha = _whitened_spectrum(p.v_sqrt, np.stack([q.v_factor.mat for q in points]))
+    beta = _whitened_spectrum(p.u_sqrt, np.stack([q.u_factor.mat for q in points]))
+    tr_sum = p.u_factor.trace() * p.v_factor.trace() + np.array(
+        [q.u_factor.trace() * q.v_factor.trace() for q in points]
+    )
+    d2 = tr_sum - 2.0 * np.sqrt(alpha).sum(axis=-1) * np.sqrt(beta).sum(axis=-1)
+    return np.array([_clamp_distance_sq(d, s) for d, s in zip(d2, tr_sum)])
 
 
 def matrix_normal_w2_sq(l0: MatrixNormalLaw, l1: MatrixNormalLaw) -> float:

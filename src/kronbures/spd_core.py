@@ -23,11 +23,14 @@ ORTHO_TOL = 1e-12
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return the symmetric average 0.5 * (A + A^T) of a square matrix."""
+    """Symmetric average 0.5 * (A + A^T) of a square matrix, or of each
+    matrix in a stack of shape (m, n, n)."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    return 0.5 * (arr + arr.T)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatch(
+            f"expected a square matrix or a stack of them, got shape {arr.shape}"
+        )
+    return 0.5 * (arr + np.swapaxes(arr, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -51,15 +54,18 @@ class SpdMatrix:
 
     This is the type for matrices the library asserts are SPD, and only
     those; operators derived from them (roots, whitened products) are
-    plain arrays. Validation policy: every construction symmetrizes the
-    entries, so downstream solvers never see asymmetric round-off, rejects
-    non-finite entries, and tests the spectrum against the relative margin
-    ``PD_TOLERANCE``. The spectrum comes from one ``eigh`` unless ``_eig``
-    supplies it. ``_eig`` is passed only where the spectrum is known by
-    construction: ``scaled``, ``identity`` and ``kron_model.embed`` (the
-    factors' product spectrum). The margin test then reads that spectrum;
-    no check is skipped. ``spd_sqrt`` and ``spd_inv_sqrt`` return arrays
-    unvalidated: A^{+-1/2} of a validated A has finite entries and margin
+    plain arrays. Validation policy: every construction checks the shape,
+    rejects non-finite entries, and tests the spectrum against the relative
+    margin ``PD_TOLERANCE``. Without ``_eig``, the entries are symmetrized,
+    so downstream solvers never see asymmetric round-off, and the spectrum
+    comes from one ``eigh``. ``_eig`` is passed only where the spectrum is
+    known by construction: ``scaled``, ``identity`` and ``kron_model.embed``
+    (the factors' product spectrum). Each passes a fresh, exactly symmetric
+    array (c A, I, V (x) U of symmetric factors), which the instance owns
+    as given, since symmetrizing it would return the same bits. The margin
+    test reads the supplied spectrum; no check is skipped. ``spd_sqrt``
+    and ``spd_inv_sqrt`` return arrays unvalidated: A^{+-1/2} of a
+    validated A has finite entries and margin
     sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) = 1e-6, far above
     ``PD_TOLERANCE``, so the check could not fail. The whitened product
     A^1/2 B A^1/2 is never wrapped: it can fall below the margin while
@@ -72,9 +78,13 @@ class SpdMatrix:
     __slots__ = ("mat", "eig")
 
     def __init__(self, entries, *, _eig: EigenDecomposition | None = None):
-        arr = symmetrize(entries)
+        arr = np.asarray(entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatch("matrix dimension must be at least 1")
+        if _eig is None:
+            arr = symmetrize(arr)
         if not np.all(np.isfinite(arr)):
             raise NotPositiveDefinite("matrix has non-finite entries")
         eig = _eig if _eig is not None else _eigh_descending(arr)

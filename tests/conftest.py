@@ -91,3 +91,16 @@ def point_pairs(draw, min_n=1, max_n=4):
     n = draw(st.integers(min_n, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rand_point(n, rng), rand_point(n, rng)
+
+
+@st.composite
+def clouds(draw, max_n=16, max_count=40):
+    """(p, cloud, weights): a query point, 1 to max_count points of the same
+    n in [1, max_n], and positive weights summing to one."""
+    n = draw(st.integers(1, max_n))
+    count = draw(st.integers(1, max_count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rand_point(n, rng)
+    cloud = [rand_point(n, rng) for _ in range(count)]
+    weights = rng.random(count) + 0.5
+    return p, cloud, weights / weights.sum()

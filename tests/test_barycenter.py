@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kronbures import (
     GaugeViolation,
+    NoConvergence,
     KroneckerPoint,
     NonPositiveCoordinate,
     NotOnLeaf,
@@ -32,6 +33,8 @@ from kronbures import (
 )
 from kronbures import barycenter
 from kronbures.barycenter import _project_centered_box
+from kronbures.bures_metric import _whitened_root
+from kronbures.spd_core import spd_inv_sqrt, spd_sqrt
 from kronbures.bench_cli import gen_log_diag
 from kronbures.kron_model import leaf_factor
 
@@ -244,7 +247,39 @@ class TestSliceBarycenter:
         assert frob(y_hat - sol.y_star) <= 1e-7 * frob(sol.y_star)
 
 
+def _bw_per_matrix(mats, w):
+    """bw_barycenter's fixed point with each root (S M_i S)^1/2 taken alone;
+    None where it exhausts the iteration budget."""
+    v = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
+    for _ in range(barycenter.BW_MAX_ITER):
+        s, r = spd_sqrt(v), spd_inv_sqrt(v)
+        g = sum(wi * _whitened_root(s, m.mat) for wi, m in zip(w, mats))
+        if float(np.linalg.norm(r @ g @ r - np.eye(v.dim))) <= barycenter.BW_TOL:
+            return v
+        half = r @ g
+        v = SpdMatrix(half @ half.T)
+    return None
+
+
 class TestBwBarycenter:
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 6),
+        count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_iteration_bitwise_equal_to_per_matrix_loop(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        mats = [rand_spd(n, rng) for _ in range(count)]
+        w = rng.random(count) + 0.5
+        w = w / w.sum()
+        expected = _bw_per_matrix(mats, w)
+        if expected is None:
+            with pytest.raises(NoConvergence):
+                bw_barycenter(mats, w)
+        else:
+            assert np.array_equal(bw_barycenter(mats, w).mat, expected.mat)
+
     def test_single_datum(self):
         v = rand_spd(4, np.random.default_rng(8))
         bar = bw_barycenter([v], [1.0])

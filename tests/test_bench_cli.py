@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from kronbures import ConfigError, NumericalConsistencyError
+from kronbures import (
+    ConfigError,
+    InconsistentVerdict,
+    NoConvergence,
+    NumericalConsistencyError,
+)
+from kronbures import bench_cli
 from kronbures.bench_cli import (
     AMBIENT_CUTOFF,
     ExperimentConfig,
@@ -204,6 +210,24 @@ class TestCli:
             boom,
         )
         assert main(["departure", "--trials", "1"]) == 3
+
+    def test_solver_failure_exit_three(self, monkeypatch, capsys):
+        def stalled(data):
+            raise NoConvergence("projected gradient stalled")
+
+        monkeypatch.setattr(bench_cli, "log_coordinate_oracle", stalled)
+        assert main(["barycenter", "--trials", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "barycenter experiment" in err
+        assert "NoConvergence: projected gradient stalled" in err
+
+    def test_inconsistent_verdict_exit_three(self, monkeypatch, capsys):
+        def conflict(cfg):
+            raise InconsistentVerdict("factor verdict conflicts with residual")
+
+        monkeypatch.setitem(bench_cli.RUNNERS, ExperimentKind.DEPARTURE, conflict)
+        assert main(["departure", "--trials", "1"]) == 3
+        assert "departure experiment" in capsys.readouterr().err
 
     def test_metric_determinism(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

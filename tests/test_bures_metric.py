@@ -22,6 +22,7 @@ from kronbures import (
     transport_map,
 )
 from kronbures.bench_cli import gen_spd
+from kronbures.bures_metric import _whitened_eigvals, _whitened_root
 
 from conftest import PROPERTY_SETTINGS, frob, rand_orthogonal, rand_spd
 
@@ -204,6 +205,25 @@ class TestGaussianW2:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gaussian_w2_sq(np.zeros(2), SpdMatrix.identity(3), np.zeros(2), SpdMatrix.identity(3))
+
+
+class TestStackedWhitening:
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 16),
+        count=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_bitwise_equal_to_each_matrix(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        s = spd_sqrt(rand_spd(n, rng))
+        stack = np.stack([rand_spd(n, rng).mat for _ in range(count)])
+        eigvals = _whitened_eigvals(s, stack)
+        roots = _whitened_root(s, stack)
+        assert eigvals.shape == (count, n) and roots.shape == (count, n, n)
+        for i in range(count):
+            assert np.array_equal(eigvals[i], _whitened_eigvals(s, stack[i]))
+            assert np.array_equal(roots[i], _whitened_root(s, stack[i]))
 
 
 def spd_builds(monkeypatch, fn, *args) -> int:

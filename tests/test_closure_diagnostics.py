@@ -42,7 +42,7 @@ from kronbures import (
     whitened_initial_velocity,
     write_departure_profile,
 )
-from kronbures import closure_diagnostics
+from kronbures import bures_metric, closure_diagnostics, kron_model
 from kronbures.closure_diagnostics import profile_matrix
 
 from conftest import (
@@ -438,6 +438,27 @@ class TestPiResidual:
 
 
 class TestFactorTransports:
+    def test_each_root_of_p0_taken_once(self, monkeypatch):
+        calls = []
+        for module in (kron_model, bures_metric):
+            for name in ("spd_sqrt", "spd_inv_sqrt"):
+                fn = getattr(module, name)
+
+                def counted(a, fn=fn, name=name):
+                    calls.append((name, a))
+                    return fn(a)
+
+                monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(13)
+        p0, p1, p2 = (rand_point(3, rng) for _ in range(3))
+        ft = factor_transports(p0, p1)
+        assert len(calls) == 4 and len({(n, id(a)) for n, a in calls}) == 4
+        factor_transports(p0, p2)
+        assert len(calls) == 4
+        # Same bits as the transports computed from fresh roots.
+        assert np.array_equal(ft.s_v.mat, transport_map(p0.v_factor, p1.v_factor).mat)
+        assert np.array_equal(ft.s_u.mat, transport_map(p0.u_factor, p1.u_factor).mat)
+
     def test_coincident_pair_identity(self):
         p = rand_point(3, np.random.default_rng(11))
         ft = factor_transports(p, p)

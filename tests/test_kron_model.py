@@ -26,18 +26,21 @@ from kronbures import (
     leaf_geodesic,
     leaf_membership,
     matrix_normal_w2_sq,
+    objective_J,
     pairwise_bures_sq_reduced,
     point_from_json,
     point_to_json,
     recover_factors,
+    reduced_distances_sq,
     row_leaf,
 )
 from kronbures import kron_model
 from kronbures.kron_model import leaf_factor, leaf_point
-from kronbures.spd_core import ORTHO_TOL, RECON_TOL, kron
+from kronbures.spd_core import ORTHO_TOL, RECON_TOL, kron, spd_inv_sqrt, spd_sqrt
 
 from conftest import (
     PROPERTY_SETTINGS,
+    clouds,
     frob,
     leaf_pair,
     leaf_pairs,
@@ -199,6 +202,17 @@ class TestEmbedSpectrum:
         assert np.array_equal(k.mat, kron(p.v_factor.mat, p.u_factor.mat))
 
 
+class TestEmbedEntries:
+    @PROPERTY_SETTINGS
+    @given(point_pairs(1, 8))
+    def test_exactly_the_symmetric_kronecker_product(self, pair):
+        # embed's entries are taken as given, not re-symmetrized.
+        p, _ = pair
+        k = embed(p).mat
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(k, kron(p.v_factor.mat, p.u_factor.mat))
+
+
 class TestPairwiseReduction:
     def test_coincident(self):
         p = rand_point(3, np.random.default_rng(1))
@@ -262,6 +276,103 @@ class TestPairwiseReduction:
         p = rand_point(3, np.random.default_rng(23))
         with pytest.raises(NumericalConsistencyError):
             pairwise_bures_sq_reduced(p, p)
+
+
+def _scalar_objective(p, cloud, weights):
+    """objective_J as a Python-order sum of scalar reduced distances."""
+    return float(
+        sum(wi * pairwise_bures_sq_reduced(p, q)[0] for wi, q in zip(weights, cloud))
+    )
+
+
+class TestBatchedReduction:
+    """reduced_distances_sq and objective_J against the scalar oracle."""
+
+    @PROPERTY_SETTINGS
+    @given(clouds())
+    def test_bitwise_equal_to_scalar_loop(self, problem):
+        p, cloud, weights = problem
+        scalar = [pairwise_bures_sq_reduced(p, q)[0] for q in cloud]
+        batched = reduced_distances_sq(p, cloud)
+        assert batched.shape == (len(cloud),)
+        assert batched.tolist() == scalar
+        assert objective_J(p, cloud, weights) == _scalar_objective(p, cloud, weights)
+
+    def test_cold_point_bitwise_equal(self):
+        # The batched route on a point with an empty cache gives the bits
+        # the scalar route gives on another fresh copy of it.
+        rng = np.random.default_rng(40)
+        p = rand_point(5, rng)
+        cloud = [rand_point(5, rng) for _ in range(7)]
+        twin = KroneckerPoint(p.u_factor, p.v_factor)
+        scalar = [pairwise_bures_sq_reduced(twin, q)[0] for q in cloud]
+        assert reduced_distances_sq(p, cloud).tolist() == scalar
+
+    def test_empty_cloud(self):
+        p = rand_point(3, np.random.default_rng(41))
+        assert reduced_distances_sq(p, []).shape == (0,)
+
+    def test_mixed_dimensions_raise(self):
+        rng = np.random.default_rng(42)
+        p = rand_point(3, rng)
+        cloud = [rand_point(3, rng), rand_point(2, rng)]
+        with pytest.raises(DimensionMismatch):
+            reduced_distances_sq(p, cloud)
+        with pytest.raises(DimensionMismatch):
+            objective_J(p, cloud, [0.5, 0.5])
+
+    def test_deficit_beyond_round_off_raises_through_objective(self, monkeypatch):
+        spectrum = kron_model._whitened_spectrum
+        monkeypatch.setattr(
+            kron_model, "_whitened_spectrum", lambda s0, b: 4.0 * spectrum(s0, b)
+        )
+        p = rand_point(3, np.random.default_rng(43))
+        with pytest.raises(NumericalConsistencyError):
+            objective_J(p, [p, p], [0.5, 0.5])
+
+
+ROOTS = ("u_sqrt", "v_sqrt", "u_inv_sqrt", "v_inv_sqrt")
+
+
+class TestRootCache:
+    def test_roots_match_and_are_read_only(self):
+        p = rand_point(4, np.random.default_rng(44))
+        expected = {
+            "u_sqrt": spd_sqrt(p.u_factor),
+            "v_sqrt": spd_sqrt(p.v_factor),
+            "u_inv_sqrt": spd_inv_sqrt(p.u_factor),
+            "v_inv_sqrt": spd_inv_sqrt(p.v_factor),
+        }
+        for name in ROOTS:
+            root = getattr(p, name)
+            assert root is getattr(p, name)
+            assert np.array_equal(root, expected[name])
+            with pytest.raises(ValueError):
+                root[0, 0] = 1.0
+
+    def test_each_root_computed_once(self, monkeypatch):
+        calls = []
+        for name in ("spd_sqrt", "spd_inv_sqrt"):
+            fn = getattr(kron_model, name)
+
+            def counted(a, fn=fn, name=name):
+                calls.append(name)
+                return fn(a)
+
+            monkeypatch.setattr(kron_model, name, counted)
+        rng = np.random.default_rng(45)
+        p = rand_point(4, rng)
+        cloud = [rand_point(4, rng) for _ in range(6)]
+        for q in cloud:
+            pairwise_bures_sq_reduced(p, q)
+        reduced_distances_sq(p, cloud)
+        objective_J(p, cloud, np.full(6, 1.0 / 6.0))
+        # A distance query needs only p's two square roots.
+        assert calls == ["spd_sqrt", "spd_sqrt"]
+        for _ in range(3):
+            for name in ROOTS:
+                getattr(p, name)
+        assert sorted(calls) == ["spd_inv_sqrt"] * 2 + ["spd_sqrt"] * 2
 
 
 class TestMatrixNormal:

@@ -14,7 +14,7 @@ from kronbures import (
     spd_sqrt,
     symmetrize,
 )
-from kronbures.spd_core import ORTHO_TOL, RECON_TOL
+from kronbures.spd_core import ORTHO_TOL, RECON_TOL, EigenDecomposition
 
 from conftest import frob, rand_spd
 
@@ -206,3 +206,28 @@ class TestGaugeNormalize:
 def test_symmetrize_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         symmetrize(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        symmetrize(np.ones((4, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        symmetrize(np.ones((2, 2, 3, 3)))
+
+
+def test_symmetrize_stack_matches_each_matrix():
+    stack = np.random.default_rng(3).standard_normal((4, 3, 3))
+    sym = symmetrize(stack)
+    for i in range(4):
+        assert np.array_equal(sym[i], symmetrize(stack[i]))
+
+
+def test_supplied_spectrum_keeps_every_check():
+    # Entries passed with their spectrum are taken as given, but the shape,
+    # finiteness and margin checks still run.
+    a = rand_spd(4, np.random.default_rng(4))
+    assert np.array_equal(a.scaled(3.0).mat, 3.0 * a.mat)
+    with pytest.raises(DimensionMismatch):
+        SpdMatrix(np.ones((2, 3)), _eig=a.eig)
+    with pytest.raises(NotPositiveDefinite):
+        SpdMatrix(np.full((4, 4), np.nan), _eig=a.eig)
+    thin = EigenDecomposition(np.array([1.0, 1e-14]), np.eye(2))
+    with pytest.raises(NotPositiveDefinite):
+        SpdMatrix(np.diag([1.0, 1e-14]), _eig=thin)
