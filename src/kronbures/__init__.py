@@ -37,7 +37,6 @@ from .bures_metric import (
     GeodesicCurve,
     bures_distance_sq,
     commuting_geodesic_eval,
-    gaussian_w2_sq,
     geodesic,
     geodesic_eval,
     transport_map,
@@ -46,17 +45,13 @@ from .kron_model import (
     FactorLeaf,
     KroneckerPoint,
     LeafKind,
-    MatrixNormalLaw,
     PairwiseSpectrum,
     col_leaf,
     embed,
     homothety_distance,
     leaf_geodesic,
     leaf_membership,
-    matrix_normal_w2_sq,
     pairwise_bures_sq_reduced,
-    point_from_json,
-    point_to_json,
     recover_factors,
     reduced_distances_sq,
     row_leaf,
@@ -74,7 +69,6 @@ from .closure_diagnostics import (
     delta_diag,
     delta_geo_asymptote,
     delta_geo_closed_form,
-    delta_geo_svd,
     endpoint_rigidity_classify,
     factor_transports,
     pattern_2x2_check,
@@ -98,8 +92,6 @@ from .barycenter import (
     objective_J,
     perron_singular_pair,
     slice_barycenter,
-    slice_data_from_json,
-    slice_data_to_json,
     slice_objective,
 )
 

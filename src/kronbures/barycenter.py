@@ -123,36 +123,6 @@ class SliceData:
         return self.u_eigs.shape[0]
 
 
-def slice_data_to_json(data: SliceData) -> dict:
-    """JSON-ready dict with keys n, N, weights, u_eigs, v_eigs, q_basis, r_basis."""
-    return {
-        "n": data.n,
-        "N": data.count,
-        "weights": data.weights.tolist(),
-        "u_eigs": data.u_eigs.tolist(),
-        "v_eigs": data.v_eigs.tolist(),
-        "q_basis": data.q_basis.tolist(),
-        "r_basis": data.r_basis.tolist(),
-    }
-
-
-def slice_data_from_json(obj: dict) -> SliceData:
-    """Inverse of :func:`slice_data_to_json`; bases default to the identity."""
-    data = SliceData(
-        u_eigs=obj["u_eigs"],
-        v_eigs=obj["v_eigs"],
-        weights=obj["weights"],
-        q_basis=obj.get("q_basis"),
-        r_basis=obj.get("r_basis"),
-    )
-    if data.n != int(obj["n"]) or data.count != int(obj["N"]):
-        raise DimensionMismatch(
-            f"declared sizes ({obj['n']}, {obj['N']}) do not match data "
-            f"({data.n}, {data.count})"
-        )
-    return data
-
-
 @dataclass(frozen=True, eq=False)
 class PerronSolution:
     """Positive top singular triple of the coefficient matrix, plus the

@@ -67,21 +67,36 @@ class ExperimentKind(Enum):
     BARYCENTER = "barycenter"
 
 
+_DEFAULT_SIZES = {
+    ExperimentKind.PAIRWISE: DEFAULT_PAIRWISE_SIZES,
+    ExperimentKind.DEPARTURE: (DEFAULT_DEPARTURE_SIZE,),
+    ExperimentKind.BARYCENTER: (DEFAULT_BARYCENTER_SIZE,),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: ExperimentKind
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
-    sizes: tuple = DEFAULT_PAIRWISE_SIZES
+    sizes: tuple | None = None
     profile_out: str | None = None
 
     def __post_init__(self):
+        if self.sizes is None:
+            object.__setattr__(self, "sizes", _DEFAULT_SIZES[self.experiment])
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         if not self.sizes:
             raise ConfigError("sizes must be nonempty")
         if any(n < 1 for n in self.sizes):
             raise ConfigError(f"sizes must be positive, got {self.sizes}")
+        if self.experiment is not ExperimentKind.PAIRWISE and len(self.sizes) > 1:
+            raise ConfigError(
+                f"{self.experiment.value} takes one size, got {self.sizes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -393,21 +408,6 @@ def _rows_to_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_summary_json(text: str) -> list[SummaryRow]:
-    """Parse a JSON report back into summary rows."""
-    return [
-        SummaryRow(
-            experiment=obj["experiment"],
-            regime=obj["regime"],
-            n=int(obj["n"]),
-            metric=obj["metric"],
-            mean=float(obj["mean"]),
-            std=float(obj["std"]),
-        )
-        for obj in json.loads(text)
-    ]
-
-
 def emit_report(rows, format: str, path: str | None) -> None:
     """Write summary rows as csv, json, or an aligned table."""
     rows = list(rows)
@@ -438,13 +438,6 @@ RUNNERS = {
     ExperimentKind.DEPARTURE: run_departure_experiment,
     ExperimentKind.BARYCENTER: run_barycenter_experiment,
 }
-
-_DEFAULT_SIZES = {
-    ExperimentKind.PAIRWISE: DEFAULT_PAIRWISE_SIZES,
-    ExperimentKind.DEPARTURE: (DEFAULT_DEPARTURE_SIZE,),
-    ExperimentKind.BARYCENTER: (DEFAULT_BARYCENTER_SIZE,),
-}
-
 
 def _parse_sizes(raw: str) -> tuple:
     try:
@@ -489,18 +482,17 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
         kinds = [ExperimentKind.PAIRWISE, ExperimentKind.DEPARTURE, ExperimentKind.BARYCENTER]
     else:
         kinds = [ExperimentKind(args.command)]
-    sizes_override = _parse_sizes(args.sizes) if args.sizes else None
+    sizes = _parse_sizes(args.sizes) if args.sizes else None
     configs = []
     for kind in kinds:
-        use_override = sizes_override is not None and (
-            args.command != "all" or kind is ExperimentKind.PAIRWISE
-        )
+        # Under 'all', --sizes applies to pairwise only.
+        applies = args.command != "all" or kind is ExperimentKind.PAIRWISE
         configs.append(
             ExperimentConfig(
                 experiment=kind,
                 seed=args.seed,
                 trials=args.trials,
-                sizes=sizes_override if use_override else _DEFAULT_SIZES[kind],
+                sizes=sizes if applies else None,
                 profile_out=args.profile_out,
             )
         )

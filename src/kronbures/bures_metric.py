@@ -1,5 +1,5 @@
 """Bures-Wasserstein distance, optimal transport maps, and geodesics on the
-full SPD cone, plus the Gaussian W2 wrapper."""
+full SPD cone."""
 
 from __future__ import annotations
 
@@ -129,15 +129,3 @@ def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     mix = (1.0 - t) * spd_sqrt(a) + t * spd_sqrt(b)
     return SpdMatrix(mix @ mix)
 
-
-def gaussian_w2_sq(m0, k0: SpdMatrix, m1, k1: SpdMatrix) -> float:
-    """Squared W2 distance between Gaussians: ||m0 - m1||^2 + d_B^2(K0, K1)."""
-    m0 = np.asarray(m0, dtype=float).ravel()
-    m1 = np.asarray(m1, dtype=float).ravel()
-    if m0.shape != m1.shape:
-        raise DimensionMismatch(f"mean shapes differ: {m0.shape} vs {m1.shape}")
-    if m0.size != k0.dim:
-        raise DimensionMismatch(
-            f"mean dimension {m0.size} does not match covariance dimension {k0.dim}"
-        )
-    return float(np.dot(m0 - m1, m0 - m1)) + bures_distance_sq(k0, k1)

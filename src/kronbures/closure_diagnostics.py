@@ -358,14 +358,6 @@ def delta_geo_closed_form(coeffs: DepartureCoefficients, t):
     return _like_t(t, np.sqrt(ratio))
 
 
-def delta_geo_svd(h: np.ndarray) -> float:
-    """Second singular value of the profile; oracle for the closed form."""
-    h = np.asarray(h, dtype=float)
-    if min(h.shape) < 2:
-        return 0.0
-    return float(np.linalg.svd(h, compute_uv=False)[1])
-
-
 def delta_geo_asymptote(coeffs: DepartureCoefficients) -> float:
     """Quadratic coefficient of delta_geo(t)^2 = coeff * t^2 + O(t^3)."""
     du, dv = _collinearity_defects(coeffs)

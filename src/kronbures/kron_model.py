@@ -2,8 +2,8 @@
 
 Points are pairs (U, V) of SPD factors with det U = 1, embedded in the
 ambient cone as V (x) U. This module provides the embedding and its
-inverse, the pairwise spectral reduction of the Bures distance, factor
-leaves with their geodesics, and matrix-normal W2.
+inverse, the pairwise spectral reduction of the Bures distance, and
+factor leaves with their geodesics.
 
 Every leaf operation goes through one chart. ``leaf_factor`` maps a leaf
 point to its moving factor, V on a row leaf and tau U on a column leaf
@@ -144,22 +144,6 @@ def col_leaf(v_star: SpdMatrix) -> FactorLeaf:
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixNormalLaw:
-    """Matrix-normal law with mean M and Kronecker covariance V (x) U."""
-
-    mean: np.ndarray
-    point: KroneckerPoint
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (self.point.n, self.point.n):
-            raise DimensionMismatch(
-                f"mean shape {mean.shape} does not match factor dimension {self.point.n}"
-            )
-        object.__setattr__(self, "mean", mean)
-
-
-@dataclass(frozen=True, eq=False)
 class PairwiseSpectrum:
     """Eigenvalues of the two whitened factor products, sorted descending."""
 
@@ -259,17 +243,6 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
     return np.array([_clamp_distance_sq(d, s) for d, s in zip(d2, tr_sum)])
 
 
-def matrix_normal_w2_sq(l0: MatrixNormalLaw, l1: MatrixNormalLaw) -> float:
-    """Squared W2 between matrix-normal laws: ||M0 - M1||_F^2 + reduced Bures."""
-    if l0.mean.shape != l1.mean.shape:
-        raise DimensionMismatch(
-            f"mean shapes differ: {l0.mean.shape} vs {l1.mean.shape}"
-        )
-    d2, _ = pairwise_bures_sq_reduced(l0.point, l1.point)
-    diff = l0.mean - l1.mean
-    return float(np.sum(diff * diff)) + d2
-
-
 def _col_scale(leaf: FactorLeaf, p: KroneckerPoint) -> float:
     """Least-squares scalar with V approximately tau * V_star."""
     anchor = leaf.anchor.mat
@@ -335,18 +308,3 @@ def homothety_distance(leaf: FactorLeaf, p0: KroneckerPoint, p1: KroneckerPoint)
     m0, m1 = leaf_factor(leaf, p0), leaf_factor(leaf, p1)
     return leaf.anchor.trace() * bures_distance_sq(m0, m1)
 
-
-def point_to_json(p: KroneckerPoint) -> dict:
-    """JSON-ready dict {"n", "u", "v"} for a model point."""
-    return {"n": p.n, "u": p.u_factor.mat.tolist(), "v": p.v_factor.mat.tolist()}
-
-
-def point_from_json(obj: dict) -> KroneckerPoint:
-    """Inverse of :func:`point_to_json`; validates dimensions and gauge."""
-    u = SpdMatrix(obj["u"])
-    v = SpdMatrix(obj["v"])
-    if u.dim != int(obj["n"]):
-        raise DimensionMismatch(
-            f"declared dimension {obj['n']} does not match factor dimension {u.dim}"
-        )
-    return KroneckerPoint(u_factor=u, v_factor=v)

@@ -27,8 +27,6 @@ from kronbures import (
     perron_singular_pair,
     row_leaf,
     slice_barycenter,
-    slice_data_from_json,
-    slice_data_to_json,
     slice_objective,
 )
 from kronbures import barycenter
@@ -548,22 +546,13 @@ class TestCenteredBoxProjection:
         assert np.array_equal(s, np.zeros(n))
 
 
-class TestSliceDataJson:
-    def test_round_trip(self):
-        data = rand_slice_data(3, 4, np.random.default_rng(19))
-        obj = slice_data_to_json(data)
-        assert set(obj) == {"n", "N", "weights", "u_eigs", "v_eigs", "q_basis", "r_basis"}
-        back = slice_data_from_json(obj)
-        assert np.array_equal(back.u_eigs, data.u_eigs)
-        assert np.array_equal(back.v_eigs, data.v_eigs)
-        assert np.array_equal(back.weights, data.weights)
-
+class TestSliceData:
     def test_bases_default_to_identity(self):
-        data = rand_slice_data(3, 2, np.random.default_rng(20))
-        obj = slice_data_to_json(data)
-        del obj["q_basis"], obj["r_basis"]
-        back = slice_data_from_json(obj)
-        assert np.array_equal(back.q_basis, np.eye(3))
+        data = SliceData(
+            u_eigs=np.ones((2, 3)), v_eigs=np.ones((2, 3)), weights=np.array([0.5, 0.5])
+        )
+        assert np.array_equal(data.q_basis, np.eye(3))
+        assert np.array_equal(data.r_basis, np.eye(3))
 
     def test_weight_validation(self):
         with pytest.raises(ParameterOutOfRange):

@@ -22,7 +22,6 @@ from kronbures.bench_cli import (
     gen_log_diag,
     gen_spd,
     main,
-    parse_summary_json,
     run_barycenter_experiment,
     run_departure_experiment,
     run_pairwise_experiment,
@@ -158,8 +157,13 @@ class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
         emit_report(self.ROWS, "json", str(path))
-        back = parse_summary_json(path.read_text())
-        assert back == self.ROWS
+        back = json.loads(path.read_text())
+        assert back == [
+            {"experiment": "pairwise", "regime": "", "n": 8, "metric": "rel_err",
+             "mean": 1.5e-14, "std": 2.0e-15},
+            {"experiment": "departure", "regime": "generic", "n": 32,
+             "metric": "max_delta_geo", "mean": 5.1, "std": 1.4},
+        ]
 
     def test_table_is_aligned(self, capsys):
         emit_report(self.ROWS, "table", None)
@@ -229,6 +233,16 @@ class TestCli:
         assert main(["departure", "--trials", "1"]) == 3
         assert "departure experiment" in capsys.readouterr().err
 
+    def test_negative_seed_exit_two(self, capsys):
+        assert main(["pairwise", "--seed", "-1", "--trials", "1", "--sizes", "4"]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["departure", "barycenter"])
+    def test_one_size_experiments_reject_several_sizes(self, command, capsys):
+        # These runners report a single n; a second size used to be dropped.
+        assert main([command, "--trials", "1", "--sizes", "4,8"]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_metric_determinism(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -241,6 +255,62 @@ class TestCli:
             )
         first, second = (json.loads(p.read_text()) for p in paths)
         assert first == second
+
+
+class TestSeed42Reports:
+    """The default seed-42 reports, pinned to their recorded values.
+
+    The barycenter oracle's residual and coord_error rows are left out:
+    they come from where the oracle's iteration stalls, which varies across
+    BLAS builds.
+    """
+
+    DEPARTURE = {
+        ("shared_u_leaf", "max_delta_geo"): (0.0, 0.0),
+        ("shared_u_leaf", "max_delta_diag"): (0.0, 0.0),
+        ("shared_u_leaf", "fitted_coeff"): (0.0, 0.0),
+        ("shared_u_leaf", "predicted_coeff"): (0.0, 0.0),
+        ("shared_u_leaf", "fit_rel_err"): (0.0, 0.0),
+        ("shared_v_leaf", "max_delta_geo"): (0.0, 0.0),
+        ("shared_v_leaf", "max_delta_diag"): (0.0, 0.0),
+        ("shared_v_leaf", "fitted_coeff"): (0.0, 0.0),
+        ("shared_v_leaf", "predicted_coeff"): (0.0, 0.0),
+        ("shared_v_leaf", "fit_rel_err"): (0.0, 0.0),
+        ("generic", "max_delta_geo"): (5.145460641366223, 1.3663281360013393),
+        ("generic", "max_delta_diag"): (25.357404244054337, 12.42222478037985),
+        ("generic", "fitted_coeff"): (349.808514688773, 196.56165001606283),
+        ("generic", "predicted_coeff"): (370.7750889412317, 207.785740512127),
+        ("generic", "fit_rel_err"): (0.057601367263412806, 0.007816199592006062),
+    }
+    BARYCENTER = {
+        ("A", "formula_obj"): (16.502915800140023, 9.249276180689025),
+        ("A", "numerical_obj"): (16.50291580014002, 9.249276180689034),
+        ("B", "formula_obj"): (20.009991390470667, 17.33963557378063),
+        ("B", "numerical_obj"): (20.00999139047064, 17.339635573780612),
+        ("C", "formula_obj"): (128.7789870972517, 82.22622755601763),
+        ("C", "numerical_obj"): (128.77898709725164, 82.22622755601766),
+    }
+
+    @staticmethod
+    def _by_key(rows):
+        return {(r.regime, r.metric): (r.mean, r.std) for r in rows}
+
+    def test_departure(self):
+        rows = run_departure_experiment(
+            ExperimentConfig(experiment=ExperimentKind.DEPARTURE, seed=42, sizes=(32,))
+        )
+        got = self._by_key(rows)
+        assert got.keys() == self.DEPARTURE.keys()
+        for key, expected in self.DEPARTURE.items():
+            assert got[key] == pytest.approx(expected, rel=1e-10, abs=1e-15), key
+
+    def test_barycenter_objectives(self):
+        rows = run_barycenter_experiment(
+            ExperimentConfig(experiment=ExperimentKind.BARYCENTER, seed=42, sizes=(8,))
+        )
+        got = self._by_key(rows)
+        for key, expected in self.BARYCENTER.items():
+            assert got[key] == pytest.approx(expected, rel=1e-10, abs=1e-15), key
 
 
 class TestRngSplitting:

@@ -13,7 +13,6 @@ from kronbures import (
     bures_distance_sq,
     commuting_geodesic_eval,
     embed,
-    gaussian_w2_sq,
     geodesic,
     geodesic_eval,
     pairwise_bures_sq_reduced,
@@ -190,21 +189,6 @@ class TestCommutingGeodesic:
         b = SpdMatrix(np.array([[1.25, 0.75], [0.75, 1.25]]))
         with pytest.raises(NotCommuting):
             commuting_geodesic_eval(a, b, 0.5)
-
-
-class TestGaussianW2:
-    def test_equal_laws(self):
-        k = rand_spd(3, np.random.default_rng(6))
-        assert gaussian_w2_sq(np.zeros(3), k, np.zeros(3), k) <= 1e-12 * k.trace()
-
-    def test_mean_shift_only(self):
-        k = rand_spd(3, np.random.default_rng(7))
-        m1 = np.array([1.0, 0.0, 0.0])
-        assert gaussian_w2_sq(np.zeros(3), k, m1, k) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            gaussian_w2_sq(np.zeros(2), SpdMatrix.identity(3), np.zeros(2), SpdMatrix.identity(3))
 
 
 class TestStackedWhitening:

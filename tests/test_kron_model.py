@@ -8,7 +8,6 @@ from kronbures import (
     GaugeViolation,
     KroneckerPoint,
     LeafKind,
-    MatrixNormalLaw,
     NotInModel,
     NotOnLeaf,
     NotPositiveDefinite,
@@ -19,17 +18,13 @@ from kronbures import (
     commuting_geodesic_eval,
     embed,
     gauge_normalize,
-    gaussian_w2_sq,
     geodesic,
     geodesic_eval,
     homothety_distance,
     leaf_geodesic,
     leaf_membership,
-    matrix_normal_w2_sq,
     objective_J,
     pairwise_bures_sq_reduced,
-    point_from_json,
-    point_to_json,
     recover_factors,
     reduced_distances_sq,
     row_leaf,
@@ -375,33 +370,6 @@ class TestRootCache:
         assert sorted(calls) == ["spd_inv_sqrt"] * 2 + ["spd_sqrt"] * 2
 
 
-class TestMatrixNormal:
-    def test_equal_laws(self):
-        p = rand_point(3, np.random.default_rng(2))
-        law = MatrixNormalLaw(mean=np.zeros((3, 3)), point=p)
-        assert matrix_normal_w2_sq(law, law) <= 1e-12 * p.u_factor.trace() * p.v_factor.trace()
-
-    def test_mean_shift(self):
-        p = rand_point(2, np.random.default_rng(3))
-        m1 = np.zeros((2, 2))
-        m1[0, 0] = 1.0
-        l0 = MatrixNormalLaw(mean=np.zeros((2, 2)), point=p)
-        l1 = MatrixNormalLaw(mean=m1, point=p)
-        assert matrix_normal_w2_sq(l0, l1) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_vectorized_gaussian(self, seed):
-        rng = np.random.default_rng(30 + seed)
-        p0, p1 = rand_point(2, rng), rand_point(2, rng)
-        m0, m1 = rng.standard_normal((2, 2, 2))
-        got = matrix_normal_w2_sq(
-            MatrixNormalLaw(mean=m0, point=p0), MatrixNormalLaw(mean=m1, point=p1)
-        )
-        # vec stacks columns; the Frobenius distance is unchanged either way.
-        expected = gaussian_w2_sq(m0.ravel(), embed(p0), m1.ravel(), embed(p1))
-        assert got == pytest.approx(expected, rel=1e-11)
-
-
 class TestLeafMembership:
     def test_anchor_point(self):
         rng = np.random.default_rng(4)
@@ -553,21 +521,3 @@ class TestHomothety:
         via_reduced, _ = pairwise_bures_sq_reduced(p0, p1)
         assert abs(via_leaf - via_reduced) <= 1e-10 * max(via_reduced, 1.0)
 
-
-class TestJson:
-    def test_round_trip(self):
-        p = rand_point(3, np.random.default_rng(12))
-        q = point_from_json(point_to_json(p))
-        assert np.array_equal(q.u_factor.mat, p.u_factor.mat)
-        assert np.array_equal(q.v_factor.mat, p.v_factor.mat)
-
-    def test_schema_keys(self):
-        obj = point_to_json(rand_point(2, np.random.default_rng(13)))
-        assert set(obj) == {"n", "u", "v"}
-        assert obj["n"] == 2
-
-    def test_dimension_validated(self):
-        obj = point_to_json(rand_point(2, np.random.default_rng(14)))
-        obj["n"] = 3
-        with pytest.raises(DimensionMismatch):
-            point_from_json(obj)
