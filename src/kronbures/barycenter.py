@@ -16,22 +16,19 @@ import numpy as np
 from .bures_metric import _whitened_root, transport_map
 from .errors import (
     DimensionMismatch,
-    GaugeViolation,
     NoConvergence,
-    NonPositiveCoordinate,
-    NotSimultaneouslyDiagonalizable,
     NumericalConsistencyError,
     ParameterOutOfRange,
 )
 from .kron_model import (
-    GAUGE_TOL,
     FactorLeaf,
     KroneckerPoint,
+    _check_gauge,
     leaf_factor,
     leaf_point,
     reduced_distances_sq,
 )
-from .spd_core import SpdMatrix, spd_inv_sqrt, spd_sqrt
+from .spd_core import SpdMatrix, _check_positive, spd_inv_sqrt, spd_sqrt
 
 logger = logging.getLogger(__name__)
 
@@ -46,13 +43,6 @@ ORACLE_GRAD_TOL = 1e-8
 ORACLE_BOUND = 8.0
 
 
-def _check_positive(name: str, vec) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float).ravel()
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
-        raise NonPositiveCoordinate(f"{name} must be entrywise finite and positive")
-    return arr
-
-
 def _check_weights(weights, count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape != (count,):
@@ -65,18 +55,15 @@ def _check_weights(weights, count: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class SliceData:
-    """Commuting-coordinate slice data: bases, eigenvalue rows, weights.
+    """Commuting-coordinate slice data: eigenvalue rows and weights.
 
     Row i of u_eigs and v_eigs holds the chart eigenvalues of datum i; the
-    u rows carry the determinant gauge (unit product). The bases default
-    to the identity for diagonal data.
+    u rows carry the determinant gauge (unit product).
     """
 
     u_eigs: np.ndarray
     v_eigs: np.ndarray
     weights: np.ndarray
-    q_basis: np.ndarray = None
-    r_basis: np.ndarray = None
     kappa: float = field(init=False)
 
     def __post_init__(self):
@@ -89,26 +76,8 @@ class SliceData:
             )
         _check_positive("u_eigs", self.u_eigs)
         _check_positive("v_eigs", self.v_eigs)
-        count, n = self.u_eigs.shape
-        drift = np.abs(np.log(self.u_eigs).sum(axis=1)).max()
-        if drift > GAUGE_TOL * max(n, 1):
-            raise GaugeViolation(
-                f"u eigenvalue rows drift from unit product by {drift:.6e}"
-            )
-        self.weights = _check_weights(self.weights, count)
-        for name in ("q_basis", "r_basis"):
-            basis = getattr(self, name)
-            if basis is None:
-                basis = np.eye(n)
-            else:
-                basis = np.asarray(basis, dtype=float)
-                if basis.shape != (n, n):
-                    raise DimensionMismatch(
-                        f"{name} has shape {basis.shape}, expected {(n, n)}"
-                    )
-                if np.linalg.norm(basis.T @ basis - np.eye(n)) > 1e-10:
-                    raise NotSimultaneouslyDiagonalizable(f"{name} is not orthogonal")
-            setattr(self, name, basis)
+        _check_gauge("u eigenvalue rows", self.u_eigs)
+        self.weights = _check_weights(self.weights, self.count)
         # Constant part of the slice objective, computed once.
         self.kappa = float(
             np.dot(self.weights, self.u_eigs.sum(axis=1) * self.v_eigs.sum(axis=1))

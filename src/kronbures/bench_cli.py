@@ -154,6 +154,18 @@ def _rows_from_trials(experiment, regime, n, metrics) -> list[SummaryRow]:
     return rows
 
 
+def _gate(context: str, metric: str, values, tol: float) -> None:
+    """Raise NumericalConsistencyError naming the worst trial if it exceeds tol.
+
+    argmax picks a NaN first, and a NaN fails the gate.
+    """
+    k = int(np.argmax(values))
+    if not values[k] <= tol:
+        raise NumericalConsistencyError(
+            f"{context}, trial {k}: {metric} {values[k]:.3e} exceeds {tol:.1e}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Experiment 1: pairwise spectral reduction
 
@@ -203,12 +215,7 @@ def run_pairwise_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
         if with_ambient:
             for metric in ("ambient_time", "speedup", "rel_err"):
                 metrics[metric] = [t[metric] for t in trials]
-            worst = max(metrics["rel_err"])
-            if worst > PAIRWISE_REL_ERR_TOL:
-                raise NumericalConsistencyError(
-                    f"pairwise relative error {worst:.3e} exceeds "
-                    f"{PAIRWISE_REL_ERR_TOL:.1e} at n = {n}"
-                )
+            _gate(f"n = {n}", "rel_err", metrics["rel_err"], PAIRWISE_REL_ERR_TOL)
         rows.extend(_rows_from_trials("pairwise", "", n, metrics))
         rows.append(
             SummaryRow(
@@ -279,12 +286,9 @@ def run_departure_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
         trials = [departure_draw_metrics(p) for p in profiles]
         metrics = {metric: [t[metric] for t in trials] for metric in trials[0]}
         if regime != "generic":
-            worst = max(max(metrics["max_delta_geo"]), max(metrics["max_delta_diag"]))
-            if worst > LEAF_MODULUS_TOL:
-                raise NumericalConsistencyError(
-                    f"leaf regime {regime} has modulus {worst:.3e} above "
-                    f"{LEAF_MODULUS_TOL:.1e}"
-                )
+            context = f"leaf regime {regime} at n = {n}"
+            for metric in ("max_delta_geo", "max_delta_diag"):
+                _gate(context, metric, metrics[metric], LEAF_MODULUS_TOL)
         rows.extend(_rows_from_trials("departure", regime, n, metrics))
     return rows
 
@@ -349,15 +353,16 @@ def run_barycenter_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
             )
     for name in BARYCENTER_DATASETS:
         trials = [barycenter_trial(d) for d in datasets[name]]
-        for tr in trials:
-            gap = abs(tr["formula_obj"] - tr["numerical_obj"])
-            if gap > 1e-6 * max(abs(tr["formula_obj"]), 1.0) or tr["coord_error"] > 1e-4:
-                raise NumericalConsistencyError(
-                    f"dataset {name}: oracle disagrees with the exact formula "
-                    f"(objective gap {gap:.3e}, coordinate error "
-                    f"{tr['coord_error']:.3e})"
-                )
         metrics = {metric: [t[metric] for t in trials] for metric in trials[0]}
+        # The oracle must agree with the exact formula; the objective gap is
+        # relative to max(|formula_obj|, 1).
+        gaps = [
+            abs(t["formula_obj"] - t["numerical_obj"]) / max(abs(t["formula_obj"]), 1.0)
+            for t in trials
+        ]
+        context = f"dataset {name} at n = {n}"
+        _gate(context, "relative objective gap", gaps, 1e-6)
+        _gate(context, "coord_error", metrics["coord_error"], 1e-4)
         rows.extend(_rows_from_trials("barycenter", name, n, metrics))
     return rows
 

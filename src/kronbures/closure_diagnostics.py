@@ -17,7 +17,6 @@ import numpy as np
 from .bures_metric import _check_commuting, _transport
 from .errors import (
     DimensionMismatch,
-    GaugeViolation,
     InconsistentVerdict,
     NonPositiveCoordinate,
     NotSimultaneouslyDiagonalizable,
@@ -25,23 +24,17 @@ from .errors import (
     ParameterOutOfRange,
     TraceNotZero,
 )
-from .kron_model import (
-    GAUGE_TOL,
-    KroneckerPoint,
-    col_leaf,
-    leaf_membership,
-    row_leaf,
-)
+from .kron_model import KroneckerPoint, LeafKind, _check_gauge, _on_leaf
 from .spd_core import (
     SpdMatrix,
+    _check_positive,
     kron,
     partial_trace_1,
     partial_trace_2,
     symmetrize,
 )
 
-# Thresholds for the rank-one and 2x2 pattern checks.
-RANK_TOL = 1e-10
+# Threshold for the 2x2 pattern check.
 PATTERN_TOL = 1e-10
 
 # Bound on ||Pi(Z0)||_F relative to ||P||_F ||Q||_F, the size of the terms
@@ -56,7 +49,6 @@ RESIDUAL_TOL = 1e-8
 CHART_TOL = 1e-8
 
 _EIG_GROUP_TOL = 1e-8
-_PROFILE_GAUGE_TOL = 1e-8
 
 
 class ClosureVerdict(Enum):
@@ -97,14 +89,9 @@ class CommutingChart:
                     f"{name} is not orthogonal: defect {defect:.6e}"
                 )
         for name, vals in (("u0", self.u0), ("u1", self.u1), ("v0", self.v0), ("v1", self.v1)):
-            if not np.all(np.isfinite(vals) & (vals > 0.0)):
-                raise NonPositiveCoordinate(
-                    f"{name} has non-finite or nonpositive eigenvalues"
-                )
-        for name, vals in (("u0", self.u0), ("u1", self.u1)):
-            drift = abs(float(np.log(vals).sum()))
-            if drift > GAUGE_TOL * n:
-                raise GaugeViolation(f"{name} eigenvalue product drifts by {drift:.6e}")
+            _check_positive(name, vals)
+        _check_gauge("u0", self.u0)
+        _check_gauge("u1", self.u1)
 
     @property
     def n(self) -> int:
@@ -129,16 +116,10 @@ class SqrtProfile:
         for name, vec in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
             if vec.shape != (n,):
                 raise DimensionMismatch(f"{name} has shape {vec.shape}, expected {(n,)}")
-            if not np.all(np.isfinite(vec) & (vec > 0.0)):
-                raise NonPositiveCoordinate(
-                    f"profile vector {name} must be finite and positive"
-                )
-        for name, vec in (("a", self.a), ("c", self.c)):
-            drift = abs(float(np.log(vec).sum()))
-            if drift > _PROFILE_GAUGE_TOL * max(n, 1):
-                raise GaugeViolation(
-                    f"profile vector {name} has log-product drift {drift:.6e}"
-                )
+            _check_positive(f"profile vector {name}", vec)
+        # a o a and c o c are the chart's U eigenvalues.
+        _check_gauge("profile vector a o a", self.a * self.a)
+        _check_gauge("profile vector c o c", self.c * self.c)
 
     @property
     def n(self) -> int:
@@ -169,11 +150,7 @@ class DepartureCoefficients:
     sigma: float
 
     def __post_init__(self):
-        for name, val in (("A", self.A), ("B", self.B), ("C", self.C), ("D", self.D)):
-            if not (np.isfinite(val) and val > 0.0):
-                raise NonPositiveCoordinate(
-                    f"coefficient {name} must be finite and positive"
-                )
+        _check_positive("coefficients A, B, C, D", (self.A, self.B, self.C, self.D))
         for name, val in (("rho", self.rho), ("sigma", self.sigma)):
             if not np.isfinite(val):
                 raise NonPositiveCoordinate(f"coefficient {name} must be finite")
@@ -288,16 +265,13 @@ def sqrt_profile_at(chart: CommutingChart, t: float) -> np.ndarray:
 def classify_closure_commuting(chart: CommutingChart) -> ClosureVerdict:
     """Fixed-chart closure verdict from the eigenvalue vectors.
 
-    Row leaf iff the U eigenvalues agree entrywise, column leaf iff the V
-    eigenvalues are positively proportional; anything else departs the
-    model immediately.
+    Row leaf iff the U eigenvalues agree, column leaf iff the V eigenvalues
+    are positively proportional, both by the factor test of
+    ``leaf_membership``; anything else departs the model immediately.
     """
-    if np.max(np.abs(chart.u1 - chart.u0)) <= RANK_TOL * np.max(chart.u0):
+    if _on_leaf(LeafKind.ROW, chart.u0, chart.u1):
         return ClosureVerdict.ALWAYS_IN_MODEL_ROW_LEAF
-    tau = float(np.dot(chart.v0, chart.v1) / np.dot(chart.v0, chart.v0))
-    if tau > 0.0 and np.max(np.abs(chart.v1 - tau * chart.v0)) <= RANK_TOL * np.max(
-        chart.v1
-    ):
+    if _on_leaf(LeafKind.COL, chart.v0, chart.v1):
         return ClosureVerdict.ALWAYS_IN_MODEL_COL_LEAF
     return ClosureVerdict.DEPARTS_IMMEDIATELY
 
@@ -446,10 +420,11 @@ def endpoint_rigidity_classify(
     """Classify an endpoint pair by the partial-trace residual of Z0.
 
     The verdict is whether p1 lies on the row leaf of p0's U factor, else
-    on the column leaf of p0's V factor (``leaf_membership``). The report
-    asserts the rigidity equivalence, so a residual of at most
-    RESIDUAL_TOL * ||P||_F ||Q||_F must coincide with a common-leaf
-    verdict. Disagreement raises InconsistentVerdict. The residual norm
+    on the column leaf of p0's V factor, by the factor test that
+    ``leaf_membership`` and, in a chart, ``classify_closure_commuting``
+    apply. The report asserts the rigidity equivalence, so a residual of
+    at most RESIDUAL_TOL * ||P||_F ||Q||_F must coincide with a
+    common-leaf verdict. Disagreement raises InconsistentVerdict. The residual norm
     comes from the n x n factor transports; no n^2 x n^2 matrix is formed.
     """
     ft = factor_transports(p0, p1)
@@ -464,15 +439,13 @@ def endpoint_rigidity_classify(
         np.linalg.norm(ft.p_mat) * np.linalg.norm(ft.q_mat)
     )
 
-    if leaf_membership(row_leaf(p0.u_factor), p1):
+    if _on_leaf(LeafKind.ROW, p0.u_factor.mat, p1.u_factor.mat):
         verdict = RigidityVerdict.COMMON_ROW_LEAF
-    elif leaf_membership(col_leaf(p0.v_factor), p1):
+    elif _on_leaf(LeafKind.COL, p0.v_factor.mat, p1.v_factor.mat):
         verdict = RigidityVerdict.COMMON_COL_LEAF
     else:
         verdict = RigidityVerdict.DEPARTS
-
-    on_leaf = verdict is not RigidityVerdict.DEPARTS
-    if on_leaf != (relative <= RESIDUAL_TOL):
+    if (verdict is RigidityVerdict.DEPARTS) == (relative <= RESIDUAL_TOL):
         raise InconsistentVerdict(
             f"factor verdict {verdict.value} conflicts with relative residual "
             f"{relative:.6e} at tolerance {RESIDUAL_TOL:.1e}"

@@ -39,7 +39,6 @@ from .spd_core import (
     SpdMatrix,
     gauge_normalize,
     kron,
-    log_det,
     partial_trace_1,
     partial_trace_2,
     spd_inv_sqrt,
@@ -54,6 +53,17 @@ MEMBERSHIP_TOL = 1e-8
 
 # Relative tolerance of leaf membership checks.
 LEAF_TOL = 1e-8
+
+
+def _check_gauge(name: str, eigs) -> None:
+    """Reject eigenvalues, one row or a stack of rows, whose product drifts
+    from one: |sum log| may not exceed GAUGE_TOL per dimension."""
+    eigs = np.asarray(eigs)
+    drift = float(np.abs(np.log(eigs).sum(axis=-1)).max())
+    if drift > GAUGE_TOL * eigs.shape[-1]:
+        raise GaugeViolation(
+            f"{name} has |log det| = {drift:.6e}, violating the unit-determinant gauge"
+        )
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -78,11 +88,7 @@ class KroneckerPoint:
             raise DimensionMismatch(
                 f"factor dimensions differ: {self.u_factor.dim} vs {self.v_factor.dim}"
             )
-        drift = abs(log_det(self.u_factor))
-        if drift > GAUGE_TOL * self.n:
-            raise GaugeViolation(
-                f"|log det U| = {drift:.6e} violates the unit-determinant gauge"
-            )
+        _check_gauge("U", self.u_factor.eig.eigenvalues)
 
     @property
     def n(self) -> int:
@@ -128,11 +134,7 @@ class FactorLeaf:
 
     def __post_init__(self):
         if self.kind is LeafKind.ROW:
-            drift = abs(log_det(self.anchor))
-            if drift > GAUGE_TOL * self.anchor.dim:
-                raise GaugeViolation(
-                    f"row-leaf anchor has |log det| = {drift:.6e}"
-                )
+            _check_gauge("row-leaf anchor", self.anchor.eig.eigenvalues)
 
 
 def row_leaf(u_star: SpdMatrix) -> FactorLeaf:
@@ -243,10 +245,26 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
     return np.array([_clamp_distance_sq(d, s) for d, s in zip(d2, tr_sum)])
 
 
-def _col_scale(leaf: FactorLeaf, p: KroneckerPoint) -> float:
-    """Least-squares scalar with V approximately tau * V_star."""
-    anchor = leaf.anchor.mat
-    return float(np.sum(p.v_factor.mat * anchor) / np.sum(anchor * anchor))
+def _col_scale(anchor: np.ndarray, other: np.ndarray) -> float:
+    """Least-squares scalar with other approximately tau * anchor."""
+    return float(np.sum(other * anchor) / np.sum(anchor * anchor))
+
+
+def _on_leaf(kind: LeafKind, anchor: np.ndarray, other: np.ndarray) -> bool:
+    """The one-factor leaf test, at relative tolerance LEAF_TOL.
+
+    other is the point's factor on the anchored side: U on a row leaf,
+    which must equal the anchor, and V on a column leaf, which must be a
+    positive multiple of it. The test reads Frobenius norms only, so it
+    serves factors and their eigenvalue vectors in a common orthogonal
+    basis alike.
+    """
+    if kind is LeafKind.COL:
+        tau = _col_scale(anchor, other)
+        if tau <= 0.0:
+            return False
+        other = other / tau
+    return bool(np.linalg.norm(other - anchor) <= LEAF_TOL * np.linalg.norm(anchor))
 
 
 def leaf_membership(leaf: FactorLeaf, p: KroneckerPoint) -> bool:
@@ -255,14 +273,8 @@ def leaf_membership(leaf: FactorLeaf, p: KroneckerPoint) -> bool:
         raise DimensionMismatch(
             f"leaf dimension {leaf.anchor.dim} does not match point dimension {p.n}"
         )
-    anchor = leaf.anchor.mat
-    tol = LEAF_TOL * np.linalg.norm(anchor)
-    if leaf.kind is LeafKind.ROW:
-        return np.linalg.norm(p.u_factor.mat - anchor) <= tol
-    tau = _col_scale(leaf, p)
-    if tau <= 0.0:
-        return False
-    return np.linalg.norm(p.v_factor.mat / tau - anchor) <= tol
+    other = p.u_factor if leaf.kind is LeafKind.ROW else p.v_factor
+    return _on_leaf(leaf.kind, leaf.anchor.mat, other.mat)
 
 
 def leaf_factor(leaf: FactorLeaf, p: KroneckerPoint) -> SpdMatrix:
@@ -275,7 +287,7 @@ def leaf_factor(leaf: FactorLeaf, p: KroneckerPoint) -> SpdMatrix:
         raise NotOnLeaf(f"point is not on the {leaf.kind.value} leaf")
     if leaf.kind is LeafKind.ROW:
         return p.v_factor
-    return p.u_factor.scaled(_col_scale(leaf, p))
+    return p.u_factor.scaled(_col_scale(leaf.anchor.mat, p.v_factor.mat))
 
 
 def leaf_point(leaf: FactorLeaf, m: SpdMatrix) -> KroneckerPoint:

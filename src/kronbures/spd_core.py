@@ -12,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NonPositiveCoordinate, NotPositiveDefinite
 
 # Relative spectral margin below which a matrix is rejected as not SPD.
 PD_TOLERANCE = 1e-12
-
-# Contract tolerances for cached eigendecompositions.
-RECON_TOL = 1e-12
-ORTHO_TOL = 1e-12
 
 
 def symmetrize(a) -> np.ndarray:
@@ -31,6 +27,15 @@ def symmetrize(a) -> np.ndarray:
             f"expected a square matrix or a stack of them, got shape {arr.shape}"
         )
     return 0.5 * (arr + np.swapaxes(arr, -1, -2))
+
+
+def _check_positive(name: str, vals) -> np.ndarray:
+    """vals as a flat float array; raises NonPositiveCoordinate unless every
+    entry is finite and positive (NaN fails the sign test too)."""
+    arr = np.asarray(vals, dtype=float).ravel()
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise NonPositiveCoordinate(f"{name} must be entrywise finite and positive")
+    return arr
 
 
 @dataclass(frozen=True)

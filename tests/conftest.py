@@ -15,6 +15,11 @@ PROPERTY_SETTINGS = settings(
     max_examples=200, derandomize=True, deadline=None, database=None
 )
 
+# Contract tolerances for cached eigendecompositions: reconstruction error
+# relative to the matrix, and orthogonality defect of the eigenvectors.
+RECON_TOL = 1e-12
+ORTHO_TOL = 1e-12
+
 
 def rand_orthogonal(n, rng):
     """Haar-ish orthogonal matrix from a QR factorization with sign fix."""

@@ -547,13 +547,6 @@ class TestCenteredBoxProjection:
 
 
 class TestSliceData:
-    def test_bases_default_to_identity(self):
-        data = SliceData(
-            u_eigs=np.ones((2, 3)), v_eigs=np.ones((2, 3)), weights=np.array([0.5, 0.5])
-        )
-        assert np.array_equal(data.q_basis, np.eye(3))
-        assert np.array_equal(data.r_basis, np.eye(3))
-
     def test_weight_validation(self):
         with pytest.raises(ParameterOutOfRange):
             SliceData(

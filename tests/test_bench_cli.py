@@ -233,6 +233,48 @@ class TestCli:
         assert main(["departure", "--trials", "1"]) == 3
         assert "departure experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, trial_fn, warmups, metric, value, expected",
+        [
+            (
+                "pairwise", "pairwise_trial", 1, "rel_err", 1e3,
+                "n = 4, trial 2: rel_err 1.000e+03",
+            ),
+            (
+                "departure", "departure_draw_metrics", 0, "max_delta_diag", np.nan,
+                "leaf regime shared_u_leaf at n = 4, trial 2: max_delta_diag nan",
+            ),
+            (
+                "barycenter", "barycenter_trial", 0, "numerical_obj", 1e3,
+                "dataset A at n = 4, trial 2: relative objective gap",
+            ),
+            (
+                "barycenter", "barycenter_trial", 0, "coord_error", 1e3,
+                "dataset A at n = 4, trial 2: coord_error 1.000e+03",
+            ),
+        ],
+        ids=["pairwise", "departure", "barycenter_gap", "barycenter_coord"],
+    )
+    def test_gate_names_size_trial_and_metric(
+        self, monkeypatch, capsys, command, trial_fn, warmups, metric, value, expected
+    ):
+        # Push one trial's metric over its gate, or make it NaN; calls
+        # before the first trial are untimed warm-ups.
+        original = getattr(bench_cli, trial_fn)
+        calls = []
+
+        def patched(*args):
+            out = original(*args)
+            calls.append(None)
+            if len(calls) == warmups + 3:
+                out[metric] = value
+            return out
+
+        monkeypatch.setattr(bench_cli, trial_fn, patched)
+        assert main([command, "--trials", "4", "--sizes", "4"]) == 3
+        err = capsys.readouterr().err
+        assert f"{command} experiment failed: NumericalConsistencyError: {expected}" in err
+
     def test_negative_seed_exit_two(self, capsys):
         assert main(["pairwise", "--seed", "-1", "--trials", "1", "--sizes", "4"]) == 2
         assert "configuration error:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from kronbures import (
     CommutingChart,
     DepartureCoefficients,
     DimensionMismatch,
+    GaugeViolation,
     KroneckerPoint,
     LeafKind,
     NonPositiveCoordinate,
@@ -35,6 +36,7 @@ from kronbures import (
     pattern_2x2_check,
     pi_residual,
     pullback_metric_isotropic,
+    row_leaf,
     spd_inv_sqrt,
     sqrt_profile_at,
     transport_map,
@@ -193,6 +195,44 @@ class TestClassify:
     def test_nonclosure_example_departs(self):
         chart = build_chart(*example_commuting_nonclosure_pair())
         assert classify_closure_commuting(chart) is ClosureVerdict.DEPARTS_IMMEDIATELY
+
+    @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-5])
+    @pytest.mark.parametrize("kind", ["row", "col"])
+    def test_chart_verdict_matches_factor_verdict(self, kind, eps):
+        # Commuting pairs a relative eps from a leaf. The chart and factor
+        # classifiers once used different tolerances and norms, and split on
+        # every pair at eps = 1e-9 and 3e-9.
+        leaf_names = {
+            ClosureVerdict.ALWAYS_IN_MODEL_ROW_LEAF: "row",
+            ClosureVerdict.ALWAYS_IN_MODEL_COL_LEAF: "col",
+            ClosureVerdict.DEPARTS_IMMEDIATELY: "departs",
+            RigidityVerdict.COMMON_ROW_LEAF: "row",
+            RigidityVerdict.COMMON_COL_LEAF: "col",
+            RigidityVerdict.DEPARTS: "departs",
+        }
+        n = 4
+        split = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            r = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            u0, u1, v0, v1 = np.exp(0.5 * rng.standard_normal((4, n)))
+            xi = rng.standard_normal(n)
+            if kind == "row":
+                u1 = u0 * (1.0 + eps * xi)
+            else:
+                v1 = 2.0 * v0 * (1.0 + eps * xi)
+            p0, p1 = (
+                KroneckerPoint.from_factors(
+                    SpdMatrix((q * u) @ q.T), SpdMatrix((r * v) @ r.T)
+                )
+                for u, v in ((u0, v0), (u1, v1))
+            )
+            chart = leaf_names[classify_closure_commuting(build_chart(p0, p1))]
+            factor = leaf_names[endpoint_rigidity_classify(p0, p1).verdict]
+            if chart != factor:
+                split.append((seed, chart, factor))
+        assert split == []
 
 
 class TestDeltaGeo:
@@ -793,3 +833,44 @@ class TestNonFiniteRejected:
         build, error = self.SITES[site]
         with pytest.raises(error):
             build(bad)
+
+
+def _chart(q_basis=np.eye(2), u0=np.ones(2)):
+    return CommutingChart(
+        q_basis=q_basis, r_basis=np.eye(2), u0=u0, u1=np.ones(2),
+        v0=np.ones(2), v1=np.ones(2),
+    )
+
+
+class TestInvariantRejected:
+    # Each site is valid at bad = 0 and breaks one invariant at bad = 1e-9.
+    # The unit-product gauge allows GAUGE_TOL = 1e-10 per dimension on
+    # |sum log| of U eigenvalues; a profile's a o a and c o c are such
+    # eigenvalues.
+    SITES = {
+        "chart_u0_gauge": (
+            lambda bad: _chart(u0=np.array([2.0, 0.5 * (1.0 + bad)])),
+            GaugeViolation,
+        ),
+        "profile_a_gauge": (
+            lambda bad: SqrtProfile(
+                a=np.array([1.0, 1.0 + bad]), b=np.ones(2), c=np.ones(2), d=np.ones(2)
+            ),
+            GaugeViolation,
+        ),
+        "row_leaf_anchor_gauge": (
+            lambda bad: row_leaf(SpdMatrix(np.diag([2.0, 0.5 * (1.0 + bad)]))),
+            GaugeViolation,
+        ),
+        "chart_basis_orthogonality": (
+            lambda bad: _chart(q_basis=np.array([[1.0, bad], [0.0, 1.0]])),
+            NotSimultaneouslyDiagonalizable,
+        ),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_raises(self, site):
+        build, error = self.SITES[site]
+        build(0.0)
+        with pytest.raises(error):
+            build(1e-9)

@@ -31,10 +31,12 @@ from kronbures import (
 )
 from kronbures import kron_model
 from kronbures.kron_model import leaf_factor, leaf_point
-from kronbures.spd_core import ORTHO_TOL, RECON_TOL, kron, spd_inv_sqrt, spd_sqrt
+from kronbures.spd_core import kron, spd_inv_sqrt, spd_sqrt
 
 from conftest import (
+    ORTHO_TOL,
     PROPERTY_SETTINGS,
+    RECON_TOL,
     clouds,
     frob,
     leaf_pair,

@@ -14,9 +14,9 @@ from kronbures import (
     spd_sqrt,
     symmetrize,
 )
-from kronbures.spd_core import ORTHO_TOL, RECON_TOL, EigenDecomposition
+from kronbures.spd_core import EigenDecomposition
 
-from conftest import frob, rand_spd
+from conftest import ORTHO_TOL, RECON_TOL, frob, rand_spd
 
 
 class TestSpdMatrix:

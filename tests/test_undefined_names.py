@@ -1,0 +1,38 @@
+"""Every global name a function in the package reads must exist.
+
+No linter runs on the package, and a function body that reads an
+undefined global fails only when a call reaches that line. The compiler's
+symbol tables list each scope's global reads without running anything.
+"""
+
+import builtins
+import importlib
+import symtable
+from pathlib import Path
+
+import pytest
+
+import kronbures
+
+SOURCES = sorted(Path(kronbures.__file__).parent.glob("*.py"))
+
+
+def _global_reads(table):
+    """(scope name, symbol name) for each global read in the nested scopes."""
+    for child in table.get_children():
+        for sym in child.get_symbols():
+            if sym.is_global() and sym.is_referenced():
+                yield child.get_name(), sym.get_name()
+        yield from _global_reads(child)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_function_globals_resolve(path):
+    module = importlib.import_module(f"kronbures.{path.stem}")
+    table = symtable.symtable(path.read_text(), str(path), "exec")
+    missing = sorted(
+        (scope, name)
+        for scope, name in set(_global_reads(table))
+        if not hasattr(module, name) and not hasattr(builtins, name)
+    )
+    assert missing == []
