@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bures_metric import _whitened_root, transport_map
+from .bures_metric import _root_factors, _whitened_root, transport_map
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -28,7 +28,7 @@ from .kron_model import (
     leaf_point,
     reduced_distances_sq,
 )
-from .spd_core import SpdMatrix, _check_positive, spd_inv_sqrt, spd_sqrt
+from .spd_core import SpdMatrix, _check_positive
 
 logger = logging.getLogger(__name__)
 
@@ -192,7 +192,13 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     """Bures-Wasserstein barycenter on the SPD cone by fixed-point iteration.
 
     Starts at the weighted arithmetic mean and stops when the stationarity
-    residual ||sum_i w_i T_{V -> V_i} - I||_F falls below BW_TOL.
+    residual ||sum_i w_i T_{V -> V_i} - I||_F falls below BW_TOL. Each step
+    works in V's eigenbasis V = Q L Q^T, with h = sqrt(diag L), Y = Q L^1/2
+    and Z = Q L^-1/2: G' = sum_i w_i (Y^T M_i Y)^1/2 is Q^T G Q for the
+    usual G = sum_i w_i (V^1/2 M_i V^1/2)^1/2, the residual is
+    ||G' / (h h^T) - I||_F entrywise, and the next iterate V^-1/2 G^2 V^-1/2
+    is (Z G')(Z G')^T. No inverse root is formed, so the residual's
+    round-off does not grow with the condition number of V.
     """
     mats = list(mats)
     w = _check_weights(weights, len(mats))
@@ -206,11 +212,11 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     prev_residual = np.inf
     best = (np.inf, v)
     for _ in range(BW_MAX_ITER):
-        s = spd_sqrt(v)
-        r = spd_inv_sqrt(v)
-        # All N roots (S M_i S)^1/2 from one stacked eigh; summed in data order.
-        g = sum(wi * root for wi, root in zip(w, _whitened_root(s, stack)))
-        residual = float(np.linalg.norm(r @ g @ r - eye))
+        y, z = _root_factors(v)
+        h = np.sqrt(v.eig.eigenvalues)
+        # All N roots (Y^T M_i Y)^1/2 from one stacked eigh; summed in data order.
+        g = sum(wi * root for wi, root in zip(w, _whitened_root(y, stack)))
+        residual = float(np.linalg.norm(g / np.multiply.outer(h, h) - eye))
         if residual < best[0]:
             best = (residual, v)
         if residual > prev_residual:
@@ -222,7 +228,7 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
         prev_residual = residual
         if residual <= BW_TOL:
             return v
-        half = r @ g
+        half = z @ g
         v = SpdMatrix(half @ half.T)
     raise NoConvergence(
         f"fixed point not stationary after {BW_MAX_ITER} iterations; residual "

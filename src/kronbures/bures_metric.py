@@ -13,7 +13,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterOutOfRange,
 )
-from .spd_core import SpdMatrix, spd_inv_sqrt, spd_sqrt, symmetrize
+from .spd_core import _DEFERRED, SpdMatrix, spd_sqrt, symmetrize
 
 # Relative commutator norm below which a pair is treated as commuting.
 COMMUTE_TOL = 1e-10
@@ -28,7 +28,8 @@ _NEGATIVE_CLAMP = 1e-10
 class GeodesicCurve:
     """Bures geodesic with its transport map precomputed once.
 
-    Evaluation at any t is then two matrix multiplies.
+    Evaluation at any t is then two matrix multiplies and the eigvalsh
+    that validates the point.
     """
 
     start: SpdMatrix
@@ -62,29 +63,44 @@ def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
         )
 
 
-# The whitened product S B S, S = A^1/2, is formed and decomposed only by
-# the two helpers below; see SpdMatrix for why it is never validated. B may
-# be one n x n matrix or a stack of shape (m, n, n): S B S is then one
-# broadcast matmul and its decomposition one stacked LAPACK call, which runs
-# the same per-matrix routine as m separate calls and returns the same bits.
+# The whitened product Y^T B Y, for any square-root factor Y Y^T = A, is
+# formed and decomposed only by the helpers below; see SpdMatrix for why it
+# is never validated. Its spectrum and root do not depend on which factor:
+# Y^T B Y is orthogonally similar to A^1/2 B A^1/2. The ambient path takes
+# Y = Q L^1/2 and Z = Q L^-1/2 = Y^-T from the cached A = Q L Q^T, two
+# column scalings, so the small eigendirections of A are never rounded
+# through a formed root A^-1/2. The reduced path passes the cached
+# symmetric factor roots, for which Y^T B Y has the bits of Y B Y. B may be
+# one n x n matrix or a stack of shape (m, n, n): Y^T B Y is then one
+# broadcast matmul and its decomposition one stacked LAPACK call, which
+# runs the same per-matrix routine as m separate calls and returns the same
+# bits.
 
 
-def _whitened_eigvals(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrized S B S, clipped at 0."""
-    return np.clip(np.linalg.eigvalsh(symmetrize(s @ b @ s)), 0.0, None)
+def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized Y^T B Y, clipped at 0."""
+    return np.clip(np.linalg.eigvalsh(symmetrize(y.T @ b @ y)), 0.0, None)
 
 
-def _whitened_root(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(S B S)^1/2 from one eigh of the symmetrized product, clipped at 0."""
-    w, q = np.linalg.eigh(symmetrize(s @ b @ s))
+def _whitened_root(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(Y^T B Y)^1/2 from one eigh of the symmetrized product, clipped at 0."""
+    w, q = np.linalg.eigh(symmetrize(y.T @ b @ y))
     half = q * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     return half @ np.swapaxes(q, -1, -2)
+
+
+def _root_factors(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Y = Q L^1/2 and Z = Q L^-1/2 from A's cached eigendecomposition:
+    Y Y^T = A and Z = Y^-T."""
+    q = a.eig.eigenvectors
+    h = np.sqrt(a.eig.eigenvalues)
+    return q * h, q / h
 
 
 def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Bures-Wasserstein distance tr(A) + tr(B) - 2 tr((A^1/2 B A^1/2)^1/2)."""
     _check_same_dim(a, b)
-    w = _whitened_eigvals(spd_sqrt(a), b.mat)
+    w = _whitened_eigvals(_root_factors(a)[0], b.mat)
     tr_sum = a.trace() + b.trace()
     d2 = tr_sum - 2.0 * float(np.sqrt(w).sum())
     return _clamp_distance_sq(d2, tr_sum)
@@ -93,12 +109,13 @@ def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
 def transport_map(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2, with T A T = B."""
     _check_same_dim(a, b)
-    return _transport(a, b, spd_sqrt(a), spd_inv_sqrt(a))
+    return _transport(a, b)
 
 
-def _transport(a: SpdMatrix, b: SpdMatrix, s: np.ndarray, r: np.ndarray) -> SpdMatrix:
-    """transport_map(a, b) given the roots S = A^1/2 and R = A^-1/2."""
-    t = SpdMatrix(r @ _whitened_root(s, b.mat) @ r)
+def _transport(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
+    """transport_map(a, b) as T = Z (Y^T B Y)^1/2 Z^T, validated by eigenvalues."""
+    y, z = _root_factors(a)
+    t = SpdMatrix(z @ _whitened_root(y, b.mat) @ z.T, _eig=_DEFERRED)
     defect = np.linalg.norm(t.mat @ a.mat @ t.mat - b.mat)
     if defect > TRANSPORT_CHECK_TOL * np.linalg.norm(b.mat):
         raise NumericalConsistencyError(
@@ -119,7 +136,7 @@ def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
         raise ParameterOutOfRange(f"geodesic parameter {t} outside [0, 1]")
     n = curve.start.dim
     ct = (1.0 - t) * np.eye(n) + t * curve.transport.mat
-    return SpdMatrix(ct @ curve.start.mat @ ct)
+    return SpdMatrix(ct @ curve.start.mat @ ct, _eig=_DEFERRED)
 
 
 def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
@@ -127,5 +144,5 @@ def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     _check_same_dim(a, b)
     _check_commuting(a.mat, b.mat, "endpoints")
     mix = (1.0 - t) * spd_sqrt(a) + t * spd_sqrt(b)
-    return SpdMatrix(mix @ mix)
+    return SpdMatrix(mix @ mix, _eig=_DEFERRED)
 

@@ -388,10 +388,10 @@ def factor_transports(p0: KroneckerPoint, p1: KroneckerPoint) -> FactorTransport
     """Factor Bures transports S_U, S_V and the whitened maps P, Q."""
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    # p0's roots come from its cache: each is taken once, for the transport
-    # and for the conjugation alike.
-    s_v = _transport(p0.v_factor, p1.v_factor, p0.v_sqrt, p0.v_inv_sqrt)
-    s_u = _transport(p0.u_factor, p1.u_factor, p0.u_sqrt, p0.u_inv_sqrt)
+    # The transports whiten in p0's factor eigenbases, as transport_map
+    # does, so they have its bits; p0's cached roots serve only P and Q.
+    s_v = _transport(p0.v_factor, p1.v_factor)
+    s_u = _transport(p0.u_factor, p1.u_factor)
     return FactorTransports(
         s_u=s_u,
         s_v=s_v,

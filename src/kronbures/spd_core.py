@@ -54,8 +54,13 @@ def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
     )
 
 
+# Passed as ``_eig``: validate by eigvalsh now, and run eigh on the first
+# read of ``eig``.
+_DEFERRED = object()
+
+
 class SpdMatrix:
-    """Dense SPD matrix with a write-once cached eigendecomposition.
+    """Dense SPD matrix with a write-once eigendecomposition ``eig``.
 
     This is the type for matrices the library asserts are SPD, and only
     those; operators derived from them (roots, whitened products) are
@@ -63,37 +68,51 @@ class SpdMatrix:
     rejects non-finite entries, and tests the spectrum against the relative
     margin ``PD_TOLERANCE``. Without ``_eig``, the entries are symmetrized,
     so downstream solvers never see asymmetric round-off, and the spectrum
-    comes from one ``eigh``. ``_eig`` is passed only where the spectrum is
-    known by construction: ``scaled``, ``identity`` and ``kron_model.embed``
-    (the factors' product spectrum). Each passes a fresh, exactly symmetric
-    array (c A, I, V (x) U of symmetric factors), which the instance owns
-    as given, since symmetrizing it would return the same bits. The margin
-    test reads the supplied spectrum; no check is skipped. ``spd_sqrt``
-    and ``spd_inv_sqrt`` return arrays unvalidated: A^{+-1/2} of a
-    validated A has finite entries and margin
+    comes from one ``eigh``, which is kept as ``eig``. ``_eig`` is passed
+    only where the spectrum is known by construction: ``scaled``,
+    ``identity`` and ``kron_model.embed`` (the factors' product spectrum).
+    Each passes a fresh, exactly symmetric array (c A, I, V (x) U of
+    symmetric factors), which the instance owns as given, since
+    symmetrizing it would return the same bits. The margin test reads the
+    supplied spectrum; no check is skipped.
+
+    Transport maps and geodesic points (``bures_metric``) are validated by
+    eigenvalues alone: their entries are symmetrized, and the finiteness
+    and margin tests read one ``eigvalsh``. Most are read only as entries,
+    so ``eig`` is computed once, by one ``eigh`` of the stored entries, on
+    its first read, and is then the same as the ``eig`` of
+    ``SpdMatrix(mat)``, bit for bit. Two threads racing on that first read
+    both compute it from the same read-only entries, get the same bits,
+    and either may store it.
+
+    ``spd_sqrt`` and ``spd_inv_sqrt`` return arrays unvalidated: A^{+-1/2}
+    of a validated A has finite entries and margin
     sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) = 1e-6, far above
     ``PD_TOLERANCE``, so the check could not fail. The whitened product
-    A^1/2 B A^1/2 is never wrapped: it can fall below the margin while
-    what is built from it is well conditioned (for V0 (x) U and V1 (x) U
-    it carries U^2), so ``bures_metric`` clips its spectrum at 0 and
-    validates the result instead. Instances are immutable and safe to
-    share across threads.
+    Y^T B Y, Y Y^T = A, is never wrapped: it can fall below the margin
+    while what is built from it is well conditioned (for V0 (x) U and
+    V1 (x) U it carries U^2), so ``bures_metric`` clips its spectrum at 0
+    and validates the result instead. Instances are immutable apart from
+    that one write, and safe to share across threads.
     """
 
-    __slots__ = ("mat", "eig")
+    __slots__ = ("mat", "_eig")
 
-    def __init__(self, entries, *, _eig: EigenDecomposition | None = None):
+    def __init__(self, entries, *, _eig=None):
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatch("matrix dimension must be at least 1")
-        if _eig is None:
+        if _eig is None or _eig is _DEFERRED:
             arr = symmetrize(arr)
         if not np.all(np.isfinite(arr)):
             raise NotPositiveDefinite("matrix has non-finite entries")
-        eig = _eig if _eig is not None else _eigh_descending(arr)
-        w = eig.eigenvalues
+        if _eig is _DEFERRED:
+            eig, w = None, np.linalg.eigvalsh(arr)[::-1]
+        else:
+            eig = _eig if _eig is not None else _eigh_descending(arr)
+            w = eig.eigenvalues
         if w[0] <= 0.0 or w[-1] <= PD_TOLERANCE * w[0]:
             raise NotPositiveDefinite(
                 f"spectral margin too small: min eigenvalue {w[-1]:.6e}, "
@@ -101,7 +120,14 @@ class SpdMatrix:
             )
         arr.setflags(write=False)
         self.mat = arr
-        self.eig = eig
+        self._eig = eig
+
+    @property
+    def eig(self) -> EigenDecomposition:
+        eig = self._eig
+        if eig is None:
+            eig = self._eig = _eigh_descending(self.mat)
+        return eig
 
     @property
     def dim(self) -> int:

@@ -32,8 +32,7 @@ from kronbures import (
 from kronbures import barycenter
 from kronbures.barycenter import _project_centered_box
 from kronbures.bures_metric import _whitened_root
-from kronbures.spd_core import spd_inv_sqrt, spd_sqrt
-from kronbures.bench_cli import gen_log_diag
+from kronbures.bench_cli import gen_log_diag, gen_spd
 from kronbures.kron_model import leaf_factor
 
 from conftest import PROPERTY_SETTINGS, frob, rand_point, rand_spd
@@ -246,15 +245,16 @@ class TestSliceBarycenter:
 
 
 def _bw_per_matrix(mats, w):
-    """bw_barycenter's fixed point with each root (S M_i S)^1/2 taken alone;
-    None where it exhausts the iteration budget."""
+    """bw_barycenter's fixed point with each root (Y^T M_i Y)^1/2 taken alone,
+    in V = Q L Q^T's eigenbasis (Y = Q L^1/2, h = sqrt(diag L)); None where
+    it exhausts the iteration budget."""
     v = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
     for _ in range(barycenter.BW_MAX_ITER):
-        s, r = spd_sqrt(v), spd_inv_sqrt(v)
-        g = sum(wi * _whitened_root(s, m.mat) for wi, m in zip(w, mats))
-        if float(np.linalg.norm(r @ g @ r - np.eye(v.dim))) <= barycenter.BW_TOL:
+        q, h = v.eig.eigenvectors, np.sqrt(v.eig.eigenvalues)
+        g = sum(wi * _whitened_root(q * h, m.mat) for wi, m in zip(w, mats))
+        if float(np.linalg.norm(g / np.outer(h, h) - np.eye(v.dim))) <= barycenter.BW_TOL:
             return v
-        half = r @ g
+        half = (q / h) @ g
         v = SpdMatrix(half @ half.T)
     return None
 
@@ -318,6 +318,31 @@ class TestBwBarycenter:
         mid = geodesic_eval(geodesic(*mats), 0.5)
         assert frob(bar.mat - mid.mat) <= 1e-11 * frob(mid.mat)
         assert bw_stationarity_residual(bar, mats, [0.5, 0.5]) <= 1e-10
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("kind", ["row", "col"])
+    def test_embedded_leaf_data_converge_to_the_leaf_barycenter(self, kind, n):
+        # Three exact leaf points whose embeddings have condition numbers up
+        # to ~1e9; the ambient fixed point must reach BW_TOL and land on the
+        # factor-size leaf barycenter.
+        w = np.array([0.5, 0.3, 0.2])
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            if kind == "row":
+                p0 = KroneckerPoint.from_factors(gen_spd(n, rng), gen_spd(n, rng))
+                points = [p0] + [
+                    KroneckerPoint(p0.u_factor, gen_spd(n, rng)) for _ in range(2)
+                ]
+                leaf = row_leaf(p0.u_factor)
+            else:
+                v = gen_spd(n, rng)
+                points = [
+                    KroneckerPoint.from_factors(gen_spd(n, rng), v) for _ in range(3)
+                ]
+                leaf = col_leaf(v)
+            bar = bw_barycenter([embed(p) for p in points], w)
+            expected = embed(leaf_barycenter(leaf, points, w).point).mat
+            assert frob(bar.mat - expected) <= 1e-10 * frob(expected), seed
 
     @PROPERTY_SETTINGS
     @given(

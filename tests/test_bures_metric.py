@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,7 @@ from kronbures import (
     spd_sqrt,
     transport_map,
 )
+from kronbures import spd_core
 from kronbures.bench_cli import gen_spd
 from kronbures.bures_metric import _whitened_eigvals, _whitened_root
 
@@ -247,3 +250,59 @@ class TestSpdConstructions:
         a, b = rand_spd(5, rng), rand_spd(5, rng)
         assert spd_builds(monkeypatch, transport_map, a, b) == 1
         assert isinstance(transport_map(a, b), SpdMatrix)
+
+
+def linalg_calls(monkeypatch, fn, *args) -> list:
+    """(name, dimension) of each eigh, eigvalsh, spd_sqrt and spd_inv_sqrt
+    call made by fn(*args), in call order."""
+    calls = []
+
+    def counting(name, f):
+        def wrapped(a, *rest, **kw):
+            calls.append((name, (a.mat if isinstance(a, SpdMatrix) else a).shape[-1]))
+            return f(a, *rest, **kw)
+
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    for name in ("spd_sqrt", "spd_inv_sqrt"):
+        orig = getattr(spd_core, name)
+        wrapped = counting(name, orig)
+        for key, module in list(sys.modules.items()):
+            if key == "kronbures" or key.startswith("kronbures."):
+                for attr, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, attr, wrapped)
+    try:
+        fn(*args)
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
+class TestAmbientFactorizations:
+    """The ambient path whitens in the start point's cached eigenbasis: it
+    forms no root and runs no eigh that only validates."""
+
+    def _embeddings(self):
+        rng = np.random.default_rng(73)
+        p0 = KroneckerPoint.from_factors(rand_spd(3, rng), rand_spd(3, rng))
+        p1 = KroneckerPoint.from_factors(rand_spd(3, rng), rand_spd(3, rng))
+        return embed(p0), embed(p1)
+
+    def test_geodesic_midpoint(self, monkeypatch):
+        k0, k1 = self._embeddings()
+        calls = linalg_calls(
+            monkeypatch, lambda: geodesic_eval(geodesic(k0, k1), 0.5)
+        )
+        assert sorted(calls) == [("eigh", 9), ("eigvalsh", 9), ("eigvalsh", 9)]
+
+    def test_distance(self, monkeypatch):
+        k0, k1 = self._embeddings()
+        assert linalg_calls(monkeypatch, bures_distance_sq, k0, k1) == [("eigvalsh", 9)]
+
+    def test_commuting_geodesic_validates_by_eigenvalues(self, monkeypatch):
+        a, b, _, _ = commuting_pair(4, np.random.default_rng(74))
+        calls = linalg_calls(monkeypatch, commuting_geodesic_eval, a, b, 0.3)
+        assert [c for c in calls if c[0] in ("eigh", "eigvalsh")] == [("eigvalsh", 4)]

@@ -487,15 +487,20 @@ class TestPiResidual:
 class TestFactorTransports:
     def test_each_root_of_p0_taken_once(self, monkeypatch):
         calls = []
-        for module in (kron_model, bures_metric):
-            for name in ("spd_sqrt", "spd_inv_sqrt"):
-                fn = getattr(module, name)
+        # Every root binding in the two modules; bures_metric forms no
+        # inverse root.
+        for module, name in (
+            (kron_model, "spd_sqrt"),
+            (kron_model, "spd_inv_sqrt"),
+            (bures_metric, "spd_sqrt"),
+        ):
+            fn = getattr(module, name)
 
-                def counted(a, fn=fn, name=name):
-                    calls.append((name, a))
-                    return fn(a)
+            def counted(a, fn=fn, name=name):
+                calls.append((name, a))
+                return fn(a)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         rng = np.random.default_rng(13)
         p0, p1, p2 = (rand_point(3, rng) for _ in range(3))
         ft = factor_transports(p0, p1)

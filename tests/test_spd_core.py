@@ -14,7 +14,7 @@ from kronbures import (
     spd_sqrt,
     symmetrize,
 )
-from kronbures.spd_core import EigenDecomposition
+from kronbures.spd_core import _DEFERRED, EigenDecomposition
 
 from conftest import ORTHO_TOL, RECON_TOL, frob, rand_spd
 
@@ -231,3 +231,46 @@ def test_supplied_spectrum_keeps_every_check():
     thin = EigenDecomposition(np.array([1.0, 1e-14]), np.eye(2))
     with pytest.raises(NotPositiveDefinite):
         SpdMatrix(np.diag([1.0, 1e-14]), _eig=thin)
+
+
+class TestEigenvalueValidatedRoute:
+    """SpdMatrix(x, _eig=_DEFERRED) validates x by eigvalsh and computes eig
+    on its first read."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_eig_bitwise_equal_to_eager(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((6, 6))
+        x = m @ m.T + 0.1 * np.eye(6)
+        lazy = SpdMatrix(x, _eig=_DEFERRED)
+        eager = SpdMatrix(lazy.mat)
+        assert np.array_equal(lazy.mat, eager.mat)
+        assert np.array_equal(lazy.eig.eigenvalues, eager.eig.eigenvalues)
+        assert np.array_equal(lazy.eig.eigenvectors, eager.eig.eigenvectors)
+        assert lazy.eig is lazy.eig
+
+    def test_symmetrized_and_immutable(self):
+        a = SpdMatrix([[2.0, 0.3], [0.1, 1.0]], _eig=_DEFERRED)
+        assert a.mat[0, 1] == a.mat[1, 0] == 0.2
+        with pytest.raises(ValueError):
+            a.mat[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            np.diag([1.0, 1e-14]),
+            np.diag([1.0, -1.0]),
+            -np.eye(2),
+        ],
+    )
+    def test_rejects_what_the_eager_route_rejects(self, entries):
+        with pytest.raises(NotPositiveDefinite):
+            SpdMatrix(entries)
+        with pytest.raises(NotPositiveDefinite):
+            SpdMatrix(entries, _eig=_DEFERRED)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            SpdMatrix(np.ones((2, 3)), _eig=_DEFERRED)
