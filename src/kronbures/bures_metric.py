@@ -53,6 +53,16 @@ def _clamp_distance_sq(d2: float, scale: float) -> float:
     )
 
 
+def _clamp_distances_sq(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """_clamp_distance_sq entrywise, with its bits, and its error for the
+    first entry beyond round-off (NaN included)."""
+    beyond = ~(d2 >= -_NEGATIVE_CLAMP * scale)
+    if beyond.any():
+        i = int(np.argmax(beyond))
+        _clamp_distance_sq(float(d2[i]), float(scale[i]))
+    return np.where(d2 >= 0.0, d2, 0.0)
+
+
 def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
     comm = np.linalg.norm(a @ b - b @ a)
     scale = np.linalg.norm(a) * np.linalg.norm(b)
@@ -70,22 +80,23 @@ def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
 # Y = Q L^1/2 and Z = Q L^-1/2 = Y^-T from the cached A = Q L Q^T, two
 # column scalings, so the small eigendirections of A are never rounded
 # through a formed root A^-1/2. The reduced path passes the cached
-# symmetric factor roots, for which Y^T B Y has the bits of Y B Y. B may be
-# one n x n matrix or a stack of shape (m, n, n): Y^T B Y is then one
-# broadcast matmul and its decomposition one stacked LAPACK call, which
-# runs the same per-matrix routine as m separate calls and returns the same
-# bits.
+# symmetric factor roots, for which Y^T B Y has the bits of Y B Y. Y and B
+# may each be one n x n matrix or a stack of shape (m, n, n): Y^T B Y is
+# then one broadcast matmul and its decomposition one stacked LAPACK call,
+# which runs the same per-matrix routine as m separate calls and returns
+# the same bits.
 
 
 def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized Y^T B Y, clipped at 0."""
-    return np.clip(np.linalg.eigvalsh(symmetrize(y.T @ b @ y)), 0.0, None)
+    w = np.linalg.eigvalsh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
+    return np.maximum(w, 0.0)
 
 
 def _whitened_root(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(Y^T B Y)^1/2 from one eigh of the symmetrized product, clipped at 0."""
-    w, q = np.linalg.eigh(symmetrize(y.T @ b @ y))
-    half = q * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    w, q = np.linalg.eigh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
+    half = q * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     return half @ np.swapaxes(q, -1, -2)
 
 

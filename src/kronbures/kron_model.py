@@ -22,6 +22,7 @@ import numpy as np
 
 from .bures_metric import (
     _clamp_distance_sq,
+    _clamp_distances_sq,
     _whitened_eigvals,
     bures_distance_sq,
     geodesic,
@@ -75,9 +76,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class KroneckerPoint:
     """Gauge-normalized factor pair (U, V) representing V (x) U.
 
-    The factor roots U^1/2, V^1/2, U^-1/2 and V^-1/2 are computed on first
-    use, cached on the point and read-only. The cache holds only n x n
-    arrays; the n^2 x n^2 embedding caches nothing.
+    Three private caches serve the reduced distance: the factor stack
+    (V, U) of shape (2, n, n), the root stack (V^1/2, U^1/2), and the
+    float tr U * tr V. ``v_sqrt`` and ``u_sqrt`` are views of the root
+    stack; U^-1/2 and V^-1/2 are cached on their own. Each is computed on
+    first use and read-only. The caches hold only n x n arrays; the
+    n^2 x n^2 embedding caches nothing.
     """
 
     u_factor: SpdMatrix
@@ -95,12 +99,24 @@ class KroneckerPoint:
         return self.u_factor.dim
 
     @cached_property
+    def _factors(self) -> np.ndarray:
+        return _read_only(np.stack((self.v_factor.mat, self.u_factor.mat)))
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        return _read_only(np.stack((spd_sqrt(self.v_factor), spd_sqrt(self.u_factor))))
+
+    @cached_property
+    def _trace_product(self) -> float:
+        return self.u_factor.trace() * self.v_factor.trace()
+
+    @cached_property
     def u_sqrt(self) -> np.ndarray:
-        return _read_only(spd_sqrt(self.u_factor))
+        return self._roots[1]
 
     @cached_property
     def v_sqrt(self) -> np.ndarray:
-        return _read_only(spd_sqrt(self.v_factor))
+        return self._roots[0]
 
     @cached_property
     def u_inv_sqrt(self) -> np.ndarray:
@@ -196,10 +212,10 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
     return p
 
 
-def _whitened_spectrum(s0: np.ndarray, b) -> np.ndarray:
+def _whitened_spectrum(roots: np.ndarray, factors: np.ndarray) -> np.ndarray:
     # Descending along the last axis, the order PairwiseSpectrum documents;
-    # b is one factor or a stack of them.
-    return np.ascontiguousarray(_whitened_eigvals(s0, b)[..., ::-1])
+    # roots and factors are matching matrices, or stacks of them.
+    return np.ascontiguousarray(_whitened_eigvals(roots, factors)[..., ::-1])
 
 
 def pairwise_bures_sq_reduced(
@@ -208,27 +224,26 @@ def pairwise_bures_sq_reduced(
     """Squared Bures distance between embeddings from factor-size spectra.
 
     Uses the product form tr(A^1/2) tr(B^1/2) for the cross term, so the
-    whole computation costs two n x n eigendecompositions, plus p0's two
-    factor roots on its first use.
+    whole computation costs one stacked eigendecomposition of the two
+    n x n whitened factors, plus p0's two factor roots on its first use.
     """
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    alpha = _whitened_spectrum(p0.v_sqrt, p1.v_factor.mat)
-    beta = _whitened_spectrum(p0.u_sqrt, p1.u_factor.mat)
-    tr_sum = (
-        p0.u_factor.trace() * p0.v_factor.trace()
-        + p1.u_factor.trace() * p1.v_factor.trace()
+    spectrum = _whitened_spectrum(p0._roots, p1._factors)
+    cross = np.sqrt(spectrum).sum(axis=-1)
+    tr_sum = p0._trace_product + p1._trace_product
+    d2 = tr_sum - 2.0 * float(cross[0]) * float(cross[1])
+    return _clamp_distance_sq(d2, tr_sum), PairwiseSpectrum(
+        alpha=spectrum[0], beta=spectrum[1]
     )
-    d2 = tr_sum - 2.0 * float(np.sqrt(alpha).sum()) * float(np.sqrt(beta).sum())
-    return _clamp_distance_sq(d2, tr_sum), PairwiseSpectrum(alpha=alpha, beta=beta)
 
 
 def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
     """Squared Bures distances from p to each point, by the reduced formula.
 
     Entry i equals ``pairwise_bures_sq_reduced(p, points[i])[0]`` bit for
-    bit; the whitened spectra of all points come from one stacked
-    eigendecomposition per factor.
+    bit; the whitened spectra of all points, both factors, come from one
+    stacked eigendecomposition of shape (2m, n, n).
     """
     points = list(points)
     for q in points:
@@ -236,13 +251,13 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
             raise DimensionMismatch(f"factor dimensions differ: {p.n} vs {q.n}")
     if not points:
         return np.empty(0)
-    alpha = _whitened_spectrum(p.v_sqrt, np.stack([q.v_factor.mat for q in points]))
-    beta = _whitened_spectrum(p.u_sqrt, np.stack([q.u_factor.mat for q in points]))
-    tr_sum = p.u_factor.trace() * p.v_factor.trace() + np.array(
-        [q.u_factor.trace() * q.v_factor.trace() for q in points]
-    )
-    d2 = tr_sum - 2.0 * np.sqrt(alpha).sum(axis=-1) * np.sqrt(beta).sum(axis=-1)
-    return np.array([_clamp_distance_sq(d, s) for d, s in zip(d2, tr_sum)])
+    m, n = len(points), p.n
+    factors = np.stack([q._factors for q in points]).reshape(2 * m, n, n)
+    spectrum = _whitened_spectrum(np.tile(p._roots, (m, 1, 1)), factors)
+    cross = np.sqrt(spectrum).sum(axis=-1).reshape(m, 2)
+    tr_sum = p._trace_product + np.array([q._trace_product for q in points])
+    d2 = tr_sum - 2.0 * cross[:, 0] * cross[:, 1]
+    return _clamp_distances_sq(d2, tr_sum)
 
 
 def _col_scale(anchor: np.ndarray, other: np.ndarray) -> float:

@@ -10,6 +10,7 @@ from kronbures import (
     DimensionMismatch,
     KroneckerPoint,
     NotCommuting,
+    NumericalConsistencyError,
     ParameterOutOfRange,
     SpdMatrix,
     bures_distance_sq,
@@ -19,12 +20,19 @@ from kronbures import (
     geodesic_eval,
     pairwise_bures_sq_reduced,
     recover_factors,
+    reduced_distances_sq,
     spd_sqrt,
     transport_map,
 )
 from kronbures import spd_core
 from kronbures.bench_cli import gen_spd
-from kronbures.bures_metric import _whitened_eigvals, _whitened_root
+from kronbures.bures_metric import (
+    _clamp_distance_sq,
+    _clamp_distances_sq,
+    _root_factors,
+    _whitened_eigvals,
+    _whitened_root,
+)
 
 from conftest import PROPERTY_SETTINGS, frob, rand_orthogonal, rand_spd
 
@@ -212,6 +220,40 @@ class TestStackedWhitening:
             assert np.array_equal(eigvals[i], _whitened_eigvals(s, stack[i]))
             assert np.array_equal(roots[i], _whitened_root(s, stack[i]))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stacked_root_factors(self, n):
+        # Y = Q L^1/2 is not symmetric, so a stack of them must be
+        # transposed matrix by matrix, not along every axis.
+        rng = np.random.default_rng(75 + n)
+        y = np.stack([_root_factors(rand_spd(n, rng))[0] for _ in range(2)])
+        b = np.stack([rand_spd(n, rng).mat for _ in range(2)])
+        assert not np.array_equal(y[0], y[0].T)
+        eigvals = _whitened_eigvals(y, b)
+        roots = _whitened_root(y, b)
+        for i in range(2):
+            assert np.array_equal(eigvals[i], _whitened_eigvals(y[i], b[i]))
+            assert np.array_equal(roots[i], _whitened_root(y[i], b[i]))
+
+
+class TestClampDistances:
+    def test_entrywise_bits_of_the_scalar_rule(self):
+        scale = np.array([2.0, 2.0, 2.0, 2.0, 5.0])
+        d2 = np.array([0.7, -0.0, -1e-11, 0.0, 3.0])
+        got = _clamp_distances_sq(d2, scale)
+        want = [_clamp_distance_sq(float(d), float(s)) for d, s in zip(d2, scale)]
+        assert got.tolist() == want
+        assert [np.signbit(x) for x in got] == [np.signbit(x) for x in want]
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan])
+    def test_first_entry_beyond_round_off_raises(self, bad):
+        scale = np.array([1.0, 2.0, 3.0, 4.0])
+        d2 = np.array([0.5, -1e-12, bad, -7.0])
+        with pytest.raises(NumericalConsistencyError) as got:
+            _clamp_distances_sq(d2, scale)
+        with pytest.raises(NumericalConsistencyError) as want:
+            _clamp_distance_sq(float(bad), 3.0)
+        assert str(got.value) == str(want.value)
+
 
 def spd_builds(monkeypatch, fn, *args) -> int:
     """Number of SpdMatrix constructions made by fn(*args)."""
@@ -306,3 +348,29 @@ class TestAmbientFactorizations:
         a, b, _, _ = commuting_pair(4, np.random.default_rng(74))
         calls = linalg_calls(monkeypatch, commuting_geodesic_eval, a, b, 0.3)
         assert [c for c in calls if c[0] in ("eigh", "eigvalsh")] == [("eigvalsh", 4)]
+
+
+class TestReducedFactorizations:
+    """A reduced distance whitens both factors in one stacked eigvalsh, and
+    a cloud all of its factors in one more; the query's roots are cached."""
+
+    def _points(self, count):
+        rng = np.random.default_rng(76)
+        p = KroneckerPoint.from_factors(rand_spd(4, rng), rand_spd(4, rng))
+        cloud = [
+            KroneckerPoint.from_factors(rand_spd(4, rng), rand_spd(4, rng))
+            for _ in range(count)
+        ]
+        p.u_sqrt  # fills the root cache: only the whitening is counted
+        return p, cloud
+
+    def test_pair(self, monkeypatch):
+        p, (q,) = self._points(1)
+        calls = linalg_calls(monkeypatch, pairwise_bures_sq_reduced, p, q)
+        assert calls == [("eigvalsh", 4)]
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_cloud(self, monkeypatch, count):
+        p, cloud = self._points(count)
+        calls = linalg_calls(monkeypatch, reduced_distances_sq, p, cloud)
+        assert calls == [("eigvalsh", 4)]

@@ -30,6 +30,7 @@ from kronbures import (
     row_leaf,
 )
 from kronbures import kron_model
+from kronbures.bures_metric import _clamp_distance_sq
 from kronbures.kron_model import leaf_factor, leaf_point
 from kronbures.spd_core import kron, spd_inv_sqrt, spd_sqrt
 
@@ -275,6 +276,46 @@ class TestPairwiseReduction:
             pairwise_bures_sq_reduced(p, p)
 
 
+def _per_factor_reduced(p0, p1):
+    """The reduced formula one factor at a time: one whitened spectrum per
+    factor from the cached roots, and the trace sum from four traces."""
+    alpha = kron_model._whitened_spectrum(p0.v_sqrt, p1.v_factor.mat)
+    beta = kron_model._whitened_spectrum(p0.u_sqrt, p1.u_factor.mat)
+    tr_sum = (
+        p0.u_factor.trace() * p0.v_factor.trace()
+        + p1.u_factor.trace() * p1.v_factor.trace()
+    )
+    d2 = tr_sum - 2.0 * float(np.sqrt(alpha).sum()) * float(np.sqrt(beta).sum())
+    return _clamp_distance_sq(d2, tr_sum), alpha, beta
+
+
+class TestStackedReductionOracle:
+    """The stacked reduced distance has the bits of the per-factor formula."""
+
+    @PROPERTY_SETTINGS
+    @given(point_pairs(1, 8))
+    def test_pairwise_bitwise(self, pair):
+        d2, spectrum = pairwise_bures_sq_reduced(*pair)
+        want_d2, want_alpha, want_beta = _per_factor_reduced(*pair)
+        assert d2 == want_d2
+        assert spectrum.alpha.tolist() == want_alpha.tolist()
+        assert spectrum.beta.tolist() == want_beta.tolist()
+
+    @pytest.mark.parametrize(
+        "v0, v1", [(1.0, 4.0), (2.0, 9.0), (0.3, 7.5), (1e-3, 1e3), (5.0, 0.2)]
+    )
+    def test_scalar_points(self, v0, v1):
+        # At n = 1 the gauge forces U = [1], so d^2 = (sqrt v0 - sqrt v1)^2.
+        # The pairs are well separated: the product form cancels as v1 -> v0.
+        p0 = KroneckerPoint(SpdMatrix.identity(1), SpdMatrix([[v0]]))
+        p1 = KroneckerPoint(SpdMatrix.identity(1), SpdMatrix([[v1]]))
+        want = (np.sqrt(v0) - np.sqrt(v1)) ** 2
+        d2, spectrum = pairwise_bures_sq_reduced(p0, p1)
+        assert abs(d2 - want) <= 1e-15 * want
+        assert spectrum.beta.tolist() == [1.0]
+        assert reduced_distances_sq(p0, [p1]).tolist() == [d2]
+
+
 def _scalar_objective(p, cloud, weights):
     """objective_J as a Python-order sum of scalar reduced distances."""
     return float(
@@ -293,6 +334,7 @@ class TestBatchedReduction:
         batched = reduced_distances_sq(p, cloud)
         assert batched.shape == (len(cloud),)
         assert batched.tolist() == scalar
+        assert scalar == [_per_factor_reduced(p, q)[0] for q in cloud]
         assert objective_J(p, cloud, weights) == _scalar_objective(p, cloud, weights)
 
     def test_cold_point_bitwise_equal(self):
@@ -370,6 +412,28 @@ class TestRootCache:
             for name in ROOTS:
                 getattr(p, name)
         assert sorted(calls) == ["spd_inv_sqrt"] * 2 + ["spd_sqrt"] * 2
+
+    def test_trace_product_read_once(self, monkeypatch):
+        calls = []
+        trace = SpdMatrix.trace
+
+        def counting(self):
+            calls.append(None)
+            return trace(self)
+
+        monkeypatch.setattr(SpdMatrix, "trace", counting)
+        rng = np.random.default_rng(48)
+        p = rand_point(3, rng)
+        cloud = [rand_point(3, rng) for _ in range(5)]
+        weights = np.full(5, 0.2)
+        for _ in range(3):
+            for q in cloud:
+                pairwise_bures_sq_reduced(p, q)
+                pairwise_bures_sq_reduced(q, p)
+            reduced_distances_sq(p, cloud)
+            objective_J(p, cloud, weights)
+        # tr U and tr V once per point, for every later distance.
+        assert len(calls) <= 2 * (1 + len(cloud))
 
 
 class TestLeafMembership:
