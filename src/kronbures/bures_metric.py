@@ -3,7 +3,8 @@ full SPD cone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterOutOfRange,
 )
-from .spd_core import _DEFERRED, SpdMatrix, spd_sqrt, symmetrize
+from .spd_core import _DEFERRED, SpdMatrix, _Deferred, spd_sqrt, symmetrize
 
 # Relative commutator norm below which a pair is treated as commuting.
 COMMUTE_TOL = 1e-10
@@ -28,12 +29,16 @@ _NEGATIVE_CLAMP = 1e-10
 class GeodesicCurve:
     """Bures geodesic with its transport map precomputed once.
 
-    Evaluation at any t is then two matrix multiplies and the eigvalsh
-    that validates the point.
+    Evaluation at any t is then two matrix multiplies. The point is
+    validated by a proved margin, from the start point's spectrum and the
+    bounds r_min / a_max <= lambda(T) <= r_max / a_min that ``geodesic``
+    keeps from the transport; a curve built by hand, or a margin the
+    bounds do not decide, falls back to one eigvalsh.
     """
 
     start: SpdMatrix
     transport: SpdMatrix
+    _transport_bounds: _Deferred = field(default=_DEFERRED, repr=False)
 
 
 def _check_same_dim(a: SpdMatrix, b: SpdMatrix) -> None:
@@ -93,11 +98,25 @@ def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def _whitened_root(y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(Y^T B Y)^1/2 from one eigh of the symmetrized product, clipped at 0."""
+def _whitened_root_spectrum(
+    y: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Y^T B Y)^1/2 and its ascending eigenvalues, from one eigh of the
+    symmetrized product, clipped at 0."""
     w, q = np.linalg.eigh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
-    half = q * np.sqrt(np.maximum(w, 0.0))[..., None, :]
-    return half @ np.swapaxes(q, -1, -2)
+    r = np.sqrt(np.maximum(w, 0.0))
+    return (q * r[..., None, :]) @ np.swapaxes(q, -1, -2), r
+
+
+def _whitened_root(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(Y^T B Y)^1/2 alone."""
+    return _whitened_root_spectrum(y, b)[0]
+
+
+def _extremes(a: SpdMatrix) -> tuple[float, float]:
+    """(a_max, a_min) from A's cached spectrum."""
+    w = a.eig.eigenvalues
+    return float(w[0]), float(w[-1])
 
 
 def _root_factors(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -124,9 +143,13 @@ def transport_map(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 
 
 def _transport(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
-    """transport_map(a, b) as T = Z (Y^T B Y)^1/2 Z^T, validated by eigenvalues."""
+    """transport_map(a, b) as T = Z R Z^T, R = (Y^T B Y)^1/2, validated by
+    r_min / a_max <= lambda(T) <= r_max / a_min when that proves the margin."""
     y, z = _root_factors(a)
-    t = SpdMatrix(z @ _whitened_root(y, b.mat) @ z.T, _eig=_DEFERRED)
+    root, r = _whitened_root_spectrum(y, b.mat)
+    a_max, a_min = _extremes(a)
+    bounds = _Deferred(float(r[0]) / a_max, float(r[-1]) / a_min)
+    t = SpdMatrix(z @ root @ z.T, _eig=bounds)
     defect = np.linalg.norm(t.mat @ a.mat @ t.mat - b.mat)
     if defect > TRANSPORT_CHECK_TOL * np.linalg.norm(b.mat):
         raise NumericalConsistencyError(
@@ -138,7 +161,32 @@ def _transport(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 
 def geodesic(a: SpdMatrix, b: SpdMatrix) -> GeodesicCurve:
     """Bures geodesic curve from A to B."""
-    return GeodesicCurve(start=a, transport=transport_map(a, b))
+    t = transport_map(a, b)
+    # T's eig is unread, so it still holds the marker with T's bounds.
+    return GeodesicCurve(start=a, transport=t, _transport_bounds=t._eig)
+
+
+def _geodesic_bounds(curve: GeodesicCurve, t: float) -> _Deferred:
+    """Bounds on the spectrum of gamma(t), the tighter of two Weyl forms,
+    with r_min = tau_min a_max and r_max = tau_max a_min from T's bounds:
+    (A) gamma = (Z S)(Z S)^T with S = (1-t) L + t R, and (B) gamma = C A C
+    with C = (1-t) I + t T. Each is the square of a root-sized bound, so
+    only a bound beyond the float range overflows (to inf, which falls
+    back)."""
+    tau_min, tau_max = curve._transport_bounds
+    if math.isnan(tau_min):  # a curve built by hand
+        return _DEFERRED
+    a_max, a_min = _extremes(curve.start)
+    s = 1.0 - t
+    lower = max(
+        (s * a_min + t * (tau_min * a_max)) / math.sqrt(a_max),
+        (s + t * tau_min) * math.sqrt(a_min),
+    )
+    upper = min(
+        (s * a_max + t * (tau_max * a_min)) / math.sqrt(a_min),
+        (s + t * tau_max) * math.sqrt(a_max),
+    )
+    return _Deferred(lower * lower, upper * upper)
 
 
 def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
@@ -147,7 +195,7 @@ def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
         raise ParameterOutOfRange(f"geodesic parameter {t} outside [0, 1]")
     n = curve.start.dim
     ct = (1.0 - t) * np.eye(n) + t * curve.transport.mat
-    return SpdMatrix(ct @ curve.start.mat @ ct, _eig=_DEFERRED)
+    return SpdMatrix(ct @ curve.start.mat @ ct, _eig=_geodesic_bounds(curve, t))
 
 
 def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
@@ -155,5 +203,9 @@ def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     _check_same_dim(a, b)
     _check_commuting(a.mat, b.mat, "endpoints")
     mix = (1.0 - t) * spd_sqrt(a) + t * spd_sqrt(b)
-    return SpdMatrix(mix @ mix, _eig=_DEFERRED)
+    # Weyl on the mix of roots, from the endpoints' cached spectra.
+    (a_max, a_min), (b_max, b_min) = (map(math.sqrt, _extremes(m)) for m in (a, b))
+    lower = (1.0 - t) * a_min + t * b_min
+    upper = (1.0 - t) * a_max + t * b_max
+    return SpdMatrix(mix @ mix, _eig=_Deferred(lower * lower, upper * upper))
 

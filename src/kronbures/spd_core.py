@@ -8,7 +8,9 @@ is the validated wrapper used wherever positive definiteness is required.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,9 +56,25 @@ def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
     )
 
 
-# Passed as ``_eig``: validate by eigvalsh now, and run eigh on the first
-# read of ``eig``.
-_DEFERRED = object()
+class _Deferred(NamedTuple):
+    """Passed as ``_eig``: validate now, and run eigh on the first read of
+    ``eig``. ``lower`` and ``upper`` bound the extreme eigenvalues of the
+    exact matrix whose rounded entries are passed; they are NaN in
+    ``_DEFERRED``, for a matrix with no bounds in hand."""
+
+    lower: float = float("nan")
+    upper: float = float("nan")
+
+    def proves_margin(self, n: int) -> bool:
+        # 64 n eps relative to the top of the spectrum covers the round-off
+        # of forming the entries and of the bounds. Only normal bounds
+        # decide, so that round-off is relative; NaN or an infinite upper
+        # bound compares False.
+        slack = PD_TOLERANCE + 64 * n * sys.float_info.epsilon
+        return sys.float_info.min < slack * self.upper < self.lower
+
+
+_DEFERRED = _Deferred()
 
 
 class SpdMatrix:
@@ -65,8 +83,8 @@ class SpdMatrix:
     This is the type for matrices the library asserts are SPD, and only
     those; operators derived from them (roots, whitened products) are
     plain arrays. Validation policy: every construction checks the shape,
-    rejects non-finite entries, and tests the spectrum against the relative
-    margin ``PD_TOLERANCE``. Without ``_eig``, the entries are symmetrized,
+    rejects non-finite entries, and tests or proves the spectral margin
+    ``PD_TOLERANCE``. Without ``_eig``, the entries are symmetrized,
     so downstream solvers never see asymmetric round-off, and the spectrum
     comes from one ``eigh``, which is kept as ``eig``. ``_eig`` is passed
     only where the spectrum is known by construction: ``scaled``,
@@ -77,13 +95,24 @@ class SpdMatrix:
     supplied spectrum; no check is skipped.
 
     Transport maps and geodesic points (``bures_metric``) are validated by
-    eigenvalues alone: their entries are symmetrized, and the finiteness
-    and margin tests read one ``eigvalsh``. Most are read only as entries,
-    so ``eig`` is computed once, by one ``eigh`` of the stored entries, on
-    its first read, and is then the same as the ``eig`` of
-    ``SpdMatrix(mat)``, bit for bit. Two threads racing on that first read
-    both compute it from the same read-only entries, get the same bits,
-    and either may store it.
+    a proved margin when one is in hand, and otherwise by one ``eigvalsh``.
+    Their entries are symmetrized and tested for finiteness either way.
+    They pass ``_Deferred(lower, upper)``, Weyl bounds on the extreme
+    eigenvalues of the exact matrix, taken from spectra the construction
+    already holds: T = Z R Z^T with Z = Q L^-1/2 gives
+    r_min / a_max <= lambda(T) <= r_max / a_min, and geodesic points take
+    the tighter of two such forms. The margin is proved when
+    lower > (``PD_TOLERANCE`` + 64 N eps) * upper, for N x N entries and
+    normal bounds; the 64 N eps covers the round-off of forming
+    the matrix, so a proved matrix also passes the ``eigvalsh`` test.
+    Bounds that do not decide, NaN among them, run that ``eigvalsh``,
+    which raises what it raised before. Most of these matrices are read
+    only as entries, so ``eig`` is computed once, by one ``eigh`` of the
+    stored entries, on its first read, and is then the same as the
+    ``eig`` of ``SpdMatrix(mat)``, bit for bit. Until then the instance
+    keeps its marker, bounds included, which ``geodesic`` reads off T.
+    Two threads racing on that first read both compute it from the same
+    read-only entries, get the same bits, and either may store it.
 
     ``spd_sqrt`` and ``spd_inv_sqrt`` return arrays unvalidated: A^{+-1/2}
     of a validated A has finite entries and margin
@@ -104,16 +133,19 @@ class SpdMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatch("matrix dimension must be at least 1")
-        if _eig is None or _eig is _DEFERRED:
+        deferred = isinstance(_eig, _Deferred)
+        if _eig is None or deferred:
             arr = symmetrize(arr)
         if not np.all(np.isfinite(arr)):
             raise NotPositiveDefinite("matrix has non-finite entries")
-        if _eig is _DEFERRED:
-            eig, w = None, np.linalg.eigvalsh(arr)[::-1]
+        if deferred:
+            eig, w = _eig, None
+            if not _eig.proves_margin(arr.shape[0]):
+                w = np.linalg.eigvalsh(arr)[::-1]
         else:
             eig = _eig if _eig is not None else _eigh_descending(arr)
             w = eig.eigenvalues
-        if w[0] <= 0.0 or w[-1] <= PD_TOLERANCE * w[0]:
+        if w is not None and (w[0] <= 0.0 or w[-1] <= PD_TOLERANCE * w[0]):
             raise NotPositiveDefinite(
                 f"spectral margin too small: min eigenvalue {w[-1]:.6e}, "
                 f"max eigenvalue {w[0]:.6e}"
@@ -125,7 +157,7 @@ class SpdMatrix:
     @property
     def eig(self) -> EigenDecomposition:
         eig = self._eig
-        if eig is None:
+        if isinstance(eig, _Deferred):
             eig = self._eig = _eigh_descending(self.mat)
         return eig
 

@@ -1,4 +1,5 @@
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from kronbures import (
     DimensionMismatch,
+    GeodesicCurve,
     KroneckerPoint,
     NotCommuting,
+    NotPositiveDefinite,
     NumericalConsistencyError,
     ParameterOutOfRange,
     SpdMatrix,
@@ -24,15 +27,17 @@ from kronbures import (
     spd_sqrt,
     transport_map,
 )
-from kronbures import spd_core
+from kronbures import bures_metric, spd_core
 from kronbures.bench_cli import gen_spd
 from kronbures.bures_metric import (
     _clamp_distance_sq,
     _clamp_distances_sq,
+    _geodesic_bounds,
     _root_factors,
     _whitened_eigvals,
     _whitened_root,
 )
+from kronbures.spd_core import _DEFERRED, PD_TOLERANCE, _Deferred
 
 from conftest import PROPERTY_SETTINGS, frob, rand_orthogonal, rand_spd
 
@@ -325,7 +330,8 @@ def linalg_calls(monkeypatch, fn, *args) -> list:
 
 class TestAmbientFactorizations:
     """The ambient path whitens in the start point's cached eigenbasis: it
-    forms no root and runs no eigh that only validates."""
+    forms no root and runs no eigh that only validates, and T and geodesic
+    points whose margin the bounds prove run no eigvalsh either."""
 
     def _embeddings(self):
         rng = np.random.default_rng(73)
@@ -338,16 +344,170 @@ class TestAmbientFactorizations:
         calls = linalg_calls(
             monkeypatch, lambda: geodesic_eval(geodesic(k0, k1), 0.5)
         )
-        assert sorted(calls) == [("eigh", 9), ("eigvalsh", 9), ("eigvalsh", 9)]
+        assert calls == [("eigh", 9)]
 
     def test_distance(self, monkeypatch):
         k0, k1 = self._embeddings()
         assert linalg_calls(monkeypatch, bures_distance_sq, k0, k1) == [("eigvalsh", 9)]
 
     def test_commuting_geodesic_validates_by_eigenvalues(self, monkeypatch):
+        # The endpoints' cached eigenvalues prove the point's margin.
         a, b, _, _ = commuting_pair(4, np.random.default_rng(74))
         calls = linalg_calls(monkeypatch, commuting_geodesic_eval, a, b, 0.3)
-        assert [c for c in calls if c[0] in ("eigh", "eigvalsh")] == [("eigvalsh", 4)]
+        assert [c for c in calls if c[0] in ("eigh", "eigvalsh")] == []
+
+
+def spread_spd(n, spread, rng, q=None):
+    """SPD matrix with log-eigenvalues uniform in [-spread, spread], in the
+    eigenbasis q (random when not given)."""
+    q = rand_orthogonal(n, rng) if q is None else q
+    return SpdMatrix((q * np.exp(rng.uniform(-spread, spread, n))) @ q.T)
+
+
+@st.composite
+def spread_pairs(draw):
+    """(A, B) with eigenvalues spread up to e^{+-12}: plain n x n matrices
+    (n <= 6), or embeddings (N = n^2 <= 9) of points whose factors spread
+    up to e^{+-6} each."""
+    spread = draw(st.floats(0.0, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        return spread_spd(n, spread, rng), spread_spd(n, spread, rng)
+    n = draw(st.integers(1, 3))
+    return tuple(
+        embed(
+            KroneckerPoint.from_factors(
+                spread_spd(n, spread / 2, rng), spread_spd(n, spread / 2, rng)
+            )
+        )
+        for _ in range(2)
+    )
+
+
+def deferred_builds(fn, *args) -> list:
+    """(entries, bounds) of each SpdMatrix that fn(*args) builds on the
+    deferred route, entries as stored. The builds run as usual; a transport
+    defect or a margin failure ends fn, and what was built until then is
+    returned."""
+    builds = []
+    init = SpdMatrix.__init__
+
+    def recording(self, entries, *, _eig=None):
+        if isinstance(_eig, _Deferred):
+            builds.append((spd_core.symmetrize(entries), _eig))
+        init(self, entries, _eig=_eig)
+
+    with mock.patch.object(SpdMatrix, "__init__", recording):
+        try:
+            fn(*args)
+        except (NumericalConsistencyError, NotPositiveDefinite):
+            pass
+    return builds
+
+
+def check_bounds(builds) -> None:
+    """Each build's bounds enclose its eigvalsh spectrum, and a margin they
+    prove passes the eigvalsh margin test."""
+    assert builds
+    for x, bounds in builds:
+        w = np.linalg.eigvalsh(x)
+        n = x.shape[0]
+        # The bounds hold for the exact matrix; the stored entries differ by
+        # the round-off that the decision's 64 N eps allows for.
+        roundoff = 64 * n * np.finfo(float).eps * w[-1]
+        assert bounds.lower <= w[0] + roundoff
+        assert bounds.upper >= w[-1] - roundoff
+        if bounds.proves_margin(n):
+            assert w[-1] > 0.0 and w[0] > PD_TOLERANCE * w[-1]
+
+
+def undecided_midpoint_curve() -> GeodesicCurve:
+    """A geodesic between gen_spd embeddings at n = 8 whose midpoint bounds
+    do not prove the margin (bound ratio 8.9e-14)."""
+    rng = np.random.default_rng(2)
+    k0, k1 = (
+        embed(KroneckerPoint.from_factors(gen_spd(8, rng), gen_spd(8, rng)))
+        for _ in range(2)
+    )
+    curve = geodesic(k0, k1)
+    assert not _geodesic_bounds(curve, 0.5).proves_margin(64)
+    return curve
+
+
+class TestCertifiedMargin:
+    """T and geodesic points are validated by Weyl bounds from spectra in
+    hand when those prove the margin, and by one eigvalsh otherwise."""
+
+    @PROPERTY_SETTINGS
+    @given(pair=spread_pairs())
+    def test_transport_and_geodesic_bounds_hold(self, pair):
+        a, b = pair
+
+        def curve_points():
+            curve = geodesic(a, b)
+            for t in (0.0, 0.25, 0.5, 1.0):
+                geodesic_eval(curve, t)
+
+        check_bounds(deferred_builds(curve_points))
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 9),
+        spread=st.floats(0.0, 12.0),
+        t=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_commuting_geodesic_bounds_hold(self, n, spread, t, seed):
+        rng = np.random.default_rng(seed)
+        q = rand_orthogonal(n, rng)
+        a, b = spread_spd(n, spread, rng, q), spread_spd(n, spread, rng, q)
+        check_bounds(deferred_builds(commuting_geodesic_eval, a, b, t))
+
+    def test_undecided_midpoint_runs_one_eigvalsh(self, monkeypatch):
+        curve = undecided_midpoint_curve()
+        calls = linalg_calls(monkeypatch, geodesic_eval, curve, 0.5)
+        assert calls == [("eigvalsh", 64)]
+        mid = geodesic_eval(curve, 0.5)
+        # The same entries pass the eigvalsh route, as they did before.
+        assert np.array_equal(SpdMatrix(mid.mat, _eig=_DEFERRED).mat, mid.mat)
+
+    def test_curve_built_by_hand_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        a, b = rand_spd(4, rng), rand_spd(4, rng)
+        by_hand = GeodesicCurve(a, transport_map(a, b))
+        calls = linalg_calls(monkeypatch, geodesic_eval, by_hand, 0.5)
+        assert calls == [("eigvalsh", 4)]
+        want = geodesic_eval(geodesic(a, b), 0.5).mat
+        assert np.array_equal(geodesic_eval(by_hand, 0.5).mat, want)
+
+    def test_geodesic_takes_bounds_from_transport_map(self, monkeypatch):
+        # Per-layer traces attribute a geodesic's transport to transport_map.
+        rng = np.random.default_rng(79)
+        a, b = rand_spd(4, rng), rand_spd(4, rng)
+        seen = []
+
+        def spy(*args):
+            seen.append(transport_map(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(bures_metric, "transport_map", spy)
+        curve = geodesic(a, b)
+        assert [curve.transport] == seen
+        assert curve._transport_bounds.proves_margin(4)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_endpoints_and_scalars_are_certified(self, monkeypatch, n):
+        rng = np.random.default_rng(78 + n)
+        a, b = rand_spd(n, rng), rand_spd(n, rng)
+
+        def run():
+            curve = geodesic(a, b)
+            for t in (0.0, 0.5, 1.0):
+                geodesic_eval(curve, t)
+
+        assert linalg_calls(monkeypatch, run) == [("eigh", n)]
+        check_bounds(deferred_builds(run))
 
 
 class TestReducedFactorizations:

@@ -14,7 +14,7 @@ from kronbures import (
     spd_sqrt,
     symmetrize,
 )
-from kronbures.spd_core import _DEFERRED, EigenDecomposition
+from kronbures.spd_core import _DEFERRED, EigenDecomposition, _Deferred
 
 from conftest import ORTHO_TOL, RECON_TOL, frob, rand_spd
 
@@ -274,3 +274,76 @@ class TestEigenvalueValidatedRoute:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             SpdMatrix(np.ones((2, 3)), _eig=_DEFERRED)
+
+
+def eigvalsh_calls(monkeypatch, fn) -> int:
+    """Number of eigvalsh calls made by fn()."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *rest, **kw):
+        calls.append(None)
+        return eigvalsh(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    try:
+        fn()
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+NAN = float("nan")
+
+
+class TestBoundedDeferredRoute:
+    """SpdMatrix(x, _eig=_Deferred(lower, upper)) skips the eigvalsh when the
+    bounds prove the margin, and is the eigvalsh route otherwise."""
+
+    def _spd(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((5, 5))
+        x = m @ m.T + 0.1 * np.eye(5)
+        w = np.linalg.eigvalsh(x)
+        return x, float(w[0]), float(w[-1])
+
+    def test_proved_margin_runs_no_eigvalsh(self, monkeypatch):
+        x, lo, hi = self._spd()
+        bounds = _Deferred(lo, hi)
+        assert bounds.proves_margin(5)
+        assert eigvalsh_calls(monkeypatch, lambda: SpdMatrix(x, _eig=bounds)) == 0
+        a, eager = SpdMatrix(x, _eig=bounds), SpdMatrix(x)
+        assert np.array_equal(a.mat, eager.mat)
+        assert np.array_equal(a.eig.eigenvalues, eager.eig.eigenvalues)
+        assert np.array_equal(a.eig.eigenvectors, eager.eig.eigenvectors)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [_Deferred(), _Deferred(NAN, 2.0), _Deferred(1.0, NAN), _Deferred(1e-15, 1.0),
+         _Deferred(-1.0, -2.0), _Deferred(np.inf, np.inf), _Deferred(0.5, 1e-310)],
+    )
+    def test_undecided_bounds_run_one_eigvalsh(self, monkeypatch, bounds):
+        x, _, _ = self._spd()
+        assert not bounds.proves_margin(5)
+        assert eigvalsh_calls(monkeypatch, lambda: SpdMatrix(x, _eig=bounds)) == 1
+        want = SpdMatrix(x, _eig=_DEFERRED).mat
+        assert np.array_equal(SpdMatrix(x, _eig=bounds).mat, want)
+
+    @pytest.mark.parametrize(
+        "entries", [np.diag([1.0, 1e-14]), np.diag([1.0, -1.0]), -np.eye(2)]
+    )
+    @pytest.mark.parametrize("bounds", [_Deferred(NAN, 1.0), _Deferred(0.0, 1.0)])
+    def test_undecided_bounds_raise_what_eigvalsh_raises(self, entries, bounds):
+        with pytest.raises(NotPositiveDefinite) as want:
+            SpdMatrix(entries, _eig=_DEFERRED)
+        with pytest.raises(NotPositiveDefinite) as got:
+            SpdMatrix(entries, _eig=bounds)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_raises_before_the_bounds_are_read(self, monkeypatch):
+        def unread(self, n):
+            raise AssertionError("bounds read before the finiteness test")
+
+        monkeypatch.setattr(_Deferred, "proves_margin", unread)
+        with pytest.raises(NotPositiveDefinite, match="non-finite"):
+            SpdMatrix([[1.0, np.nan], [np.nan, 1.0]], _eig=_Deferred(1.0, 1.0))
