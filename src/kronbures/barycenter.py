@@ -9,6 +9,7 @@ coordinates serves as the independent numerical oracle.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,18 +273,22 @@ def _project_centered_box(vec: np.ndarray, bound: float) -> np.ndarray:
     already in the set is returned unchanged. A constant input, n = 1
     included, projects to 0; it is the one input whose breakpoints can
     all round to a single value (bound below half an ulp of the entries),
-    leaving no sign change to find.
+    leaving no sign change to find. Every clip is the ufunc pair
+    minimum(maximum(v, -bound), bound), which gives np.clip's bits.
     """
-    if np.all(vec == vec[0]):
+    if (vec == vec[0]).all():
         return np.zeros_like(vec)
     if vec.sum() == 0.0 and np.abs(vec).max() <= bound:
         return vec.copy()
-    breaks = np.sort(np.concatenate([vec - bound, vec + bound]))
-    g = np.clip(vec - breaks[:, None], -bound, bound).sum(axis=1)
-    k = int(np.argmax(g <= 0.0))
+    breaks = np.concatenate([vec - bound, vec + bound])
+    breaks.sort()
+    clipped = vec - breaks[:, None]
+    np.maximum(clipped, -bound, out=clipped)
+    g = np.minimum(clipped, bound, out=clipped).sum(axis=1)
+    k = int((g <= 0.0).argmax())
     lo, hi = breaks[k - 1], breaks[k]
     tau = lo + (hi - lo) * (g[k - 1] / (g[k - 1] - g[k]))
-    return np.clip(vec - tau, -bound, bound)
+    return np.minimum(np.maximum(vec - tau, -bound), bound)
 
 
 def log_coordinate_oracle(data: SliceData) -> tuple[np.ndarray, np.ndarray, float]:
@@ -294,74 +299,80 @@ def log_coordinate_oracle(data: SliceData) -> tuple[np.ndarray, np.ndarray, floa
     safeguarded by a backtracking line search. Independent of the Perron
     route; returns (x, y, projected first-order residual). Stops early once
     the objective decrease stays below float resolution, since the line
-    search cannot certify progress past that point.
+    search cannot certify progress past that point. Each trial point is
+    evaluated once: that evaluation keeps x = e^s, y = e^r, e^(s/2),
+    e^(r/2) and their sums, the gradient at the accepted point is formed
+    from them, and the returned x, y are the accepted point's own.
     """
     c_mat = coefficient_matrix(data)
     n = data.n
     bound = ORACLE_BOUND
-
-    def split(z):
-        return z[:n], z[n:]
+    kappa = data.kappa
 
     def project(z):
-        s, r = split(z)
-        return np.concatenate(
-            [_project_centered_box(s, bound), np.clip(r, -bound, bound)]
-        )
+        out = np.empty_like(z)
+        out[:n] = _project_centered_box(z[:n], bound)
+        np.minimum(np.maximum(z[n:], -bound), bound, out=out[n:])
+        return out
 
-    def objective(z):
-        s, r = split(z)
-        x = np.exp(s)
-        y = np.exp(r)
-        cross = float(np.exp(0.5 * s) @ c_mat @ np.exp(0.5 * r))
-        return float(x.sum() * y.sum() + data.kappa - 2.0 * cross)
+    def residual_at(z, g):
+        # np.linalg.norm of a vector is sqrt(d.dot(d)), without its wrapper.
+        d = z - project(z - g)
+        return math.sqrt(d.dot(d))
 
-    def gradient(z):
-        s, r = split(z)
+    def evaluate(z):
+        """Objective at z, and the values its gradient is formed from."""
+        s, r = z[:n], z[n:]
         x = np.exp(s)
         y = np.exp(r)
         sx = np.exp(0.5 * s)
         sy = np.exp(0.5 * r)
-        gs = x * y.sum() - sx * (c_mat @ sy)
-        gr = y * x.sum() - sy * (c_mat.T @ sx)
-        return np.concatenate([gs, gr])
+        x_sum, y_sum = x.sum(), y.sum()
+        f = float(x_sum * y_sum + kappa - 2.0 * float(sx @ c_mat @ sy))
+        return f, (x, y, sx, sy, x_sum, y_sum)
+
+    def gradient(point):
+        x, y, sx, sy, x_sum, y_sum = point
+        g = np.empty(2 * n)
+        np.subtract(x * y_sum, sx * (c_mat @ sy), out=g[:n])
+        np.subtract(y * x_sum, sy * (c_mat.T @ sx), out=g[n:])
+        return g
 
     z = project(
         np.concatenate(
             [np.log(data.u_eigs).mean(axis=0), np.log(data.v_eigs).mean(axis=0)]
         )
     )
-    f = objective(z)
-    g = gradient(z)
+    f, point = evaluate(z)
+    g = gradient(point)
     step = 1.0
     stalled = 0
-    residual = float(np.linalg.norm(z - project(z - g)))
+    residual = residual_at(z, g)
     for _ in range(ORACLE_MAX_ITER):
         if residual <= ORACLE_GRAD_TOL or stalled >= 20:
-            s, r = split(z)
-            return np.exp(s), np.exp(r), residual
+            return point[0], point[1], residual
         while True:
             z_new = project(z - step * g)
             dz = z_new - z
-            f_new = objective(z_new)
-            if f_new <= f + float(g @ dz) + float(dz @ dz) / (2.0 * step):
+            dz_sq = float(dz @ dz)
+            f_new, point_new = evaluate(z_new)
+            if f_new <= f + float(g @ dz) + dz_sq / (2.0 * step):
                 break
             step *= 0.5
             if step < 1e-14:
                 break
-        g_new = gradient(z_new)
+        g_new = gradient(point_new)
         dg = g_new - g
         curv = float(dz @ dg)
         if curv > 0.0:
-            step = min(max(float(dz @ dz) / curv, 1e-12), 1e8)
+            step = min(max(dz_sq / curv, 1e-12), 1e8)
         else:
             step = min(step * 2.0, 1.0)
         stalled = stalled + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
-        z, f, g = z_new, f_new, g_new
-        residual = float(np.linalg.norm(z - project(z - g)))
+        z, f, g, point = z_new, f_new, g_new, point_new
+        residual = residual_at(z, g)
     if residual <= ORACLE_GRAD_TOL:
-        s, r = split(z)
-        return np.exp(s), np.exp(r), residual
+        return point[0], point[1], residual
     raise NoConvergence(
         f"projected gradient made no further progress after {ORACLE_MAX_ITER} "
         f"iterations; residual {residual:.3e}",

@@ -32,7 +32,7 @@ from kronbures import (
 from kronbures import barycenter
 from kronbures.barycenter import _project_centered_box
 from kronbures.bures_metric import _whitened_root
-from kronbures.bench_cli import gen_log_diag, gen_spd
+from kronbures.bench_cli import barycenter_dataset, gen_log_diag, gen_spd
 from kronbures.kron_model import leaf_factor
 
 from conftest import PROPERTY_SETTINGS, frob, rand_point, rand_spd
@@ -569,6 +569,170 @@ class TestCenteredBoxProjection:
         # breakpoints round to one value.
         s = _project_centered_box(np.full(n, value), b)
         assert np.array_equal(s, np.zeros(n))
+
+
+def _reference_projection(vec, bound):
+    """_project_centered_box as first written, with np.clip, np.all and
+    np.argmax; a frozen copy whose bits the library must reproduce."""
+    if np.all(vec == vec[0]):
+        return np.zeros_like(vec)
+    if vec.sum() == 0.0 and np.abs(vec).max() <= bound:
+        return vec.copy()
+    breaks = np.sort(np.concatenate([vec - bound, vec + bound]))
+    g = np.clip(vec - breaks[:, None], -bound, bound).sum(axis=1)
+    k = int(np.argmax(g <= 0.0))
+    lo, hi = breaks[k - 1], breaks[k]
+    tau = lo + (hi - lo) * (g[k - 1] / (g[k - 1] - g[k]))
+    return np.clip(vec - tau, -bound, bound)
+
+
+def _reference_oracle(data, counts=None):
+    """log_coordinate_oracle as first written, with separate objective and
+    gradient passes, np.clip and np.linalg.norm; a frozen copy whose bits
+    the library must reproduce. counts, when given, receives the number of
+    iterations and of trial points."""
+    c_mat = coefficient_matrix(data)
+    n = data.n
+    bound = barycenter.ORACLE_BOUND
+    counts = {} if counts is None else counts
+    counts.update(iterations=0, trials=0)
+
+    def split(z):
+        return z[:n], z[n:]
+
+    def project(z):
+        s, r = split(z)
+        return np.concatenate([_reference_projection(s, bound), np.clip(r, -bound, bound)])
+
+    def objective(z):
+        s, r = split(z)
+        x = np.exp(s)
+        y = np.exp(r)
+        cross = float(np.exp(0.5 * s) @ c_mat @ np.exp(0.5 * r))
+        return float(x.sum() * y.sum() + data.kappa - 2.0 * cross)
+
+    def gradient(z):
+        s, r = split(z)
+        x = np.exp(s)
+        y = np.exp(r)
+        sx = np.exp(0.5 * s)
+        sy = np.exp(0.5 * r)
+        gs = x * y.sum() - sx * (c_mat @ sy)
+        gr = y * x.sum() - sy * (c_mat.T @ sx)
+        return np.concatenate([gs, gr])
+
+    z = project(
+        np.concatenate([np.log(data.u_eigs).mean(axis=0), np.log(data.v_eigs).mean(axis=0)])
+    )
+    f = objective(z)
+    g = gradient(z)
+    step = 1.0
+    stalled = 0
+    residual = float(np.linalg.norm(z - project(z - g)))
+    for _ in range(barycenter.ORACLE_MAX_ITER):
+        if residual <= barycenter.ORACLE_GRAD_TOL or stalled >= 20:
+            s, r = split(z)
+            return np.exp(s), np.exp(r), residual
+        counts["iterations"] += 1
+        while True:
+            counts["trials"] += 1
+            z_new = project(z - step * g)
+            dz = z_new - z
+            f_new = objective(z_new)
+            if f_new <= f + float(g @ dz) + float(dz @ dz) / (2.0 * step):
+                break
+            step *= 0.5
+            if step < 1e-14:
+                break
+        g_new = gradient(z_new)
+        dg = g_new - g
+        curv = float(dz @ dg)
+        if curv > 0.0:
+            step = min(max(float(dz @ dz) / curv, 1e-12), 1e8)
+        else:
+            step = min(step * 2.0, 1.0)
+        stalled = stalled + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
+        z, f, g = z_new, f_new, g_new
+        residual = float(np.linalg.norm(z - project(z - g)))
+    if residual <= barycenter.ORACLE_GRAD_TOL:
+        s, r = split(z)
+        return np.exp(s), np.exp(r), residual
+    raise NoConvergence("reference oracle exhausted its budget", best=z, residual=residual)
+
+
+def _assert_same_solve(data):
+    x_ref, y_ref, res_ref = _reference_oracle(data)
+    x, y, residual = log_coordinate_oracle(data)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(y, y_ref)
+    assert residual == res_ref
+
+
+@st.composite
+def constant_problems(draw):
+    """(v, b) with every entry of v equal, n = 1 included."""
+    n = draw(st.integers(1, 16))
+    value = draw(st.floats(-40.0, 40.0))
+    bound = draw(st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False))
+    return np.full(n, value), bound
+
+
+class TestOracleBitwiseReference:
+    """The oracle and its projection reproduce their first form bit for bit."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_harness_datasets(self, name):
+        for seed in range(1000, 1040):
+            _assert_same_solve(barycenter_dataset(name, 8, 8, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("bound", [barycenter.ORACLE_BOUND, 2.0])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_random_slice_data(self, monkeypatch, n, scale, bound):
+        # At bound 2 and log scale 3 the box is active at the solution.
+        monkeypatch.setattr(barycenter, "ORACLE_BOUND", bound)
+        rng = np.random.default_rng(100 * n + int(10 * scale))
+        for _ in range(4):
+            _assert_same_solve(rand_slice_data(n, 4, rng, scale=scale))
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(box_problems(), feasible_points(), constant_problems()))
+    @example(FLAT_AT_ZERO)
+    @example(TIED)
+    @example((np.array([0.7]), 1.0))
+    @example((np.array([1.0, 1.0]), 1e-30))
+    def test_projection(self, problem):
+        v, b = problem
+        assert np.array_equal(_project_centered_box(v, b), _reference_projection(v, b))
+
+    def test_one_evaluation_per_trial_point(self, monkeypatch):
+        # Four exps per evaluation, at the start and at each trial point, and
+        # none for a gradient or the return value. Two projections at the
+        # start (the initial point and its residual), then per iteration one
+        # per trial point and one for the residual.
+        data = barycenter_dataset("C", 8, 8, np.random.default_rng(1003))
+        counts = {}
+        expected = _reference_oracle(data, counts)
+        assert counts["iterations"] > 0 and counts["trials"] > counts["iterations"]
+        calls = {"exp": 0, "project": 0}
+        exp, project = np.exp, barycenter._project_centered_box
+
+        def counting_exp(*args, **kwargs):
+            calls["exp"] += 1
+            return exp(*args, **kwargs)
+
+        def counting_project(vec, bound):
+            calls["project"] += 1
+            return project(vec, bound)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        monkeypatch.setattr(barycenter, "_project_centered_box", counting_project)
+        x, y, residual = log_coordinate_oracle(data)
+        monkeypatch.undo()
+        assert np.array_equal(x, expected[0]) and np.array_equal(y, expected[1])
+        assert residual == expected[2]
+        assert calls["exp"] == 4 * (1 + counts["trials"])
+        assert calls["project"] == 2 + counts["trials"] + counts["iterations"]
 
 
 class TestSliceData:

@@ -134,6 +134,30 @@ class TestKron:
         with pytest.raises(DimensionMismatch):
             kron(np.ones((2, 3)), np.eye(2))
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 5), (8, 8), (5, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_numpy_kron(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) * np.exp(4.0 * rng.standard_normal((n, n)))
+        b = rng.standard_normal((m, m)) * np.exp(4.0 * rng.standard_normal((m, m)))
+        got = kron(a, b)
+        assert got.shape == (n * m, n * m)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.kron(a, b))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.eye(2), np.ones((2, 3))),
+            (np.ones((1, 2)), np.eye(1)),
+            (np.ones(3), np.eye(3)),
+            (np.eye(2), np.ones((2, 2, 2))),
+        ],
+    )
+    def test_rejects_non_square_either_side(self, a, b):
+        with pytest.raises(DimensionMismatch):
+            kron(a, b)
+
 
 class TestPartialTraces:
     @pytest.mark.parametrize("seed", range(5))
