@@ -29,7 +29,6 @@ from .spd_core import (
     log_det,
     partial_trace_1,
     partial_trace_2,
-    spd_inv_sqrt,
     spd_sqrt,
     symmetrize,
 )

@@ -78,24 +78,25 @@ def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
         )
 
 
-# The whitened product Y^T B Y, for any square-root factor Y Y^T = A, is
+# The whitened product Y^T B Y, for a square-root factor Y Y^T = A, is
 # formed and decomposed only by the helpers below; see SpdMatrix for why it
-# is never validated. Its spectrum and root do not depend on which factor:
-# Y^T B Y is orthogonally similar to A^1/2 B A^1/2. The ambient path takes
-# Y = Q L^1/2 and Z = Q L^-1/2 = Y^-T from the cached A = Q L Q^T, two
-# column scalings, so the small eigendirections of A are never rounded
-# through a formed root A^-1/2. The reduced path passes the cached
-# symmetric factor roots, for which Y^T B Y has the bits of Y B Y. Y and B
-# may each be one n x n matrix or a stack of shape (m, n, n): Y^T B Y is
-# then one broadcast matmul and its decomposition one stacked LAPACK call,
-# which runs the same per-matrix routine as m separate calls and returns
-# the same bits.
+# is never validated. Its spectrum does not depend on which factor: Y^T B Y
+# is orthogonally similar to A^1/2 B A^1/2. Every caller takes Y = Q L^1/2
+# and, where it needs one, Z = Q L^-1/2 = Y^-T from the cached
+# A = Q L Q^T, two column scalings, so the small eigendirections of A are
+# never rounded through a formed root A^-1/2. Y and B may each be one
+# n x n matrix or a stack of shape (m, n, n): Y^T B Y is then one
+# broadcast matmul and its decomposition one stacked LAPACK call, which
+# runs the same per-matrix routine as m separate calls and returns the
+# same bits.
 
 
 def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrized Y^T B Y, clipped at 0."""
-    w = np.linalg.eigvalsh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
-    return np.maximum(w, 0.0)
+    """Ascending eigenvalues of the symmetrized Y^T B Y, clipped at 0; Y and
+    B may also be stacks of any depth that broadcast."""
+    m = np.swapaxes(y, -1, -2) @ b @ y
+    m = symmetrize(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape)
+    return np.maximum(np.linalg.eigvalsh(m), 0.0)
 
 
 def _whitened_root_spectrum(
@@ -106,11 +107,6 @@ def _whitened_root_spectrum(
     w, q = np.linalg.eigh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
     r = np.sqrt(np.maximum(w, 0.0))
     return (q * r[..., None, :]) @ np.swapaxes(q, -1, -2), r
-
-
-def _whitened_root(y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(Y^T B Y)^1/2 alone."""
-    return _whitened_root_spectrum(y, b)[0]
 
 
 def _extremes(a: SpdMatrix) -> tuple[float, float]:
@@ -139,11 +135,12 @@ def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
 def transport_map(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2, with T A T = B."""
     _check_same_dim(a, b)
-    return _transport(a, b)
+    return _transport(a, b)[0]
 
 
-def _transport(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
-    """transport_map(a, b) as T = Z R Z^T, R = (Y^T B Y)^1/2, validated by
+def _transport(a: SpdMatrix, b: SpdMatrix) -> tuple[SpdMatrix, np.ndarray]:
+    """transport_map(a, b) as T = Z R Z^T, with the whitened root
+    R = (Y^T B Y)^1/2 it is formed from; T is validated by
     r_min / a_max <= lambda(T) <= r_max / a_min when that proves the margin."""
     y, z = _root_factors(a)
     root, r = _whitened_root_spectrum(y, b.mat)
@@ -156,7 +153,7 @@ def _transport(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
             f"transport defining property violated: relative defect "
             f"{defect / np.linalg.norm(b.mat):.6e}"
         )
-    return t
+    return t, root
 
 
 def geodesic(a: SpdMatrix, b: SpdMatrix) -> GeodesicCurve:

@@ -177,7 +177,11 @@ class FactorTransports:
     """Factor Bures transports and their whitened similarity images.
 
     P = V0^-1/2 S_V V0^1/2 and Q = U0^-1/2 S_U U0^1/2 share the spectra of
-    S_V and S_U; the ambient transport factorizes as S_V (x) S_U.
+    S_V and S_U; the ambient transport factorizes as S_V (x) S_U. With
+    V0 = E L E^T, S_V = Z R Z^T for Z = E L^-1/2 and the whitened root
+    R = (Y^T V1 Y)^1/2, Y = E L^1/2, so P is formed as E L^-1 R E^T from
+    the R the transport already holds, and Q likewise; no root of V0 or U0
+    is formed.
     """
 
     s_u: SpdMatrix
@@ -389,15 +393,22 @@ def factor_transports(p0: KroneckerPoint, p1: KroneckerPoint) -> FactorTransport
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
     # The transports whiten in p0's factor eigenbases, as transport_map
-    # does, so they have its bits; p0's cached roots serve only P and Q.
-    s_v = _transport(p0.v_factor, p1.v_factor)
-    s_u = _transport(p0.u_factor, p1.u_factor)
+    # does, so they have its bits.
+    s_v, r_v = _transport(p0.v_factor, p1.v_factor)
+    s_u, r_u = _transport(p0.u_factor, p1.u_factor)
     return FactorTransports(
         s_u=s_u,
         s_v=s_v,
-        p_mat=p0.v_inv_sqrt @ s_v.mat @ p0.v_sqrt,
-        q_mat=p0.u_inv_sqrt @ s_u.mat @ p0.u_sqrt,
+        p_mat=_whitened_transport(p0.v_factor, r_v),
+        q_mat=_whitened_transport(p0.u_factor, r_u),
     )
+
+
+def _whitened_transport(a: SpdMatrix, root: np.ndarray) -> np.ndarray:
+    """A^-1/2 S A^1/2 = E L^-1 R E^T for the transport S = Z R Z^T from
+    A = E L E^T, given its whitened root R."""
+    e = a.eig.eigenvectors
+    return (e / a.eig.eigenvalues) @ root @ e.T
 
 
 def whitened_initial_velocity(ft: FactorTransports) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from .bures_metric import (
     _clamp_distance_sq,
     _clamp_distances_sq,
+    _root_factors,
     _whitened_eigvals,
     bures_distance_sq,
     geodesic,
@@ -42,8 +43,6 @@ from .spd_core import (
     kron,
     partial_trace_1,
     partial_trace_2,
-    spd_inv_sqrt,
-    spd_sqrt,
 )
 
 # |log det U| per dimension allowed by the determinant gauge.
@@ -77,11 +76,11 @@ class KroneckerPoint:
     """Gauge-normalized factor pair (U, V) representing V (x) U.
 
     Three private caches serve the reduced distance: the factor stack
-    (V, U) of shape (2, n, n), the root stack (V^1/2, U^1/2), and the
-    float tr U * tr V. ``v_sqrt`` and ``u_sqrt`` are views of the root
-    stack; U^-1/2 and V^-1/2 are cached on their own. Each is computed on
-    first use and read-only. The caches hold only n x n arrays; the
-    n^2 x n^2 embedding caches nothing.
+    (V, U) of shape (2, n, n), the stack (Y_V, Y_U) of the factors' root
+    factors Y = Q L^1/2 from ``bures_metric._root_factors`` (Y Y^T is the
+    factor), and the float tr U * tr V. Each is computed on first use and
+    read-only. The caches hold only n x n arrays; the n^2 x n^2 embedding
+    caches nothing.
     """
 
     u_factor: SpdMatrix
@@ -103,28 +102,14 @@ class KroneckerPoint:
         return _read_only(np.stack((self.v_factor.mat, self.u_factor.mat)))
 
     @cached_property
-    def _roots(self) -> np.ndarray:
-        return _read_only(np.stack((spd_sqrt(self.v_factor), spd_sqrt(self.u_factor))))
+    def _y_factors(self) -> np.ndarray:
+        return _read_only(
+            np.stack((_root_factors(self.v_factor)[0], _root_factors(self.u_factor)[0]))
+        )
 
     @cached_property
     def _trace_product(self) -> float:
         return self.u_factor.trace() * self.v_factor.trace()
-
-    @cached_property
-    def u_sqrt(self) -> np.ndarray:
-        return self._roots[1]
-
-    @cached_property
-    def v_sqrt(self) -> np.ndarray:
-        return self._roots[0]
-
-    @cached_property
-    def u_inv_sqrt(self) -> np.ndarray:
-        return _read_only(spd_inv_sqrt(self.u_factor))
-
-    @cached_property
-    def v_inv_sqrt(self) -> np.ndarray:
-        return _read_only(spd_inv_sqrt(self.v_factor))
 
     @classmethod
     def from_factors(cls, u: SpdMatrix, v: SpdMatrix) -> "KroneckerPoint":
@@ -214,7 +199,7 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
 
 def _whitened_spectrum(roots: np.ndarray, factors: np.ndarray) -> np.ndarray:
     # Descending along the last axis, the order PairwiseSpectrum documents;
-    # roots and factors are matching matrices, or stacks of them.
+    # root factors and factors are matching matrices, or stacks of them.
     return np.ascontiguousarray(_whitened_eigvals(roots, factors)[..., ::-1])
 
 
@@ -225,11 +210,11 @@ def pairwise_bures_sq_reduced(
 
     Uses the product form tr(A^1/2) tr(B^1/2) for the cross term, so the
     whole computation costs one stacked eigendecomposition of the two
-    n x n whitened factors, plus p0's two factor roots on its first use.
+    n x n whitened factors, plus p0's two root factors on its first use.
     """
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    spectrum = _whitened_spectrum(p0._roots, p1._factors)
+    spectrum = _whitened_spectrum(p0._y_factors, p1._factors)
     cross = np.sqrt(spectrum).sum(axis=-1)
     tr_sum = p0._trace_product + p1._trace_product
     d2 = tr_sum - 2.0 * float(cross[0]) * float(cross[1])
@@ -243,7 +228,8 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
 
     Entry i equals ``pairwise_bures_sq_reduced(p, points[i])[0]`` bit for
     bit; the whitened spectra of all points, both factors, come from one
-    stacked eigendecomposition of shape (2m, n, n).
+    stacked eigendecomposition of shape (m, 2, n, n), with p's root
+    factors broadcast against every point's factor stack.
     """
     points = list(points)
     for q in points:
@@ -251,10 +237,9 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
             raise DimensionMismatch(f"factor dimensions differ: {p.n} vs {q.n}")
     if not points:
         return np.empty(0)
-    m, n = len(points), p.n
-    factors = np.stack([q._factors for q in points]).reshape(2 * m, n, n)
-    spectrum = _whitened_spectrum(np.tile(p._roots, (m, 1, 1)), factors)
-    cross = np.sqrt(spectrum).sum(axis=-1).reshape(m, 2)
+    factors = np.stack([q._factors for q in points])
+    spectrum = _whitened_spectrum(p._y_factors, factors)
+    cross = np.sqrt(spectrum).sum(axis=-1)
     tr_sum = p._trace_product + np.array([q._trace_product for q in points])
     d2 = tr_sum - 2.0 * cross[:, 0] * cross[:, 1]
     return _clamp_distances_sq(d2, tr_sum)

@@ -114,10 +114,11 @@ class SpdMatrix:
     Two threads racing on that first read both compute it from the same
     read-only entries, get the same bits, and either may store it.
 
-    ``spd_sqrt`` and ``spd_inv_sqrt`` return arrays unvalidated: A^{+-1/2}
-    of a validated A has finite entries and margin
-    sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) = 1e-6, far above
-    ``PD_TOLERANCE``, so the check could not fail. The whitened product
+    ``spd_sqrt`` returns an array unvalidated: A^1/2 of a validated A has
+    finite entries and margin sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) =
+    1e-6, far above ``PD_TOLERANCE``, so the check could not fail. No
+    inverse root is formed: where A^-1/2 enters, the library scales the
+    columns of A's cached eigenvectors instead. The whitened product
     Y^T B Y, Y Y^T = A, is never wrapped: it can fall below the margin
     while what is built from it is well conditioned (for V0 (x) U and
     V1 (x) U it carries U^2), so ``bures_metric`` clips its spectrum at 0
@@ -196,12 +197,6 @@ def spd_sqrt(a: SpdMatrix) -> np.ndarray:
     """
     q = a.eig.eigenvectors
     return symmetrize((q * np.sqrt(a.eig.eigenvalues)) @ q.T)
-
-
-def spd_inv_sqrt(a: SpdMatrix) -> np.ndarray:
-    """Inverse square root R with R @ A @ R = I, as a symmetric array."""
-    q = a.eig.eigenvectors
-    return symmetrize((q * (1.0 / np.sqrt(a.eig.eigenvalues))) @ q.T)
 
 
 def kron(a, b) -> np.ndarray:

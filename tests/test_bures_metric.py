@@ -35,7 +35,7 @@ from kronbures.bures_metric import (
     _geodesic_bounds,
     _root_factors,
     _whitened_eigvals,
-    _whitened_root,
+    _whitened_root_spectrum,
 )
 from kronbures.spd_core import _DEFERRED, PD_TOLERANCE, _Deferred
 
@@ -219,11 +219,11 @@ class TestStackedWhitening:
         s = spd_sqrt(rand_spd(n, rng))
         stack = np.stack([rand_spd(n, rng).mat for _ in range(count)])
         eigvals = _whitened_eigvals(s, stack)
-        roots = _whitened_root(s, stack)
+        roots = _whitened_root_spectrum(s, stack)[0]
         assert eigvals.shape == (count, n) and roots.shape == (count, n, n)
         for i in range(count):
             assert np.array_equal(eigvals[i], _whitened_eigvals(s, stack[i]))
-            assert np.array_equal(roots[i], _whitened_root(s, stack[i]))
+            assert np.array_equal(roots[i], _whitened_root_spectrum(s, stack[i])[0])
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_stacked_root_factors(self, n):
@@ -234,10 +234,10 @@ class TestStackedWhitening:
         b = np.stack([rand_spd(n, rng).mat for _ in range(2)])
         assert not np.array_equal(y[0], y[0].T)
         eigvals = _whitened_eigvals(y, b)
-        roots = _whitened_root(y, b)
+        roots = _whitened_root_spectrum(y, b)[0]
         for i in range(2):
             assert np.array_equal(eigvals[i], _whitened_eigvals(y[i], b[i]))
-            assert np.array_equal(roots[i], _whitened_root(y[i], b[i]))
+            assert np.array_equal(roots[i], _whitened_root_spectrum(y[i], b[i])[0])
 
 
 class TestClampDistances:
@@ -300,8 +300,8 @@ class TestSpdConstructions:
 
 
 def linalg_calls(monkeypatch, fn, *args) -> list:
-    """(name, dimension) of each eigh, eigvalsh, spd_sqrt and spd_inv_sqrt
-    call made by fn(*args), in call order."""
+    """(name, dimension) of each eigh, eigvalsh and spd_sqrt call made by
+    fn(*args), in call order."""
     calls = []
 
     def counting(name, f):
@@ -313,14 +313,13 @@ def linalg_calls(monkeypatch, fn, *args) -> list:
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    for name in ("spd_sqrt", "spd_inv_sqrt"):
-        orig = getattr(spd_core, name)
-        wrapped = counting(name, orig)
-        for key, module in list(sys.modules.items()):
-            if key == "kronbures" or key.startswith("kronbures."):
-                for attr, value in list(vars(module).items()):
-                    if value is orig:
-                        monkeypatch.setattr(module, attr, wrapped)
+    orig = spd_core.spd_sqrt
+    wrapped = counting("spd_sqrt", orig)
+    for key, module in list(sys.modules.items()):
+        if key == "kronbures" or key.startswith("kronbures."):
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, wrapped)
     try:
         fn(*args)
     finally:
@@ -512,7 +511,8 @@ class TestCertifiedMargin:
 
 class TestReducedFactorizations:
     """A reduced distance whitens both factors in one stacked eigvalsh, and
-    a cloud all of its factors in one more; the query's roots are cached."""
+    a cloud all of its factors in one more; the query's root factors are
+    cached."""
 
     def _points(self, count):
         rng = np.random.default_rng(76)
@@ -521,7 +521,7 @@ class TestReducedFactorizations:
             KroneckerPoint.from_factors(rand_spd(4, rng), rand_spd(4, rng))
             for _ in range(count)
         ]
-        p.u_sqrt  # fills the root cache: only the whitening is counted
+        p._y_factors  # fills the root cache: only the whitening is counted
         return p, cloud
 
     def test_pair(self, monkeypatch):

@@ -37,13 +37,12 @@ from kronbures import (
     pi_residual,
     pullback_metric_isotropic,
     row_leaf,
-    spd_inv_sqrt,
     sqrt_profile_at,
     transport_map,
     whitened_initial_velocity,
     write_departure_profile,
 )
-from kronbures import bures_metric, closure_diagnostics, kron_model
+from kronbures import bures_metric, closure_diagnostics
 from kronbures.closure_diagnostics import profile_matrix
 
 from conftest import (
@@ -486,28 +485,25 @@ class TestPiResidual:
 
 class TestFactorTransports:
     def test_each_root_of_p0_taken_once(self, monkeypatch):
+        # Each call takes the root factors of p0's two factors once, inside
+        # the transports, and forms no principal root.
         calls = []
-        # Every root binding in the two modules; bures_metric forms no
-        # inverse root.
-        for module, name in (
-            (kron_model, "spd_sqrt"),
-            (kron_model, "spd_inv_sqrt"),
-            (bures_metric, "spd_sqrt"),
-        ):
-            fn = getattr(module, name)
+        for name in ("_root_factors", "spd_sqrt"):
+            fn = getattr(bures_metric, name)
 
             def counted(a, fn=fn, name=name):
                 calls.append((name, a))
                 return fn(a)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(bures_metric, name, counted)
         rng = np.random.default_rng(13)
         p0, p1, p2 = (rand_point(3, rng) for _ in range(3))
         ft = factor_transports(p0, p1)
-        assert len(calls) == 4 and len({(n, id(a)) for n, a in calls}) == 4
+        want = [("_root_factors", p0.v_factor), ("_root_factors", p0.u_factor)]
+        assert calls == want
         factor_transports(p0, p2)
-        assert len(calls) == 4
-        # Same bits as the transports computed from fresh roots.
+        assert calls == want * 2
+        # Same bits as the transports computed by transport_map.
         assert np.array_equal(ft.s_v.mat, transport_map(p0.v_factor, p1.v_factor).mat)
         assert np.array_equal(ft.s_u.mat, transport_map(p0.u_factor, p1.u_factor).mat)
 
@@ -544,6 +540,12 @@ class TestFactorTransports:
             assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
 
 
+def _inv_sqrt(a):
+    """A^-1/2 from a fresh eigh of A, apart from the library's roots."""
+    w, q = np.linalg.eigh(a)
+    return (q / np.sqrt(w)) @ q.T
+
+
 class TestWhitenedVelocity:
     def test_zero_for_coincident(self):
         p = rand_point(2, np.random.default_rng(13))
@@ -564,7 +566,7 @@ class TestWhitenedVelocity:
         k0 = embed(p0)
         t = transport_map(k0, embed(p1)).mat
         velocity = (t - np.eye(4)) @ k0.mat + k0.mat @ (t - np.eye(4))
-        w = kron(spd_inv_sqrt(p0.v_factor), spd_inv_sqrt(p0.u_factor))
+        w = kron(_inv_sqrt(p0.v_factor.mat), _inv_sqrt(p0.u_factor.mat))
         direct = w @ velocity @ w
         assert frob(z0 - direct) <= 1e-9 * max(frob(direct), 1.0)
 

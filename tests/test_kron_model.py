@@ -30,9 +30,9 @@ from kronbures import (
     row_leaf,
 )
 from kronbures import kron_model
-from kronbures.bures_metric import _clamp_distance_sq
+from kronbures.bures_metric import _clamp_distance_sq, _root_factors
 from kronbures.kron_model import leaf_factor, leaf_point
-from kronbures.spd_core import kron, spd_inv_sqrt, spd_sqrt
+from kronbures.spd_core import kron
 
 from conftest import (
     ORTHO_TOL,
@@ -278,9 +278,10 @@ class TestPairwiseReduction:
 
 def _per_factor_reduced(p0, p1):
     """The reduced formula one factor at a time: one whitened spectrum per
-    factor from the cached roots, and the trace sum from four traces."""
-    alpha = kron_model._whitened_spectrum(p0.v_sqrt, p1.v_factor.mat)
-    beta = kron_model._whitened_spectrum(p0.u_sqrt, p1.u_factor.mat)
+    factor from the cached root factors, and the trace sum from four traces."""
+    y_v, y_u = p0._y_factors
+    alpha = kron_model._whitened_spectrum(y_v, p1.v_factor.mat)
+    beta = kron_model._whitened_spectrum(y_u, p1.u_factor.mat)
     tr_sum = (
         p0.u_factor.trace() * p0.v_factor.trace()
         + p1.u_factor.trace() * p1.v_factor.trace()
@@ -370,35 +371,29 @@ class TestBatchedReduction:
             objective_J(p, [p, p], [0.5, 0.5])
 
 
-ROOTS = ("u_sqrt", "v_sqrt", "u_inv_sqrt", "v_inv_sqrt")
-
-
 class TestRootCache:
     def test_roots_match_and_are_read_only(self):
+        # The stack (Y_V, Y_U) holds the root factors Y = Q L^1/2 of
+        # _root_factors, bit for bit, with Y Y^T equal to the factor.
         p = rand_point(4, np.random.default_rng(44))
-        expected = {
-            "u_sqrt": spd_sqrt(p.u_factor),
-            "v_sqrt": spd_sqrt(p.v_factor),
-            "u_inv_sqrt": spd_inv_sqrt(p.u_factor),
-            "v_inv_sqrt": spd_inv_sqrt(p.v_factor),
-        }
-        for name in ROOTS:
-            root = getattr(p, name)
-            assert root is getattr(p, name)
-            assert np.array_equal(root, expected[name])
-            with pytest.raises(ValueError):
-                root[0, 0] = 1.0
+        roots = p._y_factors
+        assert roots is p._y_factors
+        assert roots.shape == (2, 4, 4)
+        for y, factor in zip(roots, (p.v_factor, p.u_factor)):
+            assert np.array_equal(y, _root_factors(factor)[0])
+            assert frob(y @ y.T - factor.mat) <= RECON_TOL * frob(factor.mat)
+        with pytest.raises(ValueError):
+            roots[0, 0, 0] = 1.0
 
     def test_each_root_computed_once(self, monkeypatch):
         calls = []
-        for name in ("spd_sqrt", "spd_inv_sqrt"):
-            fn = getattr(kron_model, name)
+        fn = kron_model._root_factors
 
-            def counted(a, fn=fn, name=name):
-                calls.append(name)
-                return fn(a)
+        def counted(a):
+            calls.append(a)
+            return fn(a)
 
-            monkeypatch.setattr(kron_model, name, counted)
+        monkeypatch.setattr(kron_model, "_root_factors", counted)
         rng = np.random.default_rng(45)
         p = rand_point(4, rng)
         cloud = [rand_point(4, rng) for _ in range(6)]
@@ -406,12 +401,11 @@ class TestRootCache:
             pairwise_bures_sq_reduced(p, q)
         reduced_distances_sq(p, cloud)
         objective_J(p, cloud, np.full(6, 1.0 / 6.0))
-        # A distance query needs only p's two square roots.
-        assert calls == ["spd_sqrt", "spd_sqrt"]
+        # A distance query needs only the root factors of p's two factors.
+        assert calls == [p.v_factor, p.u_factor]
         for _ in range(3):
-            for name in ROOTS:
-                getattr(p, name)
-        assert sorted(calls) == ["spd_inv_sqrt"] * 2 + ["spd_sqrt"] * 2
+            p._y_factors
+        assert len(calls) == 2
 
     def test_trace_product_read_once(self, monkeypatch):
         calls = []

@@ -10,10 +10,10 @@ from kronbures import (
     log_det,
     partial_trace_1,
     partial_trace_2,
-    spd_inv_sqrt,
     spd_sqrt,
     symmetrize,
 )
+from kronbures.bures_metric import _root_factors
 from kronbures.spd_core import _DEFERRED, EigenDecomposition, _Deferred
 
 from conftest import ORTHO_TOL, RECON_TOL, frob, rand_spd
@@ -75,19 +75,23 @@ class TestSqrt:
         s = spd_sqrt(a)
         assert frob(s @ s - a.mat) <= 1e-12 * frob(a.mat)
 
+    # No inverse root A^-1/2 is formed: the inverse root enters only as
+    # the factor Z = Q L^-1/2 = Y^-T of bures_metric._root_factors, with
+    # Z^T A Z = I. The inv_sqrt tests check that factor.
+
     def test_inv_sqrt_identity_and_diag(self):
-        assert np.allclose(spd_inv_sqrt(SpdMatrix.identity(4)), np.eye(4))
-        r = spd_inv_sqrt(SpdMatrix([[4.0]]))
-        assert r[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert np.array_equal(_root_factors(SpdMatrix.identity(4))[1], np.eye(4))
+        z = _root_factors(SpdMatrix([[4.0]]))[1]
+        assert abs(z[0, 0]) == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_inv_sqrt_multiply_back(self, seed):
         rng = np.random.default_rng(100 + seed)
         a = rand_spd(7, rng)
-        r = spd_inv_sqrt(a)
-        assert frob(r @ a.mat @ r - np.eye(7)) <= 1e-11
+        z = _root_factors(a)[1]
+        assert frob(z.T @ a.mat @ z - np.eye(7)) <= 1e-11
 
-    @pytest.mark.parametrize("root", [spd_sqrt, spd_inv_sqrt])
+    @pytest.mark.parametrize("root", [spd_sqrt])
     def test_exactly_symmetric_array(self, root):
         r = root(rand_spd(7, np.random.default_rng(300)))
         assert type(r) is np.ndarray
@@ -96,10 +100,9 @@ class TestSqrt:
     @pytest.mark.parametrize("seed", range(4))
     def test_two_routes_agree(self, seed):
         rng = np.random.default_rng(200 + seed)
-        a = rand_spd(6, rng)
-        via_inverse = np.linalg.inv(spd_sqrt(a))
-        direct = spd_inv_sqrt(a)
-        assert frob(direct - via_inverse) <= 1e-10 * frob(direct)
+        y, z = _root_factors(rand_spd(6, rng))
+        via_inverse = np.linalg.inv(y).T
+        assert frob(z - via_inverse) <= 1e-10 * frob(z)
 
 
 class TestKron:

@@ -1,10 +1,15 @@
-"""Every global name a function in the package reads must exist.
+"""Every global name a function in the package reads must exist, and
+every name a module imports must be read.
 
 No linter runs on the package, and a function body that reads an
 undefined global fails only when a call reaches that line. The compiler's
 symbol tables list each scope's global reads without running anything.
+The converse check reads each module's syntax tree: an import no line
+reads is left over from code that has gone. ``__init__`` imports only to
+export, so it is exempt.
 """
 
+import ast
 import builtins
 import importlib
 import symtable
@@ -36,3 +41,27 @@ def test_function_globals_resolve(path):
         if not hasattr(module, name) and not hasattr(builtins, name)
     )
     assert missing == []
+
+
+def _unread_imports(path):
+    """Names a module binds by import and reads nowhere, sorted."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_imports_are_read(path):
+    assert _unread_imports(path) == []
