@@ -29,16 +29,23 @@ _NEGATIVE_CLAMP = 1e-10
 class GeodesicCurve:
     """Bures geodesic with its transport map precomputed once.
 
-    Evaluation at any t is then two matrix multiplies. The point is
-    validated by a proved margin, from the start point's spectrum and the
-    bounds r_min / a_max <= lambda(T) <= r_max / a_min that ``geodesic``
-    keeps from the transport; a curve built by hand, or a margin the
-    bounds do not decide, falls back to one eigvalsh.
+    ``geodesic`` also keeps the products TA and TAT that the transport's
+    check formed, so a point costs O(N^2) arithmetic and no matrix
+    product; a curve built by hand forms those two products on each
+    evaluation. The point is validated by a proved margin, from the start
+    point's spectrum and the bounds r_min / a_max <= lambda(T) <=
+    r_max / a_min that ``geodesic`` keeps from the transport; a curve built
+    by hand, or a margin the bounds do not decide, falls back to one
+    eigvalsh.
     """
 
     start: SpdMatrix
     transport: SpdMatrix
     _transport_bounds: _Deferred = field(default=_DEFERRED, repr=False)
+    _products: tuple = field(default=(), repr=False)
+
+    def __post_init__(self):
+        _check_same_dim(self.start, self.transport)
 
 
 def _check_same_dim(a: SpdMatrix, b: SpdMatrix) -> None:
@@ -88,7 +95,10 @@ def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
 # n x n matrix or a stack of shape (m, n, n): Y^T B Y is then one
 # broadcast matmul and its decomposition one stacked LAPACK call, which
 # runs the same per-matrix routine as m separate calls and returns the
-# same bits.
+# same bits. With Y^T B Y = W diag(w) W^T and r = sqrt(max(w, 0)), the
+# transport T = Z R Z^T, R = W diag(r) W^T, is the Gram product H H^T of
+# H = Z W diag(r)^1/2: the product Z W and one syrk at N = n^2. R itself
+# is formed only at factor size, by factor_transports.
 
 
 def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,13 +109,20 @@ def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(m), 0.0)
 
 
+def _whitened_root_eig(y: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W, r): the eigenvectors W of the symmetrized Y^T B Y = W diag(w) W^T,
+    from one eigh, and the ascending eigenvalues r = sqrt(max(w, 0)) of its
+    root."""
+    w, q = np.linalg.eigh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
+    return q, np.sqrt(np.maximum(w, 0.0))
+
+
 def _whitened_root_spectrum(
     y: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Y^T B Y)^1/2 and its ascending eigenvalues, from one eigh of the
     symmetrized product, clipped at 0."""
-    w, q = np.linalg.eigh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
-    r = np.sqrt(np.maximum(w, 0.0))
+    q, r = _whitened_root_eig(y, b)
     return (q * r[..., None, :]) @ np.swapaxes(q, -1, -2), r
 
 
@@ -132,35 +149,60 @@ def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     return _clamp_distance_sq(d2, tr_sum)
 
 
-def transport_map(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
-    """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2, with T A T = B."""
+def transport_map(
+    a: SpdMatrix, b: SpdMatrix, *, _products: list | None = None
+) -> SpdMatrix:
+    """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2, with T A T = B.
+
+    ``_products``, a list, receives the products (TA, TAT) that the
+    check formed; ``geodesic`` passes it, and no other caller keeps them.
+    """
     _check_same_dim(a, b)
-    return _transport(a, b)[0]
+    t, _, products = _transport(a, b)
+    if _products is not None:
+        _products.extend(products)
+    return t
 
 
-def _transport(a: SpdMatrix, b: SpdMatrix) -> tuple[SpdMatrix, np.ndarray]:
-    """transport_map(a, b) as T = Z R Z^T, with the whitened root
-    R = (Y^T B Y)^1/2 it is formed from; T is validated by
+def _transport(
+    a: SpdMatrix, b: SpdMatrix
+) -> tuple[SpdMatrix, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(T, (W, r), (TA, TAT)) for transport_map(a, b): T = H H^T with
+    H = Z W diag(r)^1/2, from the eigenvectors W and root eigenvalues r of
+    Y^T B Y, and the products TA and TAT of the check ||TAT - B||_F <=
+    TRANSPORT_CHECK_TOL ||B||_F. T is validated by
     r_min / a_max <= lambda(T) <= r_max / a_min when that proves the margin."""
     y, z = _root_factors(a)
-    root, r = _whitened_root_spectrum(y, b.mat)
+    q, r = _whitened_root_eig(y, b.mat)
+    h = z @ q
+    # Y, Z and then H are freed before the check allocates TA and TAT, so
+    # a curve and one point peak at six N x N arrays.
+    del y, z
+    h *= np.sqrt(r)
     a_max, a_min = _extremes(a)
     bounds = _Deferred(float(r[0]) / a_max, float(r[-1]) / a_min)
-    t = SpdMatrix(z @ root @ z.T, _eig=bounds)
-    defect = np.linalg.norm(t.mat @ a.mat @ t.mat - b.mat)
+    # One C-contiguous buffer times its own transpose runs numpy's syrk.
+    t = SpdMatrix(h @ h.T, _eig=bounds)
+    del h
+    ta = t.mat @ a.mat
+    tat = ta @ t.mat
+    defect = np.linalg.norm(tat - b.mat)
     if defect > TRANSPORT_CHECK_TOL * np.linalg.norm(b.mat):
         raise NumericalConsistencyError(
             f"transport defining property violated: relative defect "
             f"{defect / np.linalg.norm(b.mat):.6e}"
         )
-    return t, root
+    return t, (q, r), (ta, tat)
 
 
 def geodesic(a: SpdMatrix, b: SpdMatrix) -> GeodesicCurve:
     """Bures geodesic curve from A to B."""
-    t = transport_map(a, b)
+    products = []
+    t = transport_map(a, b, _products=products)
     # T's eig is unread, so it still holds the marker with T's bounds.
-    return GeodesicCurve(start=a, transport=t, _transport_bounds=t._eig)
+    return GeodesicCurve(
+        start=a, transport=t, _transport_bounds=t._eig, _products=tuple(products)
+    )
 
 
 def _geodesic_bounds(curve: GeodesicCurve, t: float) -> _Deferred:
@@ -186,17 +228,40 @@ def _geodesic_bounds(curve: GeodesicCurve, t: float) -> _Deferred:
     return _Deferred(lower * lower, upper * upper)
 
 
-def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
-    """Point ((1-t)I + tT) A ((1-t)I + tT) on the geodesic, t in [0, 1]."""
+def _check_parameter(t: float) -> None:
+    # NaN fails the comparison too.
     if not 0.0 <= t <= 1.0:
         raise ParameterOutOfRange(f"geodesic parameter {t} outside [0, 1]")
-    n = curve.start.dim
-    ct = (1.0 - t) * np.eye(n) + t * curve.transport.mat
-    return SpdMatrix(ct @ curve.start.mat @ ct, _eig=_geodesic_bounds(curve, t))
+
+
+def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
+    """Point ((1-t)I + tT) A ((1-t)I + tT) on the geodesic, t in [0, 1].
+
+    Formed as (1-t)^2 A + t(1-t)(TA + (TA)^T) + t^2 TAT in one buffer from
+    the curve's products, so gamma(0) is A and gamma(1) is (T A) T, bit
+    for bit. With C = (1-t)I + tT, s = 1-t >= 0 and T's diagonal positive,
+    |C| = sI + t|T| entrywise, so the terms of |C||A||C| are s^2|A|,
+    st(|T||A| + |A||T|) and t^2|T||A||T|: the round-off of forming TA, TAT
+    and their sum is bounded by c N eps times those same terms, which is
+    what the 64 N eps slack of the proved margin covers.
+    """
+    _check_parameter(t)
+    if curve._products:
+        ta, tat = curve._products
+    else:  # a curve built by hand: the products transport_map forms
+        ta = curve.transport.mat @ curve.start.mat
+        tat = ta @ curve.transport.mat
+    s = 1.0 - t
+    out = ta + ta.T
+    out *= t * s
+    out += (s * s) * curve.start.mat
+    out += (t * t) * tat
+    return SpdMatrix(out, _eig=_geodesic_bounds(curve, t))
 
 
 def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
-    """Geodesic ((1-t) A^1/2 + t B^1/2)^2 for commuting endpoints."""
+    """Geodesic ((1-t) A^1/2 + t B^1/2)^2 for commuting endpoints, t in [0, 1]."""
+    _check_parameter(t)
     _check_same_dim(a, b)
     _check_commuting(a.mat, b.mat, "endpoints")
     mix = (1.0 - t) * spd_sqrt(a) + t * spd_sqrt(b)

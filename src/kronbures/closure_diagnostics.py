@@ -179,9 +179,9 @@ class FactorTransports:
     P = V0^-1/2 S_V V0^1/2 and Q = U0^-1/2 S_U U0^1/2 share the spectra of
     S_V and S_U; the ambient transport factorizes as S_V (x) S_U. With
     V0 = E L E^T, S_V = Z R Z^T for Z = E L^-1/2 and the whitened root
-    R = (Y^T V1 Y)^1/2, Y = E L^1/2, so P is formed as E L^-1 R E^T from
-    the R the transport already holds, and Q likewise; no root of V0 or U0
-    is formed.
+    R = (Y^T V1 Y)^1/2 = W diag(r) W^T, Y = E L^1/2. The transport hands
+    back W and r, R is formed from them here at factor size, and P is
+    E L^-1 R E^T; Q likewise. No root of V0 or U0 is formed.
     """
 
     s_u: SpdMatrix
@@ -394,21 +394,22 @@ def factor_transports(p0: KroneckerPoint, p1: KroneckerPoint) -> FactorTransport
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
     # The transports whiten in p0's factor eigenbases, as transport_map
     # does, so they have its bits.
-    s_v, r_v = _transport(p0.v_factor, p1.v_factor)
-    s_u, r_u = _transport(p0.u_factor, p1.u_factor)
+    s_v, eig_v, _ = _transport(p0.v_factor, p1.v_factor)
+    s_u, eig_u, _ = _transport(p0.u_factor, p1.u_factor)
     return FactorTransports(
         s_u=s_u,
         s_v=s_v,
-        p_mat=_whitened_transport(p0.v_factor, r_v),
-        q_mat=_whitened_transport(p0.u_factor, r_u),
+        p_mat=_whitened_transport(p0.v_factor, eig_v),
+        q_mat=_whitened_transport(p0.u_factor, eig_u),
     )
 
 
-def _whitened_transport(a: SpdMatrix, root: np.ndarray) -> np.ndarray:
+def _whitened_transport(a: SpdMatrix, root_eig) -> np.ndarray:
     """A^-1/2 S A^1/2 = E L^-1 R E^T for the transport S = Z R Z^T from
-    A = E L E^T, given its whitened root R."""
+    A = E L E^T, given its whitened root R = W diag(r) W^T as (W, r)."""
+    w, r = root_eig
     e = a.eig.eigenvectors
-    return (e / a.eig.eigenvalues) @ root @ e.T
+    return (e / a.eig.eigenvalues) @ ((w * r) @ w.T) @ e.T
 
 
 def whitened_initial_velocity(ft: FactorTransports) -> np.ndarray:

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .bures_metric import (
+    _check_parameter,
     _clamp_distance_sq,
     _clamp_distances_sq,
     _root_factors,
@@ -34,7 +35,6 @@ from .errors import (
     GaugeViolation,
     NotInModel,
     NotOnLeaf,
-    ParameterOutOfRange,
 )
 from .spd_core import (
     EigenDecomposition,
@@ -305,8 +305,7 @@ def leaf_geodesic(
     The embedding of the result coincides with the ambient Bures geodesic
     between the embeddings; leaves are geodesically closed.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterOutOfRange(f"geodesic parameter {t} outside [0, 1]")
+    _check_parameter(t)
     curve = geodesic(leaf_factor(leaf, p0), leaf_factor(leaf, p1))
     return leaf_point(leaf, geodesic_eval(curve, t))
 

@@ -99,12 +99,16 @@ class SpdMatrix:
     Their entries are symmetrized and tested for finiteness either way.
     They pass ``_Deferred(lower, upper)``, Weyl bounds on the extreme
     eigenvalues of the exact matrix, taken from spectra the construction
-    already holds: T = Z R Z^T with Z = Q L^-1/2 gives
+    already holds: T = Z R Z^T with Z = Q L^-1/2, formed as the Gram
+    product H H^T of H = Z W diag(r)^1/2 for R = W diag(r) W^T, gives
     r_min / a_max <= lambda(T) <= r_max / a_min, and geodesic points take
     the tighter of two such forms. The margin is proved when
     lower > (``PD_TOLERANCE`` + 64 N eps) * upper, for N x N entries and
     normal bounds; the 64 N eps covers the round-off of forming
     the matrix, so a proved matrix also passes the ``eigvalsh`` test.
+    A geodesic point is summed as (1-t)^2 A + t(1-t)(TA + (TA)^T) +
+    t^2 TAT from the transport's products; its round-off has the terms of
+    |C||A||C|, C = (1-t)I + tT, as the product C A C had.
     Bounds that do not decide, NaN among them, run that ``eigvalsh``,
     which raises what it raised before. Most of these matrices are read
     only as entries, so ``eig`` is computed once, by one ``eigh`` of the

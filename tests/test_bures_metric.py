@@ -1,10 +1,11 @@
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from kronbures import (
@@ -434,6 +435,76 @@ def undecided_midpoint_curve() -> GeodesicCurve:
     return curve
 
 
+class TestGeodesicPoints:
+    """A point is (1-t)^2 A + t(1-t)(TA + (TA)^T) + t^2 TAT, from the
+    products the transport's check formed."""
+
+    @pytest.mark.parametrize("embedded", [False, True], ids=["plain", "embedded"])
+    def test_endpoints_bitwise(self, embedded):
+        rng = np.random.default_rng(81)
+        if embedded:
+            a, b = (embed(KroneckerPoint.from_factors(rand_spd(3, rng), rand_spd(3, rng)))
+                    for _ in range(2))
+        else:
+            a, b = rand_spd(5, rng), rand_spd(5, rng)
+        curve = geodesic(a, b)
+        t = curve.transport.mat
+        assert np.array_equal(geodesic_eval(curve, 0.0).mat, a.mat)
+        # As stored: SpdMatrix keeps the symmetric part of the entries.
+        want = spd_core.symmetrize((t @ a.mat) @ t)
+        assert np.array_equal(geodesic_eval(curve, 1.0).mat, want)
+
+    @PROPERTY_SETTINGS
+    @given(pair=spread_pairs())
+    def test_matches_congruence(self, pair):
+        # Forming the entries rounds within c N eps |C||A||C|, C = (1-t)I + tT,
+        # the slack the proved margin allows; the worst c seen is about 2.
+        a, b = pair
+        try:
+            curve = geodesic(a, b)
+        except NumericalConsistencyError:
+            reject()  # the transport check's conditioning limit
+        n = a.dim
+        for t in np.linspace(0.0, 1.0, 9):
+            c = (1.0 - t) * np.eye(n) + t * curve.transport.mat
+            want = c @ a.mat @ c
+            scale = frob(np.abs(c) @ np.abs(a.mat) @ np.abs(c))
+            got = geodesic_eval(curve, t).mat
+            assert frob(got - want) <= 4 * n * np.finfo(float).eps * scale, t
+
+    def test_mismatched_curve(self):
+        with pytest.raises(DimensionMismatch):
+            GeodesicCurve(SpdMatrix(np.eye(3)), SpdMatrix(2 * np.eye(2)))
+
+    @pytest.mark.parametrize("t", [1.5, -0.2, float("nan")])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda a, b, t: geodesic_eval(geodesic(a, b), t), commuting_geodesic_eval],
+        ids=["geodesic_eval", "commuting_geodesic_eval"],
+    )
+    def test_parameter_outside_unit_interval(self, evaluate, t):
+        a, b = SpdMatrix(np.diag([1.0, 2.0])), SpdMatrix(np.diag([4.0, 3.0]))
+        with pytest.raises(ParameterOutOfRange):
+            evaluate(a, b, t)
+
+    def test_peak_memory(self):
+        # A curve and one point at N = 256 hold at most six N x N arrays at
+        # once: the transport frees its factors Y, Z and H before its check
+        # forms TA and TAT, and the point is summed in one buffer.
+        rng = np.random.default_rng(0)
+        k0, k1 = (
+            embed(KroneckerPoint.from_factors(gen_spd(16, rng), gen_spd(16, rng)))
+            for _ in range(2)
+        )
+        tracemalloc.start()
+        try:
+            geodesic_eval(geodesic(k0, k1), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * k0.mat.nbytes + 64 * 1024
+
+
 class TestCertifiedMargin:
     """T and geodesic points are validated by Weyl bounds from spectra in
     hand when those prove the margin, and by one eigvalsh otherwise."""
@@ -486,8 +557,8 @@ class TestCertifiedMargin:
         a, b = rand_spd(4, rng), rand_spd(4, rng)
         seen = []
 
-        def spy(*args):
-            seen.append(transport_map(*args))
+        def spy(*args, **kwargs):
+            seen.append(transport_map(*args, **kwargs))
             return seen[-1]
 
         monkeypatch.setattr(bures_metric, "transport_map", spy)
