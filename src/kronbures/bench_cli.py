@@ -15,7 +15,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -371,40 +371,26 @@ def run_barycenter_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
 # Reporting
 
 
+_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+
+
 def _rows_to_csv(rows, stream) -> None:
     writer = csv.writer(stream)
-    writer.writerow(["experiment", "regime", "n", "metric", "mean", "std"])
-    for row in rows:
-        writer.writerow(
-            [row.experiment, row.regime, row.n, row.metric, repr(row.mean), repr(row.std)]
-        )
+    writer.writerow(_COLUMNS)
+    writer.writerows(astuple(r) for r in rows)
 
 
 def _rows_to_json(rows) -> str:
-    return json.dumps(
-        [
-            {
-                "experiment": r.experiment,
-                "regime": r.regime,
-                "n": r.n,
-                "metric": r.metric,
-                "mean": r.mean,
-                "std": r.std,
-            }
-            for r in rows
-        ],
-        indent=2,
-    )
+    return json.dumps([asdict(r) for r in rows], indent=2)
 
 
 def _rows_to_table(rows) -> str:
-    header = ("experiment", "regime", "n", "metric", "mean", "std")
-    cells = [header]
+    cells = [_COLUMNS]
     for r in rows:
         cells.append(
             (r.experiment, r.regime, str(r.n), r.metric, f"{r.mean:.6g}", f"{r.std:.6g}")
         )
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(_COLUMNS))]
     lines = []
     for idx, row in enumerate(cells):
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -14,7 +14,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterOutOfRange,
 )
-from .spd_core import _DEFERRED, SpdMatrix, _Deferred, spd_sqrt, symmetrize
+from .spd_core import SpdMatrix, _Deferred, spd_sqrt, symmetrize
 
 # Relative commutator norm below which a pair is treated as commuting.
 COMMUTE_TOL = 1e-10
@@ -27,25 +27,21 @@ _NEGATIVE_CLAMP = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class GeodesicCurve:
-    """Bures geodesic with its transport map precomputed once.
+    """Bures geodesic with its transport map precomputed once; built by
+    ``geodesic`` only.
 
-    ``geodesic`` also keeps the products TA and TAT that the transport's
-    check formed, so a point costs O(N^2) arithmetic and no matrix
-    product; a curve built by hand forms those two products on each
-    evaluation. The point is validated by a proved margin, from the start
-    point's spectrum and the bounds r_min / a_max <= lambda(T) <=
-    r_max / a_min that ``geodesic`` keeps from the transport; a curve built
-    by hand, or a margin the bounds do not decide, falls back to one
-    eigvalsh.
+    It keeps the products TA and TAT that the transport's check formed, so
+    a point costs O(N^2) arithmetic and no matrix product, and the bounds
+    r_min / a_max <= lambda(T) <= r_max / a_min from the transport. A point
+    is validated by a margin proved from those bounds and the start point's
+    spectrum, and by one eigvalsh when they do not decide it.
     """
 
     start: SpdMatrix
     transport: SpdMatrix
-    _transport_bounds: _Deferred = field(default=_DEFERRED, repr=False)
-    _products: tuple = field(default=(), repr=False)
-
-    def __post_init__(self):
-        _check_same_dim(self.start, self.transport)
+    _ta: np.ndarray = field(repr=False)
+    _tat: np.ndarray = field(repr=False)
+    _transport_bounds: _Deferred = field(repr=False)
 
 
 def _check_same_dim(a: SpdMatrix, b: SpdMatrix) -> None:
@@ -97,8 +93,10 @@ def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
 # runs the same per-matrix routine as m separate calls and returns the
 # same bits. With Y^T B Y = W diag(w) W^T and r = sqrt(max(w, 0)), the
 # transport T = Z R Z^T, R = W diag(r) W^T, is the Gram product H H^T of
-# H = Z W diag(r)^1/2: the product Z W and one syrk at N = n^2. R itself
-# is formed only at factor size, by factor_transports.
+# H = Z W diag(r)^1/2: the product Z W and one syrk at N = n^2. Weyl on
+# Z R Z^T gives r_min / a_max <= lambda(T) <= r_max / a_min; those bounds
+# and the check's products TA and TAT reach a GeodesicCurve only through
+# geodesic. R itself is formed only at factor size, by factor_transports.
 
 
 def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,28 +148,30 @@ def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
 
 
 def transport_map(
-    a: SpdMatrix, b: SpdMatrix, *, _products: list | None = None
+    a: SpdMatrix, b: SpdMatrix, *, _parts: list | None = None
 ) -> SpdMatrix:
     """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2, with T A T = B.
 
-    ``_products``, a list, receives the products (TA, TAT) that the
-    check formed; ``geodesic`` passes it, and no other caller keeps them.
+    ``_parts``, a list, receives the products TA and TAT that the check
+    formed and T's spectral bounds; ``geodesic`` passes it, and no other
+    caller keeps them.
     """
     _check_same_dim(a, b)
-    t, _, products = _transport(a, b)
-    if _products is not None:
-        _products.extend(products)
+    t, _, parts = _transport(a, b)
+    if _parts is not None:
+        _parts.extend(parts)
     return t
 
 
 def _transport(
     a: SpdMatrix, b: SpdMatrix
-) -> tuple[SpdMatrix, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(T, (W, r), (TA, TAT)) for transport_map(a, b): T = H H^T with
+) -> tuple[SpdMatrix, tuple[np.ndarray, np.ndarray], tuple]:
+    """(T, (W, r), (TA, TAT, bounds)) for transport_map(a, b): T = H H^T with
     H = Z W diag(r)^1/2, from the eigenvectors W and root eigenvalues r of
-    Y^T B Y, and the products TA and TAT of the check ||TAT - B||_F <=
-    TRANSPORT_CHECK_TOL ||B||_F. T is validated by
-    r_min / a_max <= lambda(T) <= r_max / a_min when that proves the margin."""
+    Y^T B Y, the products TA and TAT of the check ||TAT - B||_F <=
+    TRANSPORT_CHECK_TOL ||B||_F, and the bounds
+    r_min / a_max <= lambda(T) <= r_max / a_min, which validate T when they
+    prove the margin."""
     y, z = _root_factors(a)
     q, r = _whitened_root_eig(y, b.mat)
     h = z @ q
@@ -192,17 +192,14 @@ def _transport(
             f"transport defining property violated: relative defect "
             f"{defect / np.linalg.norm(b.mat):.6e}"
         )
-    return t, (q, r), (ta, tat)
+    return t, (q, r), (ta, tat, bounds)
 
 
 def geodesic(a: SpdMatrix, b: SpdMatrix) -> GeodesicCurve:
     """Bures geodesic curve from A to B."""
-    products = []
-    t = transport_map(a, b, _products=products)
-    # T's eig is unread, so it still holds the marker with T's bounds.
-    return GeodesicCurve(
-        start=a, transport=t, _transport_bounds=t._eig, _products=tuple(products)
-    )
+    parts = []
+    t = transport_map(a, b, _parts=parts)
+    return GeodesicCurve(a, t, *parts)
 
 
 def _geodesic_bounds(curve: GeodesicCurve, t: float) -> _Deferred:
@@ -213,8 +210,6 @@ def _geodesic_bounds(curve: GeodesicCurve, t: float) -> _Deferred:
     only a bound beyond the float range overflows (to inf, which falls
     back)."""
     tau_min, tau_max = curve._transport_bounds
-    if math.isnan(tau_min):  # a curve built by hand
-        return _DEFERRED
     a_max, a_min = _extremes(curve.start)
     s = 1.0 - t
     lower = max(
@@ -246,16 +241,11 @@ def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
     what the 64 N eps slack of the proved margin covers.
     """
     _check_parameter(t)
-    if curve._products:
-        ta, tat = curve._products
-    else:  # a curve built by hand: the products transport_map forms
-        ta = curve.transport.mat @ curve.start.mat
-        tat = ta @ curve.transport.mat
     s = 1.0 - t
-    out = ta + ta.T
+    out = curve._ta + curve._ta.T
     out *= t * s
     out += (s * s) * curve.start.mat
-    out += (t * t) * tat
+    out += (t * t) * curve._tat
     return SpdMatrix(out, _eig=_geodesic_bounds(curve, t))
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bures_metric import _check_commuting, _transport
+from .bures_metric import _check_commuting, _check_parameter, _transport
 from .errors import (
     DimensionMismatch,
     InconsistentVerdict,
@@ -248,7 +248,8 @@ def build_chart(p0: KroneckerPoint, p1: KroneckerPoint) -> CommutingChart:
 
 
 def profile_matrix(profile: SqrtProfile, t: float) -> np.ndarray:
-    """Interpolant H_t = (1-t) a b^T + t c d^T."""
+    """Interpolant H_t = (1-t) a b^T + t c d^T, t in [0, 1]."""
+    _check_parameter(t)
     return (1.0 - t) * np.outer(profile.a, profile.b) + t * np.outer(
         profile.c, profile.d
     )
@@ -261,8 +262,6 @@ def sqrt_profile_at(chart: CommutingChart, t: float) -> np.ndarray:
     basis R (x) Q; H_t has rank one exactly when the geodesic point stays
     in the model.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterOutOfRange(f"profile parameter {t} outside [0, 1]")
     return profile_matrix(SqrtProfile.from_chart(chart), t)
 
 

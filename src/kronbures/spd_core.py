@@ -59,11 +59,10 @@ def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
 class _Deferred(NamedTuple):
     """Passed as ``_eig``: validate now, and run eigh on the first read of
     ``eig``. ``lower`` and ``upper`` bound the extreme eigenvalues of the
-    exact matrix whose rounded entries are passed; they are NaN in
-    ``_DEFERRED``, for a matrix with no bounds in hand."""
+    exact matrix whose rounded entries are passed."""
 
-    lower: float = float("nan")
-    upper: float = float("nan")
+    lower: float
+    upper: float
 
     def proves_margin(self, n: int) -> bool:
         # 64 n eps relative to the top of the spectrum covers the round-off
@@ -72,9 +71,6 @@ class _Deferred(NamedTuple):
         # bound compares False.
         slack = PD_TOLERANCE + 64 * n * sys.float_info.epsilon
         return sys.float_info.min < slack * self.upper < self.lower
-
-
-_DEFERRED = _Deferred()
 
 
 class SpdMatrix:
@@ -99,23 +95,16 @@ class SpdMatrix:
     Their entries are symmetrized and tested for finiteness either way.
     They pass ``_Deferred(lower, upper)``, Weyl bounds on the extreme
     eigenvalues of the exact matrix, taken from spectra the construction
-    already holds: T = Z R Z^T with Z = Q L^-1/2, formed as the Gram
-    product H H^T of H = Z W diag(r)^1/2 for R = W diag(r) W^T, gives
-    r_min / a_max <= lambda(T) <= r_max / a_min, and geodesic points take
-    the tighter of two such forms. The margin is proved when
+    already holds (see ``bures_metric._transport`` and
+    ``_geodesic_bounds``). The margin is proved when
     lower > (``PD_TOLERANCE`` + 64 N eps) * upper, for N x N entries and
-    normal bounds; the 64 N eps covers the round-off of forming
-    the matrix, so a proved matrix also passes the ``eigvalsh`` test.
-    A geodesic point is summed as (1-t)^2 A + t(1-t)(TA + (TA)^T) +
-    t^2 TAT from the transport's products; its round-off has the terms of
-    |C||A||C|, C = (1-t)I + tT, as the product C A C had.
-    Bounds that do not decide, NaN among them, run that ``eigvalsh``,
-    which raises what it raised before. Most of these matrices are read
-    only as entries, so ``eig`` is computed once, by one ``eigh`` of the
-    stored entries, on its first read, and is then the same as the
-    ``eig`` of ``SpdMatrix(mat)``, bit for bit. Until then the instance
-    keeps its marker, bounds included, which ``geodesic`` reads off T.
-    Two threads racing on that first read both compute it from the same
+    normal bounds; the 64 N eps covers the round-off of forming the
+    matrix, so a proved matrix also passes the ``eigvalsh`` test. Bounds
+    that do not decide, NaN among them, run that ``eigvalsh``. Most of
+    these matrices are read only as entries, so ``eig`` is computed once,
+    by one ``eigh`` of the stored entries, on its first read, and is then
+    the same as the ``eig`` of ``SpdMatrix(mat)``, bit for bit. Two
+    threads racing on that first read both compute it from the same
     read-only entries, get the same bits, and either may store it.
 
     ``spd_sqrt`` returns an array unvalidated: A^1/2 of a validated A has

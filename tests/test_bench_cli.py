@@ -171,6 +171,32 @@ class TestEmitReport:
         assert out[0].startswith("experiment")
         assert len(out) == len(self.ROWS) + 2
 
+    @pytest.mark.parametrize(
+        "format, text",
+        [
+            ("csv",
+             "experiment,regime,n,metric,mean,std\r\n"
+             "pairwise,,8,rel_err,1.5e-14,2e-15\r\n"
+             "departure,generic,32,max_delta_geo,5.1,1.4\r\n"),
+            ("json",
+             '[\n  {\n    "experiment": "pairwise",\n    "regime": "",\n'
+             '    "n": 8,\n    "metric": "rel_err",\n    "mean": 1.5e-14,\n'
+             '    "std": 2e-15\n  },\n  {\n    "experiment": "departure",\n'
+             '    "regime": "generic",\n    "n": 32,\n'
+             '    "metric": "max_delta_geo",\n    "mean": 5.1,\n'
+             '    "std": 1.4\n  }\n]\n'),
+            ("table",
+             "experiment  regime   n   metric         mean     std\n"
+             "----------  -------  --  -------------  -------  -----\n"
+             "pairwise             8   rel_err        1.5e-14  2e-15\n"
+             "departure   generic  32  max_delta_geo  5.1      1.4\n"),
+        ],
+    )
+    def test_exact_text(self, tmp_path, format, text):
+        path = tmp_path / "report"
+        emit_report(self.ROWS, format, str(path))
+        assert path.read_bytes() == text.encode()
+
 
 class TestCli:
     def test_pairwise_exit_zero(self, tmp_path):

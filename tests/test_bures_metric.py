@@ -38,7 +38,13 @@ from kronbures.bures_metric import (
     _whitened_eigvals,
     _whitened_root_spectrum,
 )
-from kronbures.spd_core import _DEFERRED, PD_TOLERANCE, _Deferred
+from kronbures.closure_diagnostics import (
+    SqrtProfile,
+    build_chart,
+    profile_matrix,
+    sqrt_profile_at,
+)
+from kronbures.spd_core import PD_TOLERANCE, _Deferred
 
 from conftest import PROPERTY_SETTINGS, frob, rand_orthogonal, rand_spd
 
@@ -48,6 +54,13 @@ def commuting_pair(n, rng):
     wa = np.exp(rng.standard_normal(n))
     wb = np.exp(rng.standard_normal(n))
     return SpdMatrix((q * wa) @ q.T), SpdMatrix((q * wb) @ q.T), wa, wb
+
+
+def diagonal_chart(a, b):
+    """Commuting chart between the points a (x) a and b (x) b."""
+    return build_chart(
+        KroneckerPoint.from_factors(a, a), KroneckerPoint.from_factors(b, b)
+    )
 
 
 class TestDistance:
@@ -474,13 +487,25 @@ class TestGeodesicPoints:
 
     def test_mismatched_curve(self):
         with pytest.raises(DimensionMismatch):
-            GeodesicCurve(SpdMatrix(np.eye(3)), SpdMatrix(2 * np.eye(2)))
+            geodesic(SpdMatrix(np.eye(3)), SpdMatrix(2 * np.eye(2)))
 
     @pytest.mark.parametrize("t", [1.5, -0.2, float("nan")])
     @pytest.mark.parametrize(
         "evaluate",
-        [lambda a, b, t: geodesic_eval(geodesic(a, b), t), commuting_geodesic_eval],
-        ids=["geodesic_eval", "commuting_geodesic_eval"],
+        [
+            lambda a, b, t: geodesic_eval(geodesic(a, b), t),
+            commuting_geodesic_eval,
+            lambda a, b, t: sqrt_profile_at(diagonal_chart(a, b), t),
+            lambda a, b, t: profile_matrix(
+                SqrtProfile.from_chart(diagonal_chart(a, b)), t
+            ),
+        ],
+        ids=[
+            "geodesic_eval",
+            "commuting_geodesic_eval",
+            "sqrt_profile_at",
+            "profile_matrix",
+        ],
     )
     def test_parameter_outside_unit_interval(self, evaluate, t):
         a, b = SpdMatrix(np.diag([1.0, 2.0])), SpdMatrix(np.diag([4.0, 3.0]))
@@ -540,16 +565,8 @@ class TestCertifiedMargin:
         assert calls == [("eigvalsh", 64)]
         mid = geodesic_eval(curve, 0.5)
         # The same entries pass the eigvalsh route, as they did before.
-        assert np.array_equal(SpdMatrix(mid.mat, _eig=_DEFERRED).mat, mid.mat)
-
-    def test_curve_built_by_hand_falls_back(self, monkeypatch):
-        rng = np.random.default_rng(77)
-        a, b = rand_spd(4, rng), rand_spd(4, rng)
-        by_hand = GeodesicCurve(a, transport_map(a, b))
-        calls = linalg_calls(monkeypatch, geodesic_eval, by_hand, 0.5)
-        assert calls == [("eigvalsh", 4)]
-        want = geodesic_eval(geodesic(a, b), 0.5).mat
-        assert np.array_equal(geodesic_eval(by_hand, 0.5).mat, want)
+        undecided = _Deferred(np.nan, np.nan)
+        assert np.array_equal(SpdMatrix(mid.mat, _eig=undecided).mat, mid.mat)
 
     def test_geodesic_takes_bounds_from_transport_map(self, monkeypatch):
         # Per-layer traces attribute a geodesic's transport to transport_map.

@@ -14,7 +14,7 @@ from kronbures import (
     symmetrize,
 )
 from kronbures.bures_metric import _root_factors
-from kronbures.spd_core import _DEFERRED, EigenDecomposition, _Deferred
+from kronbures.spd_core import EigenDecomposition, _Deferred
 
 from conftest import ORTHO_TOL, RECON_TOL, frob, rand_spd
 
@@ -260,16 +260,19 @@ def test_supplied_spectrum_keeps_every_check():
         SpdMatrix(np.diag([1.0, 1e-14]), _eig=thin)
 
 
+NAN = float("nan")
+
+
 class TestEigenvalueValidatedRoute:
-    """SpdMatrix(x, _eig=_DEFERRED) validates x by eigvalsh and computes eig
-    on its first read."""
+    """SpdMatrix(x, _eig=_Deferred(NAN, NAN)) validates x by eigvalsh and
+    computes eig on its first read."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_eig_bitwise_equal_to_eager(self, seed):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((6, 6))
         x = m @ m.T + 0.1 * np.eye(6)
-        lazy = SpdMatrix(x, _eig=_DEFERRED)
+        lazy = SpdMatrix(x, _eig=_Deferred(NAN, NAN))
         eager = SpdMatrix(lazy.mat)
         assert np.array_equal(lazy.mat, eager.mat)
         assert np.array_equal(lazy.eig.eigenvalues, eager.eig.eigenvalues)
@@ -277,7 +280,7 @@ class TestEigenvalueValidatedRoute:
         assert lazy.eig is lazy.eig
 
     def test_symmetrized_and_immutable(self):
-        a = SpdMatrix([[2.0, 0.3], [0.1, 1.0]], _eig=_DEFERRED)
+        a = SpdMatrix([[2.0, 0.3], [0.1, 1.0]], _eig=_Deferred(NAN, NAN))
         assert a.mat[0, 1] == a.mat[1, 0] == 0.2
         with pytest.raises(ValueError):
             a.mat[0, 0] = 2.0
@@ -296,11 +299,11 @@ class TestEigenvalueValidatedRoute:
         with pytest.raises(NotPositiveDefinite):
             SpdMatrix(entries)
         with pytest.raises(NotPositiveDefinite):
-            SpdMatrix(entries, _eig=_DEFERRED)
+            SpdMatrix(entries, _eig=_Deferred(NAN, NAN))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            SpdMatrix(np.ones((2, 3)), _eig=_DEFERRED)
+            SpdMatrix(np.ones((2, 3)), _eig=_Deferred(NAN, NAN))
 
 
 def eigvalsh_calls(monkeypatch, fn) -> int:
@@ -318,9 +321,6 @@ def eigvalsh_calls(monkeypatch, fn) -> int:
     finally:
         monkeypatch.undo()
     return len(calls)
-
-
-NAN = float("nan")
 
 
 class TestBoundedDeferredRoute:
@@ -346,14 +346,15 @@ class TestBoundedDeferredRoute:
 
     @pytest.mark.parametrize(
         "bounds",
-        [_Deferred(), _Deferred(NAN, 2.0), _Deferred(1.0, NAN), _Deferred(1e-15, 1.0),
-         _Deferred(-1.0, -2.0), _Deferred(np.inf, np.inf), _Deferred(0.5, 1e-310)],
+        [_Deferred(NAN, NAN), _Deferred(NAN, 2.0), _Deferred(1.0, NAN),
+         _Deferred(1e-15, 1.0), _Deferred(-1.0, -2.0), _Deferred(np.inf, np.inf),
+         _Deferred(0.5, 1e-310)],
     )
     def test_undecided_bounds_run_one_eigvalsh(self, monkeypatch, bounds):
         x, _, _ = self._spd()
         assert not bounds.proves_margin(5)
         assert eigvalsh_calls(monkeypatch, lambda: SpdMatrix(x, _eig=bounds)) == 1
-        want = SpdMatrix(x, _eig=_DEFERRED).mat
+        want = SpdMatrix(x, _eig=_Deferred(NAN, NAN)).mat
         assert np.array_equal(SpdMatrix(x, _eig=bounds).mat, want)
 
     @pytest.mark.parametrize(
@@ -362,7 +363,7 @@ class TestBoundedDeferredRoute:
     @pytest.mark.parametrize("bounds", [_Deferred(NAN, 1.0), _Deferred(0.0, 1.0)])
     def test_undecided_bounds_raise_what_eigvalsh_raises(self, entries, bounds):
         with pytest.raises(NotPositiveDefinite) as want:
-            SpdMatrix(entries, _eig=_DEFERRED)
+            SpdMatrix(entries, _eig=_Deferred(NAN, NAN))
         with pytest.raises(NotPositiveDefinite) as got:
             SpdMatrix(entries, _eig=bounds)
         assert str(got.value) == str(want.value)
