@@ -12,7 +12,6 @@ from .errors import (
     KronburesError,
     NoConvergence,
     NonPositiveCoordinate,
-    NotCommuting,
     NotInModel,
     NotOnLeaf,
     NotPositiveDefinite,
@@ -35,7 +34,6 @@ from .spd_core import (
 from .bures_metric import (
     GeodesicCurve,
     bures_distance_sq,
-    commuting_geodesic_eval,
     geodesic,
     geodesic_eval,
     transport_map,
@@ -74,7 +72,6 @@ from .closure_diagnostics import (
     pi_residual,
     profile_matrix,
     pullback_metric_isotropic,
-    sqrt_profile_at,
     whitened_initial_velocity,
     write_departure_profile,
 )

@@ -505,7 +505,8 @@ def main(argv=None) -> int:
                 )
                 return 3
         emit_report(rows, args.format, args.out)
-    except ConfigError as exc:
+    # An unwritable --out or --profile-out path is a configuration error.
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return 0

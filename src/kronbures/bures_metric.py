@@ -8,16 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotCommuting,
-    NumericalConsistencyError,
-    ParameterOutOfRange,
-)
-from .spd_core import SpdMatrix, _Deferred, spd_sqrt, symmetrize
-
-# Relative commutator norm below which a pair is treated as commuting.
-COMMUTE_TOL = 1e-10
+from .errors import DimensionMismatch, NumericalConsistencyError, ParameterOutOfRange
+from .spd_core import SpdMatrix, _Deferred, symmetrize
 
 # Transport maps must reproduce their endpoints to this relative accuracy.
 TRANSPORT_CHECK_TOL = 1e-10
@@ -71,16 +63,6 @@ def _clamp_distances_sq(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.where(d2 >= 0.0, d2, 0.0)
 
 
-def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
-    comm = np.linalg.norm(a @ b - b @ a)
-    scale = np.linalg.norm(a) * np.linalg.norm(b)
-    if comm > COMMUTE_TOL * scale:
-        raise NotCommuting(
-            f"{label} do not commute: relative commutator norm "
-            f"{comm / scale:.6e} exceeds {COMMUTE_TOL:.1e}"
-        )
-
-
 # The whitened product Y^T B Y, for a square-root factor Y Y^T = A, is
 # formed and decomposed only by the helpers below; see SpdMatrix for why it
 # is never validated. Its spectrum does not depend on which factor: Y^T B Y
@@ -113,15 +95,6 @@ def _whitened_root_eig(y: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     root."""
     w, q = np.linalg.eigh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
     return q, np.sqrt(np.maximum(w, 0.0))
-
-
-def _whitened_root_spectrum(
-    y: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Y^T B Y)^1/2 and its ascending eigenvalues, from one eigh of the
-    symmetrized product, clipped at 0."""
-    q, r = _whitened_root_eig(y, b)
-    return (q * r[..., None, :]) @ np.swapaxes(q, -1, -2), r
 
 
 def _extremes(a: SpdMatrix) -> tuple[float, float]:
@@ -247,17 +220,4 @@ def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
     out += (s * s) * curve.start.mat
     out += (t * t) * curve._tat
     return SpdMatrix(out, _eig=_geodesic_bounds(curve, t))
-
-
-def commuting_geodesic_eval(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
-    """Geodesic ((1-t) A^1/2 + t B^1/2)^2 for commuting endpoints, t in [0, 1]."""
-    _check_parameter(t)
-    _check_same_dim(a, b)
-    _check_commuting(a.mat, b.mat, "endpoints")
-    mix = (1.0 - t) * spd_sqrt(a) + t * spd_sqrt(b)
-    # Weyl on the mix of roots, from the endpoints' cached spectra.
-    (a_max, a_min), (b_max, b_min) = (map(math.sqrt, _extremes(m)) for m in (a, b))
-    lower = (1.0 - t) * a_min + t * b_min
-    upper = (1.0 - t) * a_max + t * b_max
-    return SpdMatrix(mix @ mix, _eig=_Deferred(lower * lower, upper * upper))
 

@@ -1,9 +1,11 @@
 """Geodesic-closure diagnostics for the Kronecker model.
 
-Fixed commuting charts and their square-root profiles, the departure
-moduli with closed forms, the partial-trace residual projection, whitened
-initial velocities, endpoint tangency and rigidity classification, the
-2x2 pattern test, and the isotropic pullback metric.
+Fixed commuting charts are coordinates, not a second geometry: the Bures
+geodesic between commuting endpoints is ((1-t) A^1/2 + t B^1/2)^2, with
+square-root profile ``profile_matrix(SqrtProfile.from_chart(chart), t)``.
+Also the departure moduli with closed forms, the partial-trace residual
+projection, whitened initial velocities, endpoint tangency and rigidity
+classification, the 2x2 pattern test, and the isotropic pullback metric.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bures_metric import _check_commuting, _check_parameter, _transport
+from .bures_metric import _check_parameter, _transport
 from .errors import (
     DimensionMismatch,
     InconsistentVerdict,
@@ -44,6 +46,9 @@ PATTERN_TOL = 1e-10
 # 1.5e-9 at n = 32 over 40 seeds); generic pairs stay above 0.97. The value
 # must sit between the two, with room for that growth.
 RESIDUAL_TOL = 1e-8
+
+# Relative commutator norm below which a factor pair is treated as commuting.
+COMMUTE_TOL = 1e-10
 
 # Off-diagonal mass allowed when verifying a joint eigenbasis.
 CHART_TOL = 1e-8
@@ -219,6 +224,16 @@ def _joint_eigenbasis(a: SpdMatrix, b_mat: np.ndarray) -> np.ndarray:
     return q
 
 
+def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
+    comm = np.linalg.norm(a @ b - b @ a)
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    if comm > COMMUTE_TOL * scale:
+        raise NotSimultaneouslyDiagonalizable(
+            f"{label} do not commute: relative commutator norm "
+            f"{comm / scale:.6e} exceeds {COMMUTE_TOL:.1e}"
+        )
+
+
 def _diagonalize_pair(
     a0: SpdMatrix, a1: SpdMatrix, label: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,7 +252,12 @@ def _diagonalize_pair(
 
 
 def build_chart(p0: KroneckerPoint, p1: KroneckerPoint) -> CommutingChart:
-    """Joint diagonalizing chart for simultaneously diagonalizable endpoints."""
+    """Joint diagonalizing chart for simultaneously diagonalizable endpoints.
+
+    A factor pair whose relative commutator exceeds COMMUTE_TOL, or whose
+    joint basis leaves off-diagonal mass above CHART_TOL, raises
+    NotSimultaneouslyDiagonalizable; neither test implies the other.
+    """
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
     _check_commuting(p0.u_factor.mat, p1.u_factor.mat, "U factors")
@@ -248,21 +268,16 @@ def build_chart(p0: KroneckerPoint, p1: KroneckerPoint) -> CommutingChart:
 
 
 def profile_matrix(profile: SqrtProfile, t: float) -> np.ndarray:
-    """Interpolant H_t = (1-t) a b^T + t c d^T, t in [0, 1]."""
+    """Interpolant H_t = (1-t) a b^T + t c d^T, t in [0, 1].
+
+    For ``SqrtProfile.from_chart(chart)``, the entrywise squares of H_t are
+    the commuting geodesic's diagonal entries in the chart basis R (x) Q,
+    and H_t has rank one exactly when the geodesic point stays in the model.
+    """
     _check_parameter(t)
     return (1.0 - t) * np.outer(profile.a, profile.b) + t * np.outer(
         profile.c, profile.d
     )
-
-
-def sqrt_profile_at(chart: CommutingChart, t: float) -> np.ndarray:
-    """Square-root profile H_t of the commuting geodesic in the chart basis.
-
-    The entrywise squares of H_t are the geodesic's diagonal entries in the
-    basis R (x) Q; H_t has rank one exactly when the geodesic point stays
-    in the model.
-    """
-    return profile_matrix(SqrtProfile.from_chart(chart), t)
 
 
 def classify_closure_commuting(chart: CommutingChart) -> ClosureVerdict:
@@ -482,6 +497,10 @@ def pattern_2x2_check(z0) -> tuple[bool, list[str]]:
     z0 = symmetrize(z0)
     if z0.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4 x 4 matrix, got shape {z0.shape}")
+    # A NaN fails every gap test and an inf makes the scale inf, so either
+    # would read as "tangent".
+    if not np.isfinite(z0).all():
+        raise ParameterOutOfRange("z0 must have finite entries")
     scale = max(1.0, float(np.linalg.norm(z0)))
     violated = [
         name for name, gap in _PATTERN_RELATIONS if gap(z0) > PATTERN_TOL * scale
@@ -505,6 +524,9 @@ def pullback_metric_isotropic(n: int, s: float, h_u, h_v) -> float:
         raise DimensionMismatch(
             f"tangent shapes {h_u.shape}, {h_v.shape} do not match n = {n}"
         )
+    # A NaN H_U would pass the trace test.
+    if not (np.isfinite(h_u).all() and np.isfinite(h_v).all()):
+        raise ParameterOutOfRange("tangents H_U and H_V must have finite entries")
     norm_u = float(np.linalg.norm(h_u))
     if abs(float(np.trace(h_u))) > 1e-12 * max(norm_u, np.finfo(float).tiny):
         raise TraceNotZero(f"tr(H_U) = {np.trace(h_u):.6e} is not zero")

@@ -33,14 +33,6 @@ class NotSimultaneouslyDiagonalizable(KronburesError):
     """A matrix pair admits no common orthogonal eigenbasis."""
 
 
-class NotCommuting(NotSimultaneouslyDiagonalizable):
-    """Two symmetric matrices were required to commute but do not.
-
-    For symmetric matrices, commuting is the same condition as having a
-    common orthogonal eigenbasis, hence the base class.
-    """
-
-
 class TraceNotZero(KronburesError):
     """A tangent direction violates its trace constraint."""
 

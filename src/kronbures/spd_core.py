@@ -107,16 +107,15 @@ class SpdMatrix:
     threads racing on that first read both compute it from the same
     read-only entries, get the same bits, and either may store it.
 
-    ``spd_sqrt`` returns an array unvalidated: A^1/2 of a validated A has
-    finite entries and margin sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) =
-    1e-6, far above ``PD_TOLERANCE``, so the check could not fail. No
-    inverse root is formed: where A^-1/2 enters, the library scales the
-    columns of A's cached eigenvectors instead. The whitened product
-    Y^T B Y, Y Y^T = A, is never wrapped: it can fall below the margin
-    while what is built from it is well conditioned (for V0 (x) U and
-    V1 (x) U it carries U^2), so ``bures_metric`` clips its spectrum at 0
-    and validates the result instead. Instances are immutable apart from
-    that one write, and safe to share across threads.
+    No library path forms a principal or an inverse root: where A^1/2 or
+    A^-1/2 enters, it scales the columns of A's cached eigenvectors. The
+    public ``spd_sqrt`` returns A^1/2 as an unvalidated array: its margin
+    sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) = 1e-6 could not fail. The
+    whitened product Y^T B Y, Y Y^T = A, is never wrapped: it can fall
+    below the margin while what is built from it is well conditioned (for
+    V0 (x) U and V1 (x) U it carries U^2), so ``bures_metric`` clips its
+    spectrum at 0 and validates the result instead. Instances are
+    immutable apart from that one write, and safe to share across threads.
     """
 
     __slots__ = ("mat", "_eig")

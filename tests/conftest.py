@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from kronbures import KroneckerPoint, LeafKind, SpdMatrix, col_leaf, row_leaf
+from kronbures import KroneckerPoint, LeafKind, SpdMatrix, col_leaf, row_leaf, spd_sqrt
 
 # Hypothesis properties run a fixed example sequence with no example database.
 PROPERTY_SETTINGS = settings(
@@ -55,6 +55,13 @@ def rand_symmetric(n, rng):
 
 def frob(x):
     return float(np.linalg.norm(x))
+
+
+def commuting_geodesic_eval(a, b, t):
+    """((1-t) A^1/2 + t B^1/2)^2, the Bures geodesic between commuting SPD
+    matrices by its plain formula: an oracle for the general evaluator."""
+    mix = (1.0 - t) * spd_sqrt(a) + t * spd_sqrt(b)
+    return mix @ mix
 
 
 def leaf_pair(kind, n, rng):

@@ -43,7 +43,7 @@ from kronbures.bench_cli import (
     gen_spd,
     pairwise_trial,
 )
-from kronbures.closure_diagnostics import build_chart, profile_matrix, sqrt_profile_at
+from kronbures.closure_diagnostics import SqrtProfile, build_chart, profile_matrix
 
 from conftest import frob, rand_orthogonal, rand_symmetric
 
@@ -275,10 +275,10 @@ def test_criterion_8_worked_examples():
 
     q0 = KroneckerPoint(SpdMatrix.identity(2), SpdMatrix.identity(2))
     q1 = KroneckerPoint(SpdMatrix(np.diag([2.0, 0.5])), SpdMatrix(np.diag([3.0, 1.0])))
-    chart = build_chart(q0, q1)
+    profile = SqrtProfile.from_chart(build_chart(q0, q1))
     const = np.sqrt(6.0) + 1.0 / np.sqrt(2.0) - np.sqrt(2.0) - np.sqrt(1.5)
     err_det = max(
-        abs(np.linalg.det(sqrt_profile_at(chart, t)) - t * (1.0 - t) * const)
+        abs(np.linalg.det(profile_matrix(profile, t)) - t * (1.0 - t) * const)
         for t in (0.25, 0.5, 0.75)
     )
     _report(

@@ -225,6 +225,15 @@ class TestCli:
     def test_bad_sizes_exit_two(self):
         assert main(["pairwise", "--sizes", "4,x"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("departure", "--profile-out"), ("pairwise", "--out")],
+    )
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "missing" / "out.csv"
+        assert main([command, "--trials", "1", "--sizes", "4", flag, str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_ambient_cutoff_is_not_an_option(self):
         with pytest.raises(SystemExit) as exc:
             main(["pairwise", "--ambient-cutoff", "4"])

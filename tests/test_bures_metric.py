@@ -12,13 +12,11 @@ from kronbures import (
     DimensionMismatch,
     GeodesicCurve,
     KroneckerPoint,
-    NotCommuting,
     NotPositiveDefinite,
     NumericalConsistencyError,
     ParameterOutOfRange,
     SpdMatrix,
     bures_distance_sq,
-    commuting_geodesic_eval,
     embed,
     geodesic,
     geodesic_eval,
@@ -36,17 +34,18 @@ from kronbures.bures_metric import (
     _geodesic_bounds,
     _root_factors,
     _whitened_eigvals,
-    _whitened_root_spectrum,
+    _whitened_root_eig,
 )
-from kronbures.closure_diagnostics import (
-    SqrtProfile,
-    build_chart,
-    profile_matrix,
-    sqrt_profile_at,
-)
+from kronbures.closure_diagnostics import SqrtProfile, build_chart, profile_matrix
 from kronbures.spd_core import PD_TOLERANCE, _Deferred
 
-from conftest import PROPERTY_SETTINGS, frob, rand_orthogonal, rand_spd
+from conftest import (
+    PROPERTY_SETTINGS,
+    commuting_geodesic_eval,
+    frob,
+    rand_orthogonal,
+    rand_spd,
+)
 
 
 def commuting_pair(n, rng):
@@ -198,11 +197,11 @@ class TestCommutingGeodesic:
         t = 0.3
         got = commuting_geodesic_eval(a, b, t)
         expected = ((1 - t) * np.sqrt([1.0, 4.0]) + t * np.sqrt([9.0, 16.0])) ** 2
-        assert np.allclose(np.diag(got.mat), expected)
+        assert np.allclose(np.diag(got), expected)
 
     def test_isotropic_midpoint(self):
         got = commuting_geodesic_eval(SpdMatrix.identity(2), SpdMatrix(9.0 * np.eye(2)), 0.5)
-        assert np.allclose(got.mat, 4.0 * np.eye(2))
+        assert np.allclose(got, 4.0 * np.eye(2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_general_formula(self, seed):
@@ -210,15 +209,9 @@ class TestCommutingGeodesic:
         a, b, _, _ = commuting_pair(4, rng)
         curve = geodesic(a, b)
         for t in (0.25, 0.5, 0.75):
-            fast = commuting_geodesic_eval(a, b, t).mat
+            fast = commuting_geodesic_eval(a, b, t)
             general = geodesic_eval(curve, t).mat
             assert frob(fast - general) <= 1e-9 * frob(general)
-
-    def test_rejects_noncommuting(self):
-        a = SpdMatrix(np.diag([2.0, 0.5]))
-        b = SpdMatrix(np.array([[1.25, 0.75], [0.75, 1.25]]))
-        with pytest.raises(NotCommuting):
-            commuting_geodesic_eval(a, b, 0.5)
 
 
 class TestStackedWhitening:
@@ -233,11 +226,12 @@ class TestStackedWhitening:
         s = spd_sqrt(rand_spd(n, rng))
         stack = np.stack([rand_spd(n, rng).mat for _ in range(count)])
         eigvals = _whitened_eigvals(s, stack)
-        roots = _whitened_root_spectrum(s, stack)[0]
-        assert eigvals.shape == (count, n) and roots.shape == (count, n, n)
+        w, r = _whitened_root_eig(s, stack)
+        assert eigvals.shape == r.shape == (count, n) and w.shape == (count, n, n)
         for i in range(count):
             assert np.array_equal(eigvals[i], _whitened_eigvals(s, stack[i]))
-            assert np.array_equal(roots[i], _whitened_root_spectrum(s, stack[i])[0])
+            wi, ri = _whitened_root_eig(s, stack[i])
+            assert np.array_equal(w[i], wi) and np.array_equal(r[i], ri)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_stacked_root_factors(self, n):
@@ -248,10 +242,11 @@ class TestStackedWhitening:
         b = np.stack([rand_spd(n, rng).mat for _ in range(2)])
         assert not np.array_equal(y[0], y[0].T)
         eigvals = _whitened_eigvals(y, b)
-        roots = _whitened_root_spectrum(y, b)[0]
+        w, r = _whitened_root_eig(y, b)
         for i in range(2):
             assert np.array_equal(eigvals[i], _whitened_eigvals(y[i], b[i]))
-            assert np.array_equal(roots[i], _whitened_root_spectrum(y[i], b[i])[0])
+            wi, ri = _whitened_root_eig(y[i], b[i])
+            assert np.array_equal(w[i], wi) and np.array_equal(r[i], ri)
 
 
 class TestClampDistances:
@@ -363,17 +358,11 @@ class TestAmbientFactorizations:
         k0, k1 = self._embeddings()
         assert linalg_calls(monkeypatch, bures_distance_sq, k0, k1) == [("eigvalsh", 9)]
 
-    def test_commuting_geodesic_validates_by_eigenvalues(self, monkeypatch):
-        # The endpoints' cached eigenvalues prove the point's margin.
-        a, b, _, _ = commuting_pair(4, np.random.default_rng(74))
-        calls = linalg_calls(monkeypatch, commuting_geodesic_eval, a, b, 0.3)
-        assert [c for c in calls if c[0] in ("eigh", "eigvalsh")] == []
 
-
-def spread_spd(n, spread, rng, q=None):
-    """SPD matrix with log-eigenvalues uniform in [-spread, spread], in the
-    eigenbasis q (random when not given)."""
-    q = rand_orthogonal(n, rng) if q is None else q
+def spread_spd(n, spread, rng):
+    """SPD matrix with log-eigenvalues uniform in [-spread, spread], in a
+    random eigenbasis."""
+    q = rand_orthogonal(n, rng)
     return SpdMatrix((q * np.exp(rng.uniform(-spread, spread, n))) @ q.T)
 
 
@@ -494,18 +483,11 @@ class TestGeodesicPoints:
         "evaluate",
         [
             lambda a, b, t: geodesic_eval(geodesic(a, b), t),
-            commuting_geodesic_eval,
-            lambda a, b, t: sqrt_profile_at(diagonal_chart(a, b), t),
             lambda a, b, t: profile_matrix(
                 SqrtProfile.from_chart(diagonal_chart(a, b)), t
             ),
         ],
-        ids=[
-            "geodesic_eval",
-            "commuting_geodesic_eval",
-            "sqrt_profile_at",
-            "profile_matrix",
-        ],
+        ids=["geodesic_eval", "profile_matrix"],
     )
     def test_parameter_outside_unit_interval(self, evaluate, t):
         a, b = SpdMatrix(np.diag([1.0, 2.0])), SpdMatrix(np.diag([4.0, 3.0]))
@@ -545,19 +527,6 @@ class TestCertifiedMargin:
                 geodesic_eval(curve, t)
 
         check_bounds(deferred_builds(curve_points))
-
-    @PROPERTY_SETTINGS
-    @given(
-        n=st.integers(1, 9),
-        spread=st.floats(0.0, 12.0),
-        t=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_commuting_geodesic_bounds_hold(self, n, spread, t, seed):
-        rng = np.random.default_rng(seed)
-        q = rand_orthogonal(n, rng)
-        a, b = spread_spd(n, spread, rng, q), spread_spd(n, spread, rng, q)
-        check_bounds(deferred_builds(commuting_geodesic_eval, a, b, t))
 
     def test_undecided_midpoint_runs_one_eigvalsh(self, monkeypatch):
         curve = undecided_midpoint_curve()

@@ -15,7 +15,6 @@ from kronbures import (
     KroneckerPoint,
     LeafKind,
     NonPositiveCoordinate,
-    NotCommuting,
     NotSimultaneouslyDiagonalizable,
     ParameterOutOfRange,
     RigidityVerdict,
@@ -37,7 +36,6 @@ from kronbures import (
     pi_residual,
     pullback_metric_isotropic,
     row_leaf,
-    sqrt_profile_at,
     transport_map,
     whitened_initial_velocity,
     write_departure_profile,
@@ -141,18 +139,40 @@ class TestBuildChart:
             build_chart(p0, p1)
 
     def test_noncommuting_u_pair_raises_not_commuting(self):
-        # The same relative-commutator test as commuting_geodesic_eval, and
-        # its error type, naming the factor that fails.
+        # The relative-commutator test names the factor that fails.
         p0, p1 = example_noncommuting_pair()
-        with pytest.raises(NotCommuting, match="U factors"):
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match="U factors"):
             build_chart(p0, p1)
+
+    @pytest.mark.parametrize(
+        "v0, v1, fails",
+        [
+            # A near-repeated eigenvalue keeps the commutator at 7e-12
+            # relative, but leaves off-diagonal mass 1.4e-5 in V0's basis.
+            ([1.0, 1.0 + 1e-6], [[1.0, 1e-5], [1e-5, 1.0]], "have off-diagonal mass"),
+            # Eigenvalues within the grouping tolerance: the joint basis
+            # diagonalizes both, while the commutator is 3.2e-10 relative.
+            ([1.0, 1.0 + 1e-9], [[1.0, 0.5], [0.5, 1.0]], "do not commute"),
+        ],
+        ids=["basis_check", "commutator_check"],
+    )
+    def test_each_chart_check_rejects_what_the_other_passes(self, v0, v1, fails):
+        eye = SpdMatrix.identity(2)
+        p0 = KroneckerPoint(eye, SpdMatrix(np.diag(v0)))
+        p1 = KroneckerPoint(eye, SpdMatrix(np.array(v1)))
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match=f"V factors {fails}"):
+            build_chart(p0, p1)
+        if fails == "do not commute":
+            closure_diagnostics._diagonalize_pair(p0.v_factor, p1.v_factor, "V")
+        else:
+            closure_diagnostics._check_commuting(p0.v_factor.mat, p1.v_factor.mat, "V")
 
 
 class TestSqrtProfile:
     def test_t0_rank_one(self):
         rng = np.random.default_rng(1)
         p0, p1 = commuting_point_pair(3, rng)
-        h0 = sqrt_profile_at(build_chart(p0, p1), 0.0)
+        h0 = profile_matrix(SqrtProfile.from_chart(build_chart(p0, p1)), 0.0)
         assert delta_geo_svd(h0) <= 1e-12 * frob(h0)
 
     def test_shared_u_leaf_rank_one_for_all_t(self):
@@ -166,10 +186,10 @@ class TestSqrtProfile:
             assert delta_geo_svd(h) <= 1e-12 * frob(h)
 
     def test_nonclosure_example_determinant(self):
-        chart = build_chart(*example_commuting_nonclosure_pair())
+        profile = SqrtProfile.from_chart(build_chart(*example_commuting_nonclosure_pair()))
         const = np.sqrt(6.0) + 1.0 / np.sqrt(2.0) - np.sqrt(2.0) - np.sqrt(1.5)
         for t in (0.25, 0.5, 0.75):
-            h = sqrt_profile_at(chart, t)
+            h = profile_matrix(profile, t)
             assert np.linalg.det(h) == pytest.approx(t * (1 - t) * const, abs=1e-14)
             assert np.linalg.det(h) > 0.0
 
@@ -486,16 +506,18 @@ class TestPiResidual:
 class TestFactorTransports:
     def test_each_root_of_p0_taken_once(self, monkeypatch):
         # Each call takes the root factors of p0's two factors once, inside
-        # the transports, and forms no principal root.
+        # the transports, and forms no principal root: neither module that
+        # builds them imports spd_sqrt.
+        assert not hasattr(bures_metric, "spd_sqrt")
+        assert not hasattr(closure_diagnostics, "spd_sqrt")
         calls = []
-        for name in ("_root_factors", "spd_sqrt"):
-            fn = getattr(bures_metric, name)
+        fn = bures_metric._root_factors
 
-            def counted(a, fn=fn, name=name):
-                calls.append((name, a))
-                return fn(a)
+        def counted(a):
+            calls.append(("_root_factors", a))
+            return fn(a)
 
-            monkeypatch.setattr(bures_metric, name, counted)
+        monkeypatch.setattr(bures_metric, "_root_factors", counted)
         rng = np.random.default_rng(13)
         p0, p1, p2 = (rand_point(3, rng) for _ in range(3))
         ft = factor_transports(p0, p1)
@@ -830,6 +852,25 @@ class TestNonFiniteRejected:
             lambda bad: pullback_metric_isotropic(
                 2, bad, np.diag([1.0, -1.0]), np.eye(2)
             ),
+            ParameterOutOfRange,
+        ),
+        # A NaN passed the trace test and returned NaN.
+        "pullback_h_u": (
+            lambda bad: pullback_metric_isotropic(
+                2, 1.0, np.array([[1.0, bad], [bad, -1.0]]), np.eye(2)
+            ),
+            ParameterOutOfRange,
+        ),
+        "pullback_h_v": (
+            lambda bad: pullback_metric_isotropic(
+                2, 1.0, np.diag([1.0, -1.0]), np.array([[1.0, bad], [bad, 1.0]])
+            ),
+            ParameterOutOfRange,
+        ),
+        # A NaN fails every gap test and an inf makes the scale inf: both
+        # read as "tangent".
+        "pattern_2x2": (
+            lambda bad: pattern_2x2_check(np.full((4, 4), bad)),
             ParameterOutOfRange,
         ),
     }

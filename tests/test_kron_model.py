@@ -15,7 +15,6 @@ from kronbures import (
     SpdMatrix,
     bures_distance_sq,
     col_leaf,
-    commuting_geodesic_eval,
     embed,
     gauge_normalize,
     geodesic,
@@ -39,6 +38,7 @@ from conftest import (
     PROPERTY_SETTINGS,
     RECON_TOL,
     clouds,
+    commuting_geodesic_eval,
     frob,
     leaf_pair,
     leaf_pairs,
@@ -528,7 +528,7 @@ class TestLeafGeodesic:
         p0, p1 = KroneckerPoint(u_star, v0), KroneckerPoint(u_star, v1)
         for t in (0.25, 0.5, 0.75):
             got = leaf_geodesic(leaf, p0, p1, t).v_factor.mat
-            expected = commuting_geodesic_eval(v0, v1, t).mat
+            expected = commuting_geodesic_eval(v0, v1, t)
             assert frob(got - expected) <= 1e-10 * frob(expected)
 
     def test_col_leaf_isotropic_scalar_law(self):
