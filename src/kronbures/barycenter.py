@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bures_metric import _root_factors, _whitened_root_eig, transport_map
+from .bures_metric import (
+    _root_factors,
+    _whitened_product,
+    _whitened_root_eig,
+    transport_map,
+)
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -216,7 +221,7 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
         y, z = _root_factors(v)
         h = np.sqrt(v.eig.eigenvalues)
         # All N roots (Y^T M_i Y)^1/2 from one stacked eigh; summed in data order.
-        q, r = _whitened_root_eig(y, stack)
+        q, r = _whitened_root_eig(_whitened_product(y, stack))
         roots = (q * r[..., None, :]) @ np.swapaxes(q, -1, -2)
         g = sum(wi * root for wi, root in zip(w, roots))
         residual = float(np.linalg.norm(g / np.multiply.outer(h, h) - eye))

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -490,11 +491,26 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
     return configs
 
 
+def _check_writable(path: str | None) -> None:
+    """Open path for append and close it again, so that an unwritable
+    output path fails before any experiment runs. An existing file keeps
+    its contents; a file the probe created is removed again."""
+    if path is None:
+        return
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        configs = _configs_from_args(args)
+        _check_writable(args.out)
+        _check_writable(args.profile_out)
         rows = []
-        for cfg in _configs_from_args(args):
+        for cfg in configs:
             try:
                 rows.extend(RUNNERS[cfg.experiment](cfg))
             except (NumericalConsistencyError, NoConvergence, InconsistentVerdict) as exc:

@@ -64,36 +64,45 @@ def _clamp_distances_sq(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 # The whitened product Y^T B Y, for a square-root factor Y Y^T = A, is
-# formed and decomposed only by the helpers below; see SpdMatrix for why it
-# is never validated. Its spectrum does not depend on which factor: Y^T B Y
-# is orthogonally similar to A^1/2 B A^1/2. Every caller takes Y = Q L^1/2
-# and, where it needs one, Z = Q L^-1/2 = Y^-T from the cached
-# A = Q L Q^T, two column scalings, so the small eigendirections of A are
-# never rounded through a formed root A^-1/2. Y and B may each be one
-# n x n matrix or a stack of shape (m, n, n): Y^T B Y is then one
-# broadcast matmul and its decomposition one stacked LAPACK call, which
-# runs the same per-matrix routine as m separate calls and returns the
-# same bits. With Y^T B Y = W diag(w) W^T and r = sqrt(max(w, 0)), the
-# transport T = Z R Z^T, R = W diag(r) W^T, is the Gram product H H^T of
+# formed, symmetrized, by _whitened_product alone, and decomposed only by
+# the helpers below; see SpdMatrix for why it is never validated. Its
+# spectrum does not depend on which factor: Y^T B Y is orthogonally
+# similar to A^1/2 B A^1/2. Every caller takes Y = Q L^1/2 and, where it
+# needs one, Z = Q L^-1/2 = Y^-T from the cached A = Q L Q^T, two column
+# scalings, so the small eigendirections of A are never rounded through a
+# formed root A^-1/2. Y and B may each be one n x n matrix or a stack of
+# shape (m, n, n): Y^T B Y is then one broadcast matmul and its
+# decomposition one stacked LAPACK call, which runs the same per-matrix
+# routine as m separate calls and returns the same bits. With
+# Y^T B Y = W diag(w) W^T and r = sqrt(max(w, 0)), the transport
+# T = Z R Z^T, R = W diag(r) W^T, is the Gram product H H^T of
 # H = Z W diag(r)^1/2: the product Z W and one syrk at N = n^2. Weyl on
 # Z R Z^T gives r_min / a_max <= lambda(T) <= r_max / a_min; those bounds
 # and the check's products TA and TAT reach a GeodesicCurve only through
 # geodesic. R itself is formed only at factor size, by factor_transports.
+# bures_distance_sq(a, b) leaves its product on a (SpdMatrix._memo), and a
+# transport from a to that same b decomposes it instead of forming it
+# again; one helper forms it either way, so no result depends on which.
+
+
+def _whitened_product(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The symmetrized Y^T B Y; Y and B may also be stacks of any depth that
+    broadcast."""
+    m = np.swapaxes(y, -1, -2) @ b @ y
+    return symmetrize(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape)
 
 
 def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized Y^T B Y, clipped at 0; Y and
     B may also be stacks of any depth that broadcast."""
-    m = np.swapaxes(y, -1, -2) @ b @ y
-    m = symmetrize(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape)
-    return np.maximum(np.linalg.eigvalsh(m), 0.0)
+    return np.maximum(np.linalg.eigvalsh(_whitened_product(y, b)), 0.0)
 
 
-def _whitened_root_eig(y: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(W, r): the eigenvectors W of the symmetrized Y^T B Y = W diag(w) W^T,
-    from one eigh, and the ascending eigenvalues r = sqrt(max(w, 0)) of its
-    root."""
-    w, q = np.linalg.eigh(symmetrize(np.swapaxes(y, -1, -2) @ b @ y))
+def _whitened_root_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W, r): the eigenvectors W of a whitened product M = W diag(w) W^T
+    from _whitened_product, from one eigh, and the ascending eigenvalues
+    r = sqrt(max(w, 0)) of its root."""
+    w, q = np.linalg.eigh(m)
     return q, np.sqrt(np.maximum(w, 0.0))
 
 
@@ -114,7 +123,12 @@ def _root_factors(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
 def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Bures-Wasserstein distance tr(A) + tr(B) - 2 tr((A^1/2 B A^1/2)^1/2)."""
     _check_same_dim(a, b)
-    w = _whitened_eigvals(_root_factors(a)[0], b.mat)
+    m = _whitened_product(_root_factors(a)[0], b.mat)
+    # A self pair keeps nothing: the slot would then refer to a itself.
+    if b is not a:
+        m.setflags(write=False)
+        a._memo = (b, m)
+    w = np.maximum(np.linalg.eigvalsh(m), 0.0)
     tr_sum = a.trace() + b.trace()
     d2 = tr_sum - 2.0 * float(np.sqrt(w).sum())
     return _clamp_distance_sq(d2, tr_sum)
@@ -146,11 +160,21 @@ def _transport(
     r_min / a_max <= lambda(T) <= r_max / a_min, which validate T when they
     prove the margin."""
     y, z = _root_factors(a)
-    q, r = _whitened_root_eig(y, b.mat)
+    # The slot is read once: a racing writer costs at most a second product.
+    memo = a._memo
+    if memo is not None and memo[0] is b:
+        a._memo = None
+        m = memo[1]
+    else:
+        m = _whitened_product(y, b.mat)
+    # Y is freed before the eigh, M after it, and Z and then H before the
+    # check allocates TA and TAT: a curve and one point peak at six N x N
+    # arrays.
+    del memo, y
+    q, r = _whitened_root_eig(m)
+    del m
     h = z @ q
-    # Y, Z and then H are freed before the check allocates TA and TAT, so
-    # a curve and one point peak at six N x N arrays.
-    del y, z
+    del z
     h *= np.sqrt(r)
     a_max, a_min = _extremes(a)
     bounds = _Deferred(float(r[0]) / a_max, float(r[-1]) / a_min)

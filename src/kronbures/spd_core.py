@@ -114,11 +114,23 @@ class SpdMatrix:
     whitened product Y^T B Y, Y Y^T = A, is never wrapped: it can fall
     below the margin while what is built from it is well conditioned (for
     V0 (x) U and V1 (x) U it carries U^2), so ``bures_metric`` clips its
-    spectrum at 0 and validates the result instead. Instances are
-    immutable apart from that one write, and safe to share across threads.
+    spectrum at 0 and validates the result instead.
+
+    ``_memo`` is one private slot, ``None`` or ``(b, M)``: the symmetrized
+    whitened product M that ``bures_metric.bures_distance_sq(self, b)``
+    formed, kept so that a transport from ``self`` to that same object
+    ``b`` (``geodesic`` after the distance) decomposes M without forming it
+    again, and clears the slot. It is keyed by identity, never by equal
+    values; since it holds ``b``, ``b``'s id cannot be reused while it
+    lives. So a distance leaves one N x N array on ``self`` until the next
+    distance from ``self`` or that transport; a self pair stores nothing,
+    which would be a reference cycle. Instances are immutable apart from the
+    ``eig`` write and this slot, and safe to share across threads: a
+    reader takes the slot once into a local, M is read-only, and a lost
+    race only forms M again, with the same bits.
     """
 
-    __slots__ = ("mat", "_eig")
+    __slots__ = ("mat", "_eig", "_memo")
 
     def __init__(self, entries, *, _eig=None):
         arr = np.asarray(entries, dtype=float)
@@ -146,6 +158,7 @@ class SpdMatrix:
         arr.setflags(write=False)
         self.mat = arr
         self._eig = eig
+        self._memo = None
 
     @property
     def eig(self) -> EigenDecomposition:

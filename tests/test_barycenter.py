@@ -31,7 +31,7 @@ from kronbures import (
 )
 from kronbures import barycenter
 from kronbures.barycenter import _project_centered_box
-from kronbures.bures_metric import _whitened_root_eig
+from kronbures.bures_metric import _whitened_product, _whitened_root_eig
 from kronbures.bench_cli import barycenter_dataset, gen_log_diag, gen_spd
 from kronbures.kron_model import leaf_factor
 
@@ -251,7 +251,7 @@ def _bw_per_matrix(mats, w):
     v = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
     for _ in range(barycenter.BW_MAX_ITER):
         q, h = v.eig.eigenvectors, np.sqrt(v.eig.eigenvalues)
-        roots = (_whitened_root_eig(q * h, m.mat) for m in mats)
+        roots = (_whitened_root_eig(_whitened_product(q * h, m.mat)) for m in mats)
         g = sum(wi * ((wq * r) @ wq.T) for wi, (wq, r) in zip(w, roots))
         if float(np.linalg.norm(g / np.outer(h, h) - np.eye(v.dim))) <= barycenter.BW_TOL:
             return v

@@ -229,7 +229,15 @@ class TestCli:
         "command, flag",
         [("departure", "--profile-out"), ("pairwise", "--out")],
     )
-    def test_unwritable_output_exit_two(self, tmp_path, capsys, command, flag):
+    def test_unwritable_output_exit_two(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        # The path is checked before the first experiment starts.
+        def must_not_run(cfg):
+            raise AssertionError(f"{cfg.experiment.value} ran")
+
+        for kind in ExperimentKind:
+            monkeypatch.setitem(bench_cli.RUNNERS, kind, must_not_run)
         path = tmp_path / "missing" / "out.csv"
         assert main([command, "--trials", "1", "--sizes", "4", flag, str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
@@ -249,6 +257,21 @@ class TestCli:
             boom,
         )
         assert main(["departure", "--trials", "1"]) == 3
+
+    def test_failed_run_leaves_outputs_as_they_were(self, tmp_path, monkeypatch):
+        # The writability probe neither truncates an existing report nor
+        # leaves a new, empty one behind.
+        def boom(cfg):
+            raise NumericalConsistencyError("leaf modulus above tolerance")
+
+        monkeypatch.setitem(bench_cli.RUNNERS, ExperimentKind.DEPARTURE, boom)
+        report, profile = tmp_path / "report.csv", tmp_path / "profile.csv"
+        report.write_text("previous report\n")
+        argv = ["departure", "--trials", "1", "--out", str(report),
+                "--profile-out", str(profile)]
+        assert main(argv) == 3
+        assert report.read_text() == "previous report\n"
+        assert not profile.exists()
 
     def test_solver_failure_exit_three(self, monkeypatch, capsys):
         def stalled(data):

@@ -34,6 +34,7 @@ from kronbures.bures_metric import (
     _geodesic_bounds,
     _root_factors,
     _whitened_eigvals,
+    _whitened_product,
     _whitened_root_eig,
 )
 from kronbures.closure_diagnostics import SqrtProfile, build_chart, profile_matrix
@@ -226,11 +227,11 @@ class TestStackedWhitening:
         s = spd_sqrt(rand_spd(n, rng))
         stack = np.stack([rand_spd(n, rng).mat for _ in range(count)])
         eigvals = _whitened_eigvals(s, stack)
-        w, r = _whitened_root_eig(s, stack)
+        w, r = _whitened_root_eig(_whitened_product(s, stack))
         assert eigvals.shape == r.shape == (count, n) and w.shape == (count, n, n)
         for i in range(count):
             assert np.array_equal(eigvals[i], _whitened_eigvals(s, stack[i]))
-            wi, ri = _whitened_root_eig(s, stack[i])
+            wi, ri = _whitened_root_eig(_whitened_product(s, stack[i]))
             assert np.array_equal(w[i], wi) and np.array_equal(r[i], ri)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -242,10 +243,10 @@ class TestStackedWhitening:
         b = np.stack([rand_spd(n, rng).mat for _ in range(2)])
         assert not np.array_equal(y[0], y[0].T)
         eigvals = _whitened_eigvals(y, b)
-        w, r = _whitened_root_eig(y, b)
+        w, r = _whitened_root_eig(_whitened_product(y, b))
         for i in range(2):
             assert np.array_equal(eigvals[i], _whitened_eigvals(y[i], b[i]))
-            wi, ri = _whitened_root_eig(y[i], b[i])
+            wi, ri = _whitened_root_eig(_whitened_product(y[i], b[i]))
             assert np.array_equal(w[i], wi) and np.array_equal(r[i], ri)
 
 
@@ -496,20 +497,87 @@ class TestGeodesicPoints:
 
     def test_peak_memory(self):
         # A curve and one point at N = 256 hold at most six N x N arrays at
-        # once: the transport frees its factors Y, Z and H before its check
-        # forms TA and TAT, and the point is summed in one buffer.
+        # once: the transport frees Y before its eigh, the whitened product
+        # after it, and Z and H before its check forms TA and TAT, and the
+        # point is summed in one buffer. After a distance on the same pair,
+        # that product is the one the distance left on k0.
         rng = np.random.default_rng(0)
         k0, k1 = (
             embed(KroneckerPoint.from_factors(gen_spd(16, rng), gen_spd(16, rng)))
             for _ in range(2)
         )
-        tracemalloc.start()
+        slack = 64 * 1024
+        for after_distance in (False, True):
+            tracemalloc.start()
+            try:
+                if after_distance:
+                    bures_distance_sq(k0, k1)
+                    # A distance leaves only its product behind.
+                    assert tracemalloc.get_traced_memory()[0] <= k0.mat.nbytes + slack
+                geodesic_eval(geodesic(k0, k1), 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * k0.mat.nbytes + slack, after_distance
+            assert k0._memo is None
+
+
+class TestDistanceProductMemo:
+    """bures_distance_sq(a, b) leaves its whitened product on a, keyed by
+    b's identity, and a transport from a to that b takes it."""
+
+    @staticmethod
+    def curve_bits(curve):
+        points = [geodesic_eval(curve, t).mat for t in (0.0, 0.5, 1.0)]
+        return [curve.transport.mat, curve._ta, curve._tat,
+                np.array(curve._transport_bounds), *points]
+
+    @PROPERTY_SETTINGS
+    @given(pair=spread_pairs())
+    def test_transport_after_distance_is_bitwise_unchanged(self, pair):
+        a, b = pair
         try:
-            geodesic_eval(geodesic(k0, k1), 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * k0.mat.nbytes + 64 * 1024
+            alone = self.curve_bits(geodesic(a, b))
+        except NumericalConsistencyError:
+            reject()  # the transport check's conditioning limit
+        t_alone = transport_map(a, b).mat
+        bures_distance_sq(a, b)
+        assert a._memo[0] is b
+        got = self.curve_bits(geodesic(a, b))
+        assert a._memo is None
+        assert all(np.array_equal(x, y) for x, y in zip(got, alone))
+        bures_distance_sq(a, b)
+        assert np.array_equal(transport_map(a, b).mat, t_alone)
+        assert a._memo is None
+
+    @PROPERTY_SETTINGS
+    @given(pair=spread_pairs())
+    def test_equal_valued_copy_never_hits(self, pair):
+        a, b = pair
+        c = SpdMatrix(b.mat.copy())
+        try:
+            alone = self.curve_bits(geodesic(a, b))
+        except NumericalConsistencyError:
+            reject()  # the transport check's conditioning limit
+        d_ab = bures_distance_sq(a, b)
+        assert bures_distance_sq(a, c) == d_ab
+        assert a._memo[0] is c
+        # The slot's partner is c, not b: the transport forms its own
+        # product and leaves the slot as it was.
+        got = self.curve_bits(geodesic(a, b))
+        assert a._memo[0] is c
+        assert all(np.array_equal(x, y) for x, y in zip(got, alone))
+
+    def test_self_pair_keeps_nothing(self):
+        a = rand_spd(4, np.random.default_rng(83))
+        bures_distance_sq(a, a)
+        assert a._memo is None
+
+    def test_kept_product_is_read_only(self):
+        rng = np.random.default_rng(84)
+        a, b = rand_spd(4, rng), rand_spd(4, rng)
+        bures_distance_sq(a, b)
+        assert not a._memo[1].flags.writeable
 
 
 class TestCertifiedMargin:
