@@ -2,8 +2,9 @@
 
 The fixed commuting-coordinate slice has an exact Perron singular-vector
 minimizer; common factor leaves reduce to the standard Bures-Wasserstein
-barycenter on the SPD cone. A projected-gradient solve in logarithmic
-coordinates serves as the independent numerical oracle.
+barycenter on the SPD cone. Exact alternating block steps on the slice,
+with a first-order stop in logarithmic coordinates, serve as the
+independent numerical oracle.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ logger = logging.getLogger(__name__)
 
 WEIGHT_TOL = 1e-12
 
-# Solver iteration budgets and stopping tolerances. ORACLE_BOUND is the
-# half-width of the oracle's box on every log coordinate.
+# Solver iteration budgets and stopping tolerances.
 BW_MAX_ITER = 500
 BW_TOL = 1e-10
 ORACLE_MAX_ITER = 20000
 ORACLE_GRAD_TOL = 1e-8
-ORACLE_BOUND = 8.0
 
 
 def _check_weights(weights, count: int) -> np.ndarray:
@@ -79,6 +78,11 @@ class SliceData:
             raise DimensionMismatch(
                 f"eigenvalue arrays have shapes {self.u_eigs.shape} and "
                 f"{self.v_eigs.shape}"
+            )
+        if self.u_eigs.size == 0:
+            raise DimensionMismatch(
+                f"slice data need at least one row and one column, got shape "
+                f"{self.u_eigs.shape}"
             )
         _check_positive("u_eigs", self.u_eigs)
         _check_positive("v_eigs", self.v_eigs)
@@ -166,6 +170,8 @@ def perron_singular_pair(c_mat) -> PerronSolution:
     c_mat = np.asarray(c_mat, dtype=float)
     if c_mat.ndim != 2 or c_mat.shape[0] != c_mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {c_mat.shape}")
+    if c_mat.size == 0:
+        raise DimensionMismatch("matrix dimension must be at least 1")
     _check_positive("coefficient matrix", c_mat)
     u = np.abs(np.linalg.eigh(c_mat @ c_mat.T)[1][:, -1])
     v = c_mat.T @ u
@@ -263,126 +269,53 @@ def leaf_barycenter(leaf: FactorLeaf, points, weights) -> LeafBarycenter:
     return LeafBarycenter(leaf=leaf, point=point, factor_solution=m_bar)
 
 
-def _project_centered_box(vec: np.ndarray, bound: float) -> np.ndarray:
-    """Euclidean projection onto {sum = 0} intersected with [-bound, bound]^n.
-
-    A continuous quadratic knapsack problem, solved exactly by the
-    breakpoint method (Helgason, Kennington and Lall, Math. Program. 18,
-    1980; Kiwiel, Math. Program. 112, 2008). The projection is
-    clip(vec - tau, -bound, bound), where tau is the root of the
-    nonincreasing piecewise-linear g(tau) = sum clip(vec - tau, -bound, bound),
-    whose slope changes only at the 2n breakpoints vec +- bound. g is
-    evaluated at the sorted breakpoints in one (2n, n) broadcast, exact to
-    round-off at each of them; the first breakpoint with g <= 0 closes the
-    segment holding the root, and tau follows by linear interpolation
-    there. Tied breakpoints give empty segments, which are never chosen;
-    a root on a flat piece of g lands on that piece's left end. An input
-    already in the set is returned unchanged. A constant input, n = 1
-    included, projects to 0; it is the one input whose breakpoints can
-    all round to a single value (bound below half an ulp of the entries),
-    leaving no sign change to find. Every clip is the ufunc pair
-    minimum(maximum(v, -bound), bound), which gives np.clip's bits.
-    """
-    if (vec == vec[0]).all():
-        return np.zeros_like(vec)
-    if vec.sum() == 0.0 and np.abs(vec).max() <= bound:
-        return vec.copy()
-    breaks = np.concatenate([vec - bound, vec + bound])
-    breaks.sort()
-    clipped = vec - breaks[:, None]
-    np.maximum(clipped, -bound, out=clipped)
-    g = np.minimum(clipped, bound, out=clipped).sum(axis=1)
-    k = int((g <= 0.0).argmax())
-    lo, hi = breaks[k - 1], breaks[k]
-    tau = lo + (hi - lo) * (g[k - 1] / (g[k - 1] - g[k]))
-    return np.minimum(np.maximum(vec - tau, -bound), bound)
-
-
 def log_coordinate_oracle(data: SliceData) -> tuple[np.ndarray, np.ndarray, float]:
-    """Slice minimizer by projected gradient descent in log coordinates.
+    """Slice minimizer by exact alternating block steps.
 
-    Works in s = log x, r = log y with the linear constraint sum(s) = 0 and
-    box bounds [-ORACLE_BOUND, ORACLE_BOUND], using Barzilai-Borwein steps
-    safeguarded by a backtracking line search. Independent of the Perron
-    route; returns (x, y, projected first-order residual). Stops early once
-    the objective decrease stays below float resolution, since the line
-    search cannot certify progress past that point. Each trial point is
-    evaluated once: that evaluation keeps x = e^s, y = e^r, e^(s/2),
-    e^(r/2) and their sums, the gradient at the accepted point is formed
-    from them, and the returned x, y are the accepted point's own.
+    Works in p = sqrt(x), q = sqrt(y), where the slice objective is
+    f = |p|^2 |q|^2 + kappa - 2 p^T C q with C = coefficient_matrix(data).
+    One sweep sets q = C^T p / |p|^2, then p = C q / |q|^2: each is the
+    exact minimizer of f over its block, so f never increases. The sweep
+    ends with p / g and q * g, g = exp(mean log p), which leaves f unchanged
+    and restores sum log x = 0. This is the slice case of the alternating
+    exact Bures-Wasserstein steps, a Bures analogue of the flip-flop
+    algorithm (Dutilleul, J. Stat. Comput. Simul. 64, 1999). The start is
+    the geometric mean of the data rows. C is entrywise positive, so the
+    iterates stay positive and the positive stationary pair is unique
+    (Perron-Frobenius); no eigensolver or Perron quantity is used, so the
+    oracle stays independent of slice_barycenter.
+
+    The residual is the first-order residual in log coordinates s = log x,
+    r = log y with the s-part projected onto sum s = 0:
+    ||(g_s - mean g_s, g_r)||, g_s = x sum y - p o (C q) and
+    g_r = y sum x - q o (C^T p). Returns (x, y, residual) after the first
+    sweep that ends with residual <= ORACLE_GRAD_TOL; raises NoConvergence
+    with the log coordinates (s, r) of the last iterate after
+    ORACLE_MAX_ITER sweeps.
     """
     c_mat = coefficient_matrix(data)
-    n = data.n
-    bound = ORACLE_BOUND
-    kappa = data.kappa
-
-    def project(z):
-        out = np.empty_like(z)
-        out[:n] = _project_centered_box(z[:n], bound)
-        np.minimum(np.maximum(z[n:], -bound), bound, out=out[n:])
-        return out
-
-    def residual_at(z, g):
-        # np.linalg.norm of a vector is sqrt(d.dot(d)), without its wrapper.
-        d = z - project(z - g)
-        return math.sqrt(d.dot(d))
-
-    def evaluate(z):
-        """Objective at z, and the values its gradient is formed from."""
-        s, r = z[:n], z[n:]
-        x = np.exp(s)
-        y = np.exp(r)
-        sx = np.exp(0.5 * s)
-        sy = np.exp(0.5 * r)
-        x_sum, y_sum = x.sum(), y.sum()
-        f = float(x_sum * y_sum + kappa - 2.0 * float(sx @ c_mat @ sy))
-        return f, (x, y, sx, sy, x_sum, y_sum)
-
-    def gradient(point):
-        x, y, sx, sy, x_sum, y_sum = point
-        g = np.empty(2 * n)
-        np.subtract(x * y_sum, sx * (c_mat @ sy), out=g[:n])
-        np.subtract(y * x_sum, sy * (c_mat.T @ sx), out=g[n:])
-        return g
-
-    z = project(
-        np.concatenate(
-            [np.log(data.u_eigs).mean(axis=0), np.log(data.v_eigs).mean(axis=0)]
-        )
-    )
-    f, point = evaluate(z)
-    g = gradient(point)
-    step = 1.0
-    stalled = 0
-    residual = residual_at(z, g)
+    p = np.exp(0.5 * np.log(data.u_eigs).mean(axis=0))
+    q = np.exp(0.5 * np.log(data.v_eigs).mean(axis=0))
+    ctp = c_mat.T @ p
     for _ in range(ORACLE_MAX_ITER):
-        if residual <= ORACLE_GRAD_TOL or stalled >= 20:
-            return point[0], point[1], residual
-        while True:
-            z_new = project(z - step * g)
-            dz = z_new - z
-            dz_sq = float(dz @ dz)
-            f_new, point_new = evaluate(z_new)
-            if f_new <= f + float(g @ dz) + dz_sq / (2.0 * step):
-                break
-            step *= 0.5
-            if step < 1e-14:
-                break
-        g_new = gradient(point_new)
-        dg = g_new - g
-        curv = float(dz @ dg)
-        if curv > 0.0:
-            step = min(max(dz_sq / curv, 1e-12), 1e8)
-        else:
-            step = min(step * 2.0, 1.0)
-        stalled = stalled + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
-        z, f, g, point = z_new, f_new, g_new, point_new
-        residual = residual_at(z, g)
-    if residual <= ORACLE_GRAD_TOL:
-        return point[0], point[1], residual
+        q = ctp / p.dot(p)
+        cq = c_mat @ q
+        p = cq / q.dot(q)
+        g = math.exp(np.log(p).mean())
+        p /= g
+        q *= g
+        cq *= g
+        ctp = c_mat.T @ p
+        x, y = p * p, q * q
+        g_s = x * y.sum() - p * cq
+        g_s -= g_s.mean()
+        g_r = y * x.sum() - q * ctp
+        residual = math.sqrt(g_s.dot(g_s) + g_r.dot(g_r))
+        if residual <= ORACLE_GRAD_TOL:
+            return x, y, residual
     raise NoConvergence(
-        f"projected gradient made no further progress after {ORACLE_MAX_ITER} "
-        f"iterations; residual {residual:.3e}",
-        best=z,
+        f"alternating steps not stationary after {ORACLE_MAX_ITER} sweeps; "
+        f"residual {residual:.3e}",
+        best=np.log(np.concatenate([x, y])),
         residual=residual,
     )

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kronbures import (
+    DimensionMismatch,
     GaugeViolation,
     NoConvergence,
     KroneckerPoint,
@@ -30,7 +31,6 @@ from kronbures import (
     slice_objective,
 )
 from kronbures import barycenter
-from kronbures.barycenter import _project_centered_box
 from kronbures.bures_metric import _whitened_product, _whitened_root_eig
 from kronbures.bench_cli import barycenter_dataset, gen_log_diag, gen_spd
 from kronbures.kron_model import leaf_factor
@@ -433,307 +433,61 @@ class TestLogCoordinateOracle:
         val = slice_objective(x, y, data)
         assert abs(val - sol.min_value) <= 1e-9 * max(abs(sol.min_value), 1.0)
 
-    def test_iterates_reach_the_box(self, monkeypatch):
-        # Log-scale 3 data put the unconstrained minimizer outside [-2, 2]^n,
-        # so the box is active at the solution.
-        bound = 2.0
-        monkeypatch.setattr(barycenter, "ORACLE_BOUND", bound)
-        data = rand_slice_data(8, 8, np.random.default_rng(21), scale=3.0)
-        s0 = _project_centered_box(np.log(data.u_eigs).mean(axis=0), bound)
-        r0 = np.clip(np.log(data.v_eigs).mean(axis=0), -bound, bound)
-        x, y, residual = log_coordinate_oracle(data)
-        s, r = np.log(x), np.log(y)
-        assert residual <= 1e-6
-        assert abs(s.sum()) <= 1e-12 * s.size * bound
-        assert np.abs(np.concatenate([s, r])).max() <= bound * (1.0 + 1e-12)
-        assert np.abs(np.concatenate([s, r])).max() >= bound * (1.0 - 1e-12)
-        start = slice_objective(np.exp(s0), np.exp(r0), data)
-        assert slice_objective(x, y, data) <= start
-
-
-def _bisection_projection(vec, bound):
-    """Reference projection onto {sum = 0} and [-bound, bound]^n: the shift is
-    found by 200 bisection steps, then the residual sum is redistributed over
-    the unclipped coordinates."""
-    lo = float(vec.min()) - bound
-    hi = float(vec.max()) + bound
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.clip(vec - mid, -bound, bound).sum() > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    out = np.clip(vec - 0.5 * (lo + hi), -bound, bound)
-    free = np.abs(out) < bound * (1.0 - 1e-12)
-    if np.any(free):
-        out[free] -= out.sum() / free.sum()
-    return out
-
-
-@st.composite
-def box_problems(draw):
-    """(v, b) with n in [1, 16], b in (0, 10] and entries of v within 4b of 0.
-
-    Round-off in v - tau is of order eps |v|, so entries are drawn on the
-    scale of b for the b-relative bounds to be attainable. Half the draws
-    put v on a b/2 lattice with b a power of two, so breakpoints v_i +- b
-    tie exactly and g can vanish on a whole segment.
-    """
-    n = draw(st.integers(1, 16))
-    if draw(st.booleans()):
-        bound = 2.0 ** draw(st.integers(-20, 3))
-        steps = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
-        return 0.5 * bound * np.array(steps, dtype=float), bound
-    bound = draw(st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False))
-    unit = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
-    return bound * np.array(unit), bound
-
-
-@st.composite
-def feasible_points(draw):
-    """(v, b) with v exactly in the set: |v_i| <= b and an exact zero sum.
-
-    Entries are small multiples of a power of two below b, paired with their
-    negatives, so every partial sum is exact in floating point.
-    """
-    n = draw(st.integers(1, 16))
-    bound = draw(st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False))
-    unit = np.ldexp(1.0, int(np.frexp(bound)[1]) - 5)
-    half = draw(st.lists(st.integers(-16, 16), max_size=n // 2))
-    steps = draw(st.permutations(half + [-k for k in half] + [0] * (n - 2 * len(half))))
-    return unit * np.array(steps, dtype=float), bound
-
-
-# A flat piece of g at zero, and tied breakpoints.
-FLAT_AT_ZERO = (np.array([3.0, -3.0]), 1.0)
-TIED = (np.array([2.0, 0.0, 0.0, -2.0, 4.0, -4.0]), 1.0)
-
-
-class TestCenteredBoxProjection:
-    @PROPERTY_SETTINGS
-    @given(box_problems())
-    @example(FLAT_AT_ZERO)
-    @example(TIED)
-    def test_feasible(self, problem):
-        v, b = problem
-        s = _project_centered_box(v, b)
-        assert abs(s.sum()) <= 1e-12 * v.size * b
-        assert np.all(np.abs(s) <= b)
-
-    @PROPERTY_SETTINGS
-    @given(box_problems())
-    @example(FLAT_AT_ZERO)
-    @example(TIED)
-    def test_kkt_form(self, problem):
-        # s = clip(v - tau, -b, b) for a single tau: v - s equals tau on free
-        # coordinates, and clamped coordinates lie beyond the box at tau.
-        v, b = problem
-        s = _project_centered_box(v, b)
-        tol = 1e-12 * b
-        free = np.abs(s) < b
-        upper, lower = s == b, s == -b
-        if np.any(free):
-            shifts = (v - s)[free]
-            assert np.ptp(shifts) <= tol
-            tau = shifts.mean()
-            assert np.all(v[upper] - tau >= b - tol)
-            assert np.all(v[lower] - tau <= -b + tol)
-        else:
-            assert np.max(v[lower] + b, initial=-np.inf) <= np.min(
-                v[upper] - b, initial=np.inf
-            ) + tol
-
-    @PROPERTY_SETTINGS
-    @given(feasible_points())
-    def test_feasible_input_unchanged(self, problem):
-        v, b = problem
-        assert np.array_equal(_project_centered_box(v, b), v)
-
-    @PROPERTY_SETTINGS
-    @given(box_problems())
-    @example(FLAT_AT_ZERO)
-    @example(TIED)
-    def test_matches_bisection(self, problem):
-        v, b = problem
-        s = _project_centered_box(v, b)
-        assert np.max(np.abs(s - _bisection_projection(v, b))) <= 1e-12 * b
-
-    @PROPERTY_SETTINGS
-    @given(
-        st.integers(1, 16),
-        st.floats(-40.0, 40.0),
-        st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False),
-    )
-    @example(2, 1.0, 1e-30)
-    def test_constant_input_is_zero(self, n, value, b):
-        # Covers n = 1, and b below half an ulp of the entries, where all
-        # breakpoints round to one value.
-        s = _project_centered_box(np.full(n, value), b)
-        assert np.array_equal(s, np.zeros(n))
-
-
-def _reference_projection(vec, bound):
-    """_project_centered_box as first written, with np.clip, np.all and
-    np.argmax; a frozen copy whose bits the library must reproduce."""
-    if np.all(vec == vec[0]):
-        return np.zeros_like(vec)
-    if vec.sum() == 0.0 and np.abs(vec).max() <= bound:
-        return vec.copy()
-    breaks = np.sort(np.concatenate([vec - bound, vec + bound]))
-    g = np.clip(vec - breaks[:, None], -bound, bound).sum(axis=1)
-    k = int(np.argmax(g <= 0.0))
-    lo, hi = breaks[k - 1], breaks[k]
-    tau = lo + (hi - lo) * (g[k - 1] / (g[k - 1] - g[k]))
-    return np.clip(vec - tau, -bound, bound)
-
-
-def _reference_oracle(data, counts=None):
-    """log_coordinate_oracle as first written, with separate objective and
-    gradient passes, np.clip and np.linalg.norm; a frozen copy whose bits
-    the library must reproduce. counts, when given, receives the number of
-    iterations and of trial points."""
-    c_mat = coefficient_matrix(data)
-    n = data.n
-    bound = barycenter.ORACLE_BOUND
-    counts = {} if counts is None else counts
-    counts.update(iterations=0, trials=0)
-
-    def split(z):
-        return z[:n], z[n:]
-
-    def project(z):
-        s, r = split(z)
-        return np.concatenate([_reference_projection(s, bound), np.clip(r, -bound, bound)])
-
-    def objective(z):
-        s, r = split(z)
-        x = np.exp(s)
-        y = np.exp(r)
-        cross = float(np.exp(0.5 * s) @ c_mat @ np.exp(0.5 * r))
-        return float(x.sum() * y.sum() + data.kappa - 2.0 * cross)
-
-    def gradient(z):
-        s, r = split(z)
-        x = np.exp(s)
-        y = np.exp(r)
-        sx = np.exp(0.5 * s)
-        sy = np.exp(0.5 * r)
-        gs = x * y.sum() - sx * (c_mat @ sy)
-        gr = y * x.sum() - sy * (c_mat.T @ sx)
-        return np.concatenate([gs, gr])
-
-    z = project(
-        np.concatenate([np.log(data.u_eigs).mean(axis=0), np.log(data.v_eigs).mean(axis=0)])
-    )
-    f = objective(z)
-    g = gradient(z)
-    step = 1.0
-    stalled = 0
-    residual = float(np.linalg.norm(z - project(z - g)))
-    for _ in range(barycenter.ORACLE_MAX_ITER):
-        if residual <= barycenter.ORACLE_GRAD_TOL or stalled >= 20:
-            s, r = split(z)
-            return np.exp(s), np.exp(r), residual
-        counts["iterations"] += 1
-        while True:
-            counts["trials"] += 1
-            z_new = project(z - step * g)
-            dz = z_new - z
-            f_new = objective(z_new)
-            if f_new <= f + float(g @ dz) + float(dz @ dz) / (2.0 * step):
-                break
-            step *= 0.5
-            if step < 1e-14:
-                break
-        g_new = gradient(z_new)
-        dg = g_new - g
-        curv = float(dz @ dg)
-        if curv > 0.0:
-            step = min(max(float(dz @ dz) / curv, 1e-12), 1e8)
-        else:
-            step = min(step * 2.0, 1.0)
-        stalled = stalled + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
-        z, f, g = z_new, f_new, g_new
-        residual = float(np.linalg.norm(z - project(z - g)))
-    if residual <= barycenter.ORACLE_GRAD_TOL:
-        s, r = split(z)
-        return np.exp(s), np.exp(r), residual
-    raise NoConvergence("reference oracle exhausted its budget", best=z, residual=residual)
-
-
-def _assert_same_solve(data):
-    x_ref, y_ref, res_ref = _reference_oracle(data)
-    x, y, residual = log_coordinate_oracle(data)
-    assert np.array_equal(x, x_ref)
-    assert np.array_equal(y, y_ref)
-    assert residual == res_ref
-
-
-@st.composite
-def constant_problems(draw):
-    """(v, b) with every entry of v equal, n = 1 included."""
-    n = draw(st.integers(1, 16))
-    value = draw(st.floats(-40.0, 40.0))
-    bound = draw(st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False))
-    return np.full(n, value), bound
-
-
-class TestOracleBitwiseReference:
-    """The oracle and its projection reproduce their first form bit for bit."""
-
     @pytest.mark.parametrize("name", ["A", "B", "C"])
-    def test_harness_datasets(self, name):
+    def test_harness_datasets_match_perron(self, name):
         for seed in range(1000, 1040):
-            _assert_same_solve(barycenter_dataset(name, 8, 8, np.random.default_rng(seed)))
+            _assert_matches_perron(barycenter_dataset(name, 8, 8, np.random.default_rng(seed)))
 
-    @pytest.mark.parametrize("bound", [barycenter.ORACLE_BOUND, 2.0])
     @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    def test_random_slice_data(self, monkeypatch, n, scale, bound):
-        # At bound 2 and log scale 3 the box is active at the solution.
-        monkeypatch.setattr(barycenter, "ORACLE_BOUND", bound)
+    def test_random_slice_data_match_perron(self, n, scale):
         rng = np.random.default_rng(100 * n + int(10 * scale))
         for _ in range(4):
-            _assert_same_solve(rand_slice_data(n, 4, rng, scale=scale))
+            _assert_matches_perron(rand_slice_data(n, 4, rng, scale=scale))
 
-    @PROPERTY_SETTINGS
-    @given(st.one_of(box_problems(), feasible_points(), constant_problems()))
-    @example(FLAT_AT_ZERO)
-    @example(TIED)
-    @example((np.array([0.7]), 1.0))
-    @example((np.array([1.0, 1.0]), 1e-30))
-    def test_projection(self, problem):
-        v, b = problem
-        assert np.array_equal(_project_centered_box(v, b), _reference_projection(v, b))
+    def test_solution_beyond_log_coordinate_eight(self):
+        # Log-scale 3 data whose minimizer has a log coordinate beyond 8 in
+        # absolute value; nothing bounds the iterates.
+        data = rand_slice_data(16, 8, np.random.default_rng(3), scale=3.0)
+        sol = slice_barycenter(data)
+        assert np.abs(np.log(np.concatenate([sol.x_star, sol.y_star]))).max() > 8.0
+        _assert_matches_perron(data)
 
-    def test_one_evaluation_per_trial_point(self, monkeypatch):
-        # Four exps per evaluation, at the start and at each trial point, and
-        # none for a gradient or the return value. Two projections at the
-        # start (the initial point and its residual), then per iteration one
-        # per trial point and one for the residual.
+    def test_objective_never_increases(self, monkeypatch):
+        # Log-scale 3 data take more than five sweeps, so each budget below
+        # ends in NoConvergence carrying that sweep's iterate.
+        data = rand_slice_data(8, 8, np.random.default_rng(21), scale=3.0)
+        values = []
+        for budget in range(1, 6):
+            monkeypatch.setattr(barycenter, "ORACLE_MAX_ITER", budget)
+            with pytest.raises(NoConvergence) as info:
+                log_coordinate_oracle(data)
+            s, r = np.split(info.value.best, 2)
+            assert abs(s.sum()) <= 1e-12 * s.size
+            values.append(slice_objective(np.exp(s), np.exp(r), data))
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(barycenter, "ORACLE_MAX_ITER", 1)
         data = barycenter_dataset("C", 8, 8, np.random.default_rng(1003))
-        counts = {}
-        expected = _reference_oracle(data, counts)
-        assert counts["iterations"] > 0 and counts["trials"] > counts["iterations"]
-        calls = {"exp": 0, "project": 0}
-        exp, project = np.exp, barycenter._project_centered_box
+        with pytest.raises(NoConvergence) as info:
+            log_coordinate_oracle(data)
+        assert info.value.residual > barycenter.ORACLE_GRAD_TOL
+        assert info.value.best.shape == (16,)
 
-        def counting_exp(*args, **kwargs):
-            calls["exp"] += 1
-            return exp(*args, **kwargs)
+    def test_rank_one_coefficients_converge_in_one_sweep(self, monkeypatch):
+        # Dataset A has isotropic data, so C is a multiple of the all-ones
+        # matrix and one sweep lands on its Perron pair.
+        monkeypatch.setattr(barycenter, "ORACLE_MAX_ITER", 1)
+        _assert_matches_perron(barycenter_dataset("A", 8, 8, np.random.default_rng(5)))
 
-        def counting_project(vec, bound):
-            calls["project"] += 1
-            return project(vec, bound)
 
-        monkeypatch.setattr(np, "exp", counting_exp)
-        monkeypatch.setattr(barycenter, "_project_centered_box", counting_project)
-        x, y, residual = log_coordinate_oracle(data)
-        monkeypatch.undo()
-        assert np.array_equal(x, expected[0]) and np.array_equal(y, expected[1])
-        assert residual == expected[2]
-        assert calls["exp"] == 4 * (1 + counts["trials"])
-        assert calls["project"] == 2 + counts["trials"] + counts["iterations"]
+def _assert_matches_perron(data):
+    sol = slice_barycenter(data)
+    x, y, residual = log_coordinate_oracle(data)
+    assert residual <= barycenter.ORACLE_GRAD_TOL
+    assert frob(x - sol.x_star) <= 1e-8 * frob(sol.x_star)
+    assert frob(y - sol.y_star) <= 1e-8 * frob(sol.y_star)
 
 
 class TestSliceData:
@@ -752,6 +506,18 @@ class TestSliceData:
                 v_eigs=np.ones((2, 2)),
                 weights=np.array([0.5, 0.5]),
             )
+
+    EMPTY = {
+        "no_rows": lambda: SliceData(np.ones((0, 3)), np.ones((0, 3)), np.ones(0)),
+        "no_columns": lambda: SliceData(np.ones((2, 0)), np.ones((2, 0)), np.full(2, 0.5)),
+        "no_rows_or_columns": lambda: SliceData(np.ones((0, 0)), np.ones((0, 0)), np.ones(0)),
+        "perron": lambda: perron_singular_pair(np.ones((0, 0))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EMPTY))
+    def test_empty_input_rejected(self, case):
+        with pytest.raises(DimensionMismatch):
+            self.EMPTY[case]()
 
 
 def _unit_slice(u_eigs=None, v_eigs=None):

@@ -11,6 +11,7 @@ from kronbures import (
     NumericalConsistencyError,
 )
 from kronbures import bench_cli
+from kronbures.barycenter import ORACLE_GRAD_TOL
 from kronbures.bench_cli import (
     AMBIENT_CUTOFF,
     ExperimentConfig,
@@ -274,14 +275,14 @@ class TestCli:
         assert not profile.exists()
 
     def test_solver_failure_exit_three(self, monkeypatch, capsys):
-        def stalled(data):
-            raise NoConvergence("projected gradient stalled")
+        def exhausted(data):
+            raise NoConvergence("sweep budget exhausted")
 
-        monkeypatch.setattr(bench_cli, "log_coordinate_oracle", stalled)
+        monkeypatch.setattr(bench_cli, "log_coordinate_oracle", exhausted)
         assert main(["barycenter", "--trials", "1"]) == 3
         err = capsys.readouterr().err
         assert "barycenter experiment" in err
-        assert "NoConvergence: projected gradient stalled" in err
+        assert "NoConvergence: sweep budget exhausted" in err
 
     def test_inconsistent_verdict_exit_three(self, monkeypatch, capsys):
         def conflict(cfg):
@@ -360,9 +361,10 @@ class TestCli:
 class TestSeed42Reports:
     """The default seed-42 reports, pinned to their recorded values.
 
-    The barycenter oracle's residual and coord_error rows are left out:
-    they come from where the oracle's iteration stalls, which varies across
-    BLAS builds.
+    The barycenter oracle's residual and coord_error rows sit at round-off
+    level, where the bits vary across BLAS builds, so they are bounded
+    rather than pinned: each residual mean by ORACLE_GRAD_TOL, where the
+    oracle stops, and each coord_error mean by 1e-8.
     """
 
     DEPARTURE = {
@@ -411,6 +413,9 @@ class TestSeed42Reports:
         got = self._by_key(rows)
         for key, expected in self.BARYCENTER.items():
             assert got[key] == pytest.approx(expected, rel=1e-10, abs=1e-15), key
+        for name in ("A", "B", "C"):
+            assert got[name, "residual"][0] <= ORACLE_GRAD_TOL, name
+            assert got[name, "coord_error"][0] <= 1e-8, name
 
 
 class TestRngSplitting:
