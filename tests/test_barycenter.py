@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -488,6 +490,61 @@ def _assert_matches_perron(data):
     assert residual <= barycenter.ORACLE_GRAD_TOL
     assert frob(x - sol.x_star) <= 1e-8 * frob(sol.x_star)
     assert frob(y - sol.y_star) <= 1e-8 * frob(sol.y_star)
+
+
+def _reference_oracle(data):
+    """log_coordinate_oracle in its alternating-step form, written one
+    half-step at a time; a frozen copy whose bits the library must
+    reproduce."""
+    c_mat = coefficient_matrix(data)
+    p = np.exp(0.5 * np.log(data.u_eigs).mean(axis=0))
+    q = np.exp(0.5 * np.log(data.v_eigs).mean(axis=0))
+    ctp = c_mat.T @ p
+    for _ in range(barycenter.ORACLE_MAX_ITER):
+        q = ctp / np.dot(p, p)
+        cq = c_mat @ q
+        p = cq / np.dot(q, q)
+        g = math.exp(np.mean(np.log(p)))
+        p, q, cq = p / g, q * g, cq * g
+        ctp = c_mat.T @ p
+        x, y = p * p, q * q
+        g_s = x * np.sum(y) - p * cq
+        g_s = g_s - np.mean(g_s)
+        g_r = y * np.sum(x) - q * ctp
+        residual = math.sqrt(np.dot(g_s, g_s) + np.dot(g_r, g_r))
+        if residual <= barycenter.ORACLE_GRAD_TOL:
+            return x, y, residual
+    raise NoConvergence("reference oracle exhausted its budget", best=None, residual=residual)
+
+
+def _assert_same_solve(data):
+    x_ref, y_ref, res_ref = _reference_oracle(data)
+    x, y, residual = log_coordinate_oracle(data)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(y, y_ref)
+    assert residual == res_ref
+
+
+class TestOracleBitwiseReference:
+    """The oracle reproduces a frozen copy of its alternating-step form bit
+    for bit."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_harness_datasets(self, name):
+        for seed in range(1000, 1040):
+            _assert_same_solve(barycenter_dataset(name, 8, 8, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("weight_ratio", [8.0, 2.0])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_random_slice_data(self, n, scale, weight_ratio):
+        # Weights run geometrically from 1 to weight_ratio before normalizing,
+        # so the data are not equally weighted.
+        rng = np.random.default_rng(100 * n + int(10 * scale))
+        w = np.geomspace(1.0, weight_ratio, 4)
+        for _ in range(4):
+            data = rand_slice_data(n, 4, rng, scale=scale)
+            _assert_same_solve(SliceData(data.u_eigs, data.v_eigs, w / w.sum()))
 
 
 class TestSliceData:
