@@ -44,7 +44,9 @@ WEIGHT_TOL = 1e-12
 # Solver iteration budgets and stopping tolerances.
 BW_MAX_ITER = 500
 BW_TOL = 1e-10
-ORACLE_MAX_ITER = 20000
+# Converging slice solves take at most ~110 alternating sweeps; a solve whose
+# residual sits on its round-off floor above ORACLE_GRAD_TOL never converges.
+ORACLE_MAX_ITER = 1000
 ORACLE_GRAD_TOL = 1e-8
 
 

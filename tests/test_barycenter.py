@@ -477,6 +477,19 @@ class TestLogCoordinateOracle:
         assert info.value.residual > barycenter.ORACLE_GRAD_TOL
         assert info.value.best.shape == (16,)
 
+    def test_round_off_floor_raises_within_budget(self):
+        # Log-scale 5 data at n = 16 whose residual floor, about eps*sum x*sum y,
+        # sits above ORACLE_GRAD_TOL: the solve raises after ORACLE_MAX_ITER
+        # sweeps with an iterate on the Perron solution.
+        data = rand_slice_data(16, 8, np.random.default_rng(0), scale=5.0)
+        with pytest.raises(NoConvergence) as info:
+            log_coordinate_oracle(data)
+        assert info.value.residual > barycenter.ORACLE_GRAD_TOL
+        sol = slice_barycenter(data)
+        s, r = np.split(info.value.best, 2)
+        assert frob(np.exp(s) - sol.x_star) <= 1e-12 * frob(sol.x_star)
+        assert frob(np.exp(r) - sol.y_star) <= 1e-12 * frob(sol.y_star)
+
     def test_rank_one_coefficients_converge_in_one_sweep(self, monkeypatch):
         # Dataset A has isotropic data, so C is a multiple of the all-ones
         # matrix and one sweep lands on its Perron pair.

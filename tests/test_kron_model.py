@@ -1,3 +1,7 @@
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -311,10 +315,13 @@ class TestStackedReductionOracle:
         p0 = KroneckerPoint(SpdMatrix.identity(1), SpdMatrix([[v0]]))
         p1 = KroneckerPoint(SpdMatrix.identity(1), SpdMatrix([[v1]]))
         want = (np.sqrt(v0) - np.sqrt(v1)) ** 2
+        # The batched side runs cold, before the pairwise call leaves its
+        # spectrum on p1.
+        batched = reduced_distances_sq(p0, [p1])
         d2, spectrum = pairwise_bures_sq_reduced(p0, p1)
         assert abs(d2 - want) <= 1e-15 * want
         assert spectrum.beta.tolist() == [1.0]
-        assert reduced_distances_sq(p0, [p1]).tolist() == [d2]
+        assert batched.tolist() == [d2]
 
 
 def _scalar_objective(p, cloud, weights):
@@ -331,12 +338,15 @@ class TestBatchedReduction:
     @given(clouds())
     def test_bitwise_equal_to_scalar_loop(self, problem):
         p, cloud, weights = problem
-        scalar = [pairwise_bures_sq_reduced(p, q)[0] for q in cloud]
+        # The batched side runs cold, before the scalar loop leaves its
+        # spectra on the cloud.
         batched = reduced_distances_sq(p, cloud)
+        objective = objective_J(p, cloud, weights)
+        scalar = [pairwise_bures_sq_reduced(p, q)[0] for q in cloud]
         assert batched.shape == (len(cloud),)
         assert batched.tolist() == scalar
         assert scalar == [_per_factor_reduced(p, q)[0] for q in cloud]
-        assert objective_J(p, cloud, weights) == _scalar_objective(p, cloud, weights)
+        assert objective == _scalar_objective(p, cloud, weights)
 
     def test_cold_point_bitwise_equal(self):
         # The batched route on a point with an empty cache gives the bits
@@ -369,6 +379,167 @@ class TestBatchedReduction:
         p = rand_point(3, np.random.default_rng(43))
         with pytest.raises(NumericalConsistencyError):
             objective_J(p, [p, p], [0.5, 0.5])
+
+
+def _count_spectra(monkeypatch):
+    """Record the factor stack of each _whitened_spectrum call."""
+    calls = []
+    spectrum = kron_model._whitened_spectrum
+
+    def counted(roots, factors):
+        calls.append(factors)
+        return spectrum(roots, factors)
+
+    monkeypatch.setattr(kron_model, "_whitened_spectrum", counted)
+    return calls
+
+
+def _copy(q):
+    return KroneckerPoint(q.u_factor, q.v_factor)
+
+
+class TestSpectrumSlot:
+    """pairwise_bures_sq_reduced(p, q) leaves its spectrum on q, and
+    reduced_distances_sq(p, ...) takes it instead of decomposing again."""
+
+    @staticmethod
+    def _problem(seed, count=6, n=4):
+        rng = np.random.default_rng(seed)
+        return rand_point(n, rng), [rand_point(n, rng) for _ in range(count)]
+
+    def test_warm_cloud_needs_no_decomposition(self, monkeypatch):
+        p, cloud = self._problem(60)
+        weights = np.full(len(cloud), 1.0 / len(cloud))
+        copies = [_copy(q) for q in cloud]
+        cold = reduced_distances_sq(p, copies)
+        cold_objective = objective_J(p, copies, weights)
+        for q in cloud:
+            pairwise_bures_sq_reduced(p, q)
+        warm_objective = objective_J(p, cloud, weights)
+        for q in cloud:
+            pairwise_bures_sq_reduced(p, q)
+        calls = _count_spectra(monkeypatch)
+        warm = reduced_distances_sq(p, cloud)
+        assert calls == []
+        assert warm.tolist() == cold.tolist()
+        assert warm_objective == cold_objective
+
+    def test_half_warm_decomposes_the_cold_half_once(self, monkeypatch):
+        p, cloud = self._problem(61)
+        cold = reduced_distances_sq(p, [_copy(q) for q in cloud])
+        for q in cloud[::2]:
+            pairwise_bures_sq_reduced(p, q)
+        calls = _count_spectra(monkeypatch)
+        got = reduced_distances_sq(p, cloud)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.stack([q._factors for q in cloud[1::2]]))
+        assert got.tolist() == cold.tolist()
+
+    def test_slot_is_taken(self, monkeypatch):
+        p, cloud = self._problem(62)
+        for q in cloud:
+            pairwise_bures_sq_reduced(p, q)
+        first = reduced_distances_sq(p, cloud)
+        assert all(q._memo is None for q in cloud)
+        calls = _count_spectra(monkeypatch)
+        second = reduced_distances_sq(p, cloud)
+        assert len(calls) == 1 and calls[0].shape[0] == len(cloud)
+        assert second.tolist() == first.tolist()
+
+    def test_pairwise_never_reads_the_slot(self, monkeypatch):
+        p, cloud = self._problem(63, count=1)
+        calls = _count_spectra(monkeypatch)
+        first = pairwise_bures_sq_reduced(p, cloud[0])[0]
+        second = pairwise_bures_sq_reduced(p, cloud[0])[0]
+        assert len(calls) == 2
+        assert first == second
+
+    def test_equal_copy_and_reversed_pair_miss(self, monkeypatch):
+        p, (q,) = self._problem(64, count=1)
+        calls = _count_spectra(monkeypatch)
+        # The spectrum of (q, p) sits on p and is not the spectrum of (p, q).
+        pairwise_bures_sq_reduced(q, p)
+        reduced_distances_sq(p, [q])
+        assert len(calls) == 2
+        # An equal-valued copy of p is another key.
+        pairwise_bures_sq_reduced(p, q)
+        reduced_distances_sq(_copy(p), [q])
+        assert len(calls) == 4
+        assert p._memo[0]() is q and q._memo[0]() is p
+
+    def test_slot_does_not_keep_its_query_alive(self, monkeypatch):
+        p, (q,) = self._problem(70, count=1)
+        pairwise_bures_sq_reduced(p, q)
+        gone = weakref.ref(p)
+        del p
+        assert gone() is None
+        calls = _count_spectra(monkeypatch)
+        reduced_distances_sq(rand_point(4, np.random.default_rng(71)), [q])
+        assert len(calls) == 1
+
+    def test_self_pair_stores_nothing(self):
+        p, _ = self._problem(65, count=0)
+        pairwise_bures_sq_reduced(p, p)
+        assert p._memo is None
+
+    def test_mixed_dimensions_leave_every_slot(self):
+        rng = np.random.default_rng(66)
+        p = rand_point(3, rng)
+        cloud = [rand_point(3, rng), rand_point(3, rng), rand_point(2, rng)]
+        for q in cloud[:2]:
+            pairwise_bures_sq_reduced(p, q)
+        slots = [q._memo for q in cloud[:2]]
+        with pytest.raises(DimensionMismatch):
+            reduced_distances_sq(p, cloud)
+        assert all(q._memo is slot for q, slot in zip(cloud, slots))
+
+    def test_duplicate_point_computed_the_second_time(self, monkeypatch):
+        p, (q,) = self._problem(67, count=1)
+        pairwise_bures_sq_reduced(p, q)
+        calls = _count_spectra(monkeypatch)
+        got = reduced_distances_sq(p, [q, q])
+        assert len(calls) == 1 and calls[0].shape[0] == 1
+        assert got[0] == got[1]
+
+    def test_threads_sharing_a_cloud_get_their_own_bits(self):
+        # Each thread's query overwrites the others' slots on the shared
+        # cloud; a lost race may only cost a decomposition, never a result.
+        rng = np.random.default_rng(69)
+        cloud = [rand_point(3, rng) for _ in range(8)]
+        queries = [rand_point(3, rng) for _ in range(4)]
+        want = [reduced_distances_sq(p, [_copy(q) for q in cloud]).tolist() for p in queries]
+        errors = []
+
+        def work(k):
+            try:
+                for _ in range(30):
+                    for q in cloud:
+                        pairwise_bures_sq_reduced(queries[k], q)
+                    if reduced_distances_sq(queries[k], cloud).tolist() != want[k]:
+                        errors.append(k)
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_spectrum_is_read_only(self):
+        p, (q,) = self._problem(68, count=1)
+        _, spectrum = pairwise_bures_sq_reduced(p, q)
+        with pytest.raises(ValueError):
+            spectrum.alpha[0] = 1.0
+        with pytest.raises(ValueError):
+            spectrum.beta[0] = 1.0
 
 
 class TestRootCache:
