@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalConsistencyError, ParameterOutOfRange
-from .spd_core import SpdMatrix, _Deferred, symmetrize
+from .spd_core import SpdMatrix, _Deferred, _leave, _take, symmetrize
 
 # Transport maps must reproduce their endpoints to this relative accuracy.
 TRANSPORT_CHECK_TOL = 1e-10
@@ -80,9 +80,8 @@ def _clamp_distances_sq(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
 # Z R Z^T gives r_min / a_max <= lambda(T) <= r_max / a_min; those bounds
 # and the check's products TA and TAT reach a GeodesicCurve only through
 # geodesic. R itself is formed only at factor size, by factor_transports.
-# bures_distance_sq(a, b) leaves its product on a (SpdMatrix._memo), and a
-# transport from a to that same b decomposes it instead of forming it
-# again; one helper forms it either way, so no result depends on which.
+# A transport from a to b decomposes the product bures_distance_sq(a, b)
+# left (spd_core._leave); one helper forms it, so the bits are the same.
 
 
 def _whitened_product(y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,10 +123,7 @@ def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Bures-Wasserstein distance tr(A) + tr(B) - 2 tr((A^1/2 B A^1/2)^1/2)."""
     _check_same_dim(a, b)
     m = _whitened_product(_root_factors(a)[0], b.mat)
-    # A self pair keeps nothing: the slot would then refer to a itself.
-    if b is not a:
-        m.setflags(write=False)
-        a._memo = (b, m)
+    _leave(a, b, m)
     w = np.maximum(np.linalg.eigvalsh(m), 0.0)
     tr_sum = a.trace() + b.trace()
     d2 = tr_sum - 2.0 * float(np.sqrt(w).sum())
@@ -160,17 +156,13 @@ def _transport(
     r_min / a_max <= lambda(T) <= r_max / a_min, which validate T when they
     prove the margin."""
     y, z = _root_factors(a)
-    # The slot is read once: a racing writer costs at most a second product.
-    memo = a._memo
-    if memo is not None and memo[0] is b:
-        a._memo = None
-        m = memo[1]
-    else:
+    m = _take(a, b)
+    if m is None:
         m = _whitened_product(y, b.mat)
     # Y is freed before the eigh, M after it, and Z and then H before the
     # check allocates TA and TAT: a curve and one point peak at six N x N
     # arrays.
-    del memo, y
+    del y
     q, r = _whitened_root_eig(m)
     del m
     h = z @ q

@@ -40,11 +40,11 @@ from .spd_core import (
 PATTERN_TOL = 1e-10
 
 # Bound on ||Pi(Z0)||_F relative to ||P||_F ||Q||_F, the size of the terms
-# of Z0 that cancel on a common leaf. For exact leaf pairs with G G^T +
-# 0.01 I factors the relative residual is a round-off floor that grows with
-# n and with conditioning (at most 1.1e-10 at n = 8, 4.6e-10 at n = 16 and
-# 1.5e-9 at n = 32 over 40 seeds); generic pairs stay above 0.97. The value
-# must sit between the two, with room for that growth.
+# of Z0 that cancel on a common leaf. On exact leaf pairs it is round-off:
+# with bench_cli.gen_spd factors (seeds 0-39; p1 shares p0's U, or V up to
+# scale) at most 4.4e-12, 6.5e-12 and 2.1e-11 at n = 8, 16 and 32, while
+# pairs of independent points stay at or above 0.966, 1.12 and 1.26. The
+# value must sit between the two.
 RESIDUAL_TOL = 1e-8
 
 # Relative commutator norm below which a factor pair is treated as commuting.
@@ -94,6 +94,8 @@ class CommutingChart:
                     f"{name} is not orthogonal: defect {defect:.6e}"
                 )
         for name, vals in (("u0", self.u0), ("u1", self.u1), ("v0", self.v0), ("v1", self.v1)):
+            if vals.shape != (n,):
+                raise DimensionMismatch(f"{name} has shape {vals.shape}, expected {(n,)}")
             _check_positive(name, vals)
         _check_gauge("u0", self.u0)
         _check_gauge("u1", self.u1)

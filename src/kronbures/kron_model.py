@@ -14,7 +14,6 @@ distances and barycenters are the standard Bures ones of the factors.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -40,6 +39,8 @@ from .errors import (
 from .spd_core import (
     EigenDecomposition,
     SpdMatrix,
+    _leave,
+    _take,
     gauge_normalize,
     kron,
     partial_trace_1,
@@ -83,25 +84,13 @@ class KroneckerPoint:
     read-only. The caches hold only n x n arrays; the n^2 x n^2 embedding
     caches nothing.
 
-    ``_memo`` is one private slot, ``None`` or ``(ref, spectrum)``: the
-    read-only (2, n) descending spectrum that
-    ``pairwise_bures_sq_reduced(p0, self)`` computed, kept so that
-    ``reduced_distances_sq(p0, points)`` takes it, and clears the slot,
-    instead of decomposing the same whitened products again. Only
-    ``pairwise_bures_sq_reduced`` writes it and only
-    ``reduced_distances_sq`` reads it. It is keyed by identity, never by
-    equal values or by the reversed pair, through a weak reference to
-    ``p0``: the slot never keeps ``p0`` alive, and once ``p0`` is gone
-    the reference resolves to None, so a later point that reuses its id
-    matches nothing. A self pair stores nothing. A reader takes the slot
-    once into a local, and a lost race only decomposes the products
-    again, with the same bits.
+    ``pairwise_bures_sq_reduced(p0, self)`` leaves its (2, n) spectrum on
+    ``self`` for ``reduced_distances_sq(p0, points)``, by the one hand-off
+    rule of ``spd_core._leave``.
     """
 
     u_factor: SpdMatrix
     v_factor: SpdMatrix
-    # Not a dataclass field: set on the class, replaced per instance.
-    _memo = None
 
     def __post_init__(self):
         if self.u_factor.dim != self.v_factor.dim:
@@ -229,18 +218,16 @@ def pairwise_bures_sq_reduced(
     Uses the product form tr(A^1/2) tr(B^1/2) for the cross term, so the
     whole computation costs one stacked eigendecomposition of the two
     n x n whitened factors, plus p0's two root factors on its first use.
-    The read-only spectrum is left on p1 (``KroneckerPoint._memo``) for
-    ``reduced_distances_sq(p0, ...)``; this function never reads it.
+    The read-only spectrum is left on p1 (``spd_core._leave``) for
+    ``reduced_distances_sq(p0, ...)``.
     """
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    spectrum = _read_only(_whitened_spectrum(p0._y_factors, p1._factors))
+    spectrum = _whitened_spectrum(p0._y_factors, p1._factors)
     cross = np.sqrt(spectrum).sum(axis=-1)
     tr_sum = p0._trace_product + p1._trace_product
     d2 = _clamp_distance_sq(tr_sum - 2.0 * float(cross[0]) * float(cross[1]), tr_sum)
-    # A self pair keeps nothing, so a slot only ever refers to another point.
-    if p1 is not p0:
-        object.__setattr__(p1, "_memo", (weakref.ref(p0), spectrum))
+    _leave(p1, p0, spectrum)
     return d2, PairwiseSpectrum(alpha=spectrum[0], beta=spectrum[1])
 
 
@@ -249,8 +236,8 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
 
     Entry i equals ``pairwise_bures_sq_reduced(p, points[i])[0]`` bit for
     bit. A point that holds the spectrum a ``pairwise_bures_sq_reduced(p,
-    point)`` call left on it (``KroneckerPoint._memo``) hands it over and
-    its slot is cleared, so a point listed twice is served once; the
+    point)`` call left on it (``spd_core._leave``) hands it over and its
+    slot is cleared, so a point listed twice is served once; the
     whitened spectra of the other points, both factors, come from one
     stacked eigendecomposition of shape (m, 2, n, n), in the order of
     ``points``, with p's root factors broadcast against every factor
@@ -264,12 +251,7 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
             raise DimensionMismatch(f"factor dimensions differ: {p.n} vs {q.n}")
     if not points:
         return np.empty(0)
-    spectra = [None] * len(points)
-    for i, q in enumerate(points):
-        memo = q._memo
-        if memo is not None and memo[0]() is p:
-            object.__setattr__(q, "_memo", None)
-            spectra[i] = memo[1]
+    spectra = [_take(q, p) for q in points]
     cold = [i for i, s in enumerate(spectra) if s is None]
     if cold:
         factors = np.stack([points[i]._factors for i in cold])

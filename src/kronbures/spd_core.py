@@ -9,6 +9,7 @@ is the validated wrapper used wherever positive definiteness is required.
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -116,21 +117,14 @@ class SpdMatrix:
     V0 (x) U and V1 (x) U it carries U^2), so ``bures_metric`` clips its
     spectrum at 0 and validates the result instead.
 
-    ``_memo`` is one private slot, ``None`` or ``(b, M)``: the symmetrized
-    whitened product M that ``bures_metric.bures_distance_sq(self, b)``
-    formed, kept so that a transport from ``self`` to that same object
-    ``b`` (``geodesic`` after the distance) decomposes M without forming it
-    again, and clears the slot. It is keyed by identity, never by equal
-    values; since it holds ``b``, ``b``'s id cannot be reused while it
-    lives. So a distance leaves one N x N array on ``self`` until the next
-    distance from ``self`` or that transport; a self pair stores nothing,
-    which would be a reference cycle. Instances are immutable apart from the
-    ``eig`` write and this slot, and safe to share across threads: a
-    reader takes the slot once into a local, M is read-only, and a lost
-    race only forms M again, with the same bits.
+    ``bures_metric.bures_distance_sq(self, b)`` leaves its symmetrized
+    whitened product M on ``self`` for a transport from ``self`` to that
+    ``b`` (``geodesic`` after the distance), by the one hand-off rule of
+    ``_leave``. Instances are immutable apart from the ``eig`` write and
+    that slot, and safe to share across threads.
     """
 
-    __slots__ = ("mat", "_eig", "_memo")
+    __slots__ = ("mat", "_eig", "_memo", "__weakref__")
 
     def __init__(self, entries, *, _eig=None):
         arr = np.asarray(entries, dtype=float)
@@ -187,6 +181,35 @@ class SpdMatrix:
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim})"
+
+
+def _leave(holder, partner, value: np.ndarray) -> None:
+    """Leave value, made read-only, on holder for ``_take(holder, partner)``.
+
+    The one hand-off rule of the pair caches: ``bures_distance_sq(a, b)``
+    leaves its whitened product on a for ``_transport(a, b)``, and
+    ``pairwise_bures_sq_reduced(p0, p1)`` its spectrum on p1 for
+    ``reduced_distances_sq(p0, ...)``; neither call both leaves and takes.
+    The slot ``_memo`` holds ``(weakref.ref(partner), value)`` until
+    the next ``_leave`` on holder or the matching ``_take``. The key is
+    identity, never equal values or the reversed pair, and never keeps
+    partner alive: no slot forms a reference cycle, a self pair included,
+    and once partner is gone an object that reuses its id matches nothing.
+    """
+    value.setflags(write=False)
+    object.__setattr__(holder, "_memo", (weakref.ref(partner), value))
+
+
+def _take(holder, partner) -> np.ndarray | None:
+    """The value ``_leave(holder, partner, ...)`` left, clearing the slot,
+    or None, leaving the slot as it was. The slot is read once, so a lost
+    race only computes the value again, with the same bits. A
+    KroneckerPoint has no slot until its first ``_leave``."""
+    memo = getattr(holder, "_memo", None)
+    if memo is None or memo[0]() is not partner:
+        return None
+    object.__setattr__(holder, "_memo", None)
+    return memo[1]
 
 
 def log_det(a: SpdMatrix) -> float:

@@ -569,6 +569,22 @@ class TestSliceData:
                 weights=np.array([0.9, 0.3]),
             )
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("ratio, rejected", [(10.0, True), (0.1, False)])
+    def test_weight_sum_gate_boundary(self, sign, ratio, rejected):
+        # Four weights may sum to 1 within WEIGHT_TOL * 4 = 4e-12.
+        w = np.full(4, 0.25)
+        w[0] += sign * ratio * 1e-12 * 4
+
+        def build():
+            return SliceData(np.ones((4, 2)), np.ones((4, 2)), w)
+
+        if rejected:
+            with pytest.raises(ParameterOutOfRange):
+                build()
+        else:
+            build()
+
     def test_gauge_validation(self):
         with pytest.raises(GaugeViolation):
             SliceData(

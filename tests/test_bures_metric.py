@@ -1,5 +1,7 @@
+import gc
 import sys
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -268,6 +270,17 @@ class TestClampDistances:
         with pytest.raises(NumericalConsistencyError) as want:
             _clamp_distance_sq(float(bad), 3.0)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("scale", [1.0, 300.0])
+    def test_round_off_gate_boundary(self, scale):
+        # A deficit within _NEGATIVE_CLAMP = 1e-10 of the scale is round-off.
+        inside, beyond = -1e-11 * scale, -1e-9 * scale
+        assert _clamp_distance_sq(inside, scale) == 0.0
+        assert _clamp_distances_sq(np.array([inside]), np.array([scale])).tolist() == [0.0]
+        with pytest.raises(NumericalConsistencyError):
+            _clamp_distance_sq(beyond, scale)
+        with pytest.raises(NumericalConsistencyError):
+            _clamp_distances_sq(np.array([inside, beyond]), np.array([scale, scale]))
 
 
 def spd_builds(monkeypatch, fn, *args) -> int:
@@ -542,7 +555,7 @@ class TestDistanceProductMemo:
             reject()  # the transport check's conditioning limit
         t_alone = transport_map(a, b).mat
         bures_distance_sq(a, b)
-        assert a._memo[0] is b
+        assert a._memo[0]() is b
         got = self.curve_bits(geodesic(a, b))
         assert a._memo is None
         assert all(np.array_equal(x, y) for x, y in zip(got, alone))
@@ -561,17 +574,62 @@ class TestDistanceProductMemo:
             reject()  # the transport check's conditioning limit
         d_ab = bures_distance_sq(a, b)
         assert bures_distance_sq(a, c) == d_ab
-        assert a._memo[0] is c
+        assert a._memo[0]() is c
         # The slot's partner is c, not b: the transport forms its own
         # product and leaves the slot as it was.
         got = self.curve_bits(geodesic(a, b))
-        assert a._memo[0] is c
+        assert a._memo[0]() is c
         assert all(np.array_equal(x, y) for x, y in zip(got, alone))
 
-    def test_self_pair_keeps_nothing(self):
+    def test_self_pair_is_served_with_the_cold_bits(self):
         a = rand_spd(4, np.random.default_rng(83))
+        cold = self.curve_bits(geodesic(a, a))
         bures_distance_sq(a, a)
+        assert a._memo[0]() is a
+        got = self.curve_bits(geodesic(a, a))
         assert a._memo is None
+        assert all(np.array_equal(x, y) for x, y in zip(got, cold))
+
+    def test_slot_does_not_keep_its_partner_alive(self):
+        rng = np.random.default_rng(85)
+        a, b, c = rand_spd(4, rng), rand_spd(4, rng), rand_spd(4, rng)
+        t_cold = transport_map(a, c).mat
+        bures_distance_sq(a, b)
+        gone = weakref.ref(b)
+        del b
+        assert gone() is None
+        # The dead key matches no later partner, and the slot stays.
+        slot = a._memo
+        assert slot[0]() is None
+        assert np.array_equal(transport_map(a, c).mat, t_cold)
+        assert a._memo is slot
+
+    def test_distances_both_ways_form_no_cycle(self):
+        # With the cyclic collector off, a slot that held its partner
+        # strongly would keep a, b and both N x N products alive after
+        # del.
+        rng = np.random.default_rng(86)
+        a, b = (
+            embed(KroneckerPoint.from_factors(gen_spd(20, rng), gen_spd(20, rng)))
+            for _ in range(2)
+        )
+        product_bytes = a.mat.nbytes
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            bures_distance_sq(a, b)
+            bures_distance_sq(b, a)
+            refs = weakref.ref(a._memo[1]), weakref.ref(b._memo[1])
+            held = tracemalloc.get_traced_memory()[0]
+            del a, b
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert all(r() is None for r in refs)
+        assert held - left >= 2 * product_bytes
 
     def test_kept_product_is_read_only(self):
         rng = np.random.default_rng(84)

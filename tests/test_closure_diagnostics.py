@@ -678,6 +678,17 @@ class TestRigidity:
             ):
                 assert endpoint_rigidity_classify(p0, p1).verdict is verdict
 
+    def test_gen_spd_row_leaf_at_n_192(self):
+        # This pair once read 1.30e-8 against RESIDUAL_TOL = 1e-8 and raised
+        # InconsistentVerdict; its relative residual is now 1.9e-12.
+        from kronbures.bench_cli import gen_spd
+
+        rng = np.random.default_rng(12)
+        p0 = KroneckerPoint.from_factors(gen_spd(192, rng), gen_spd(192, rng))
+        p1 = KroneckerPoint(p0.u_factor, gen_spd(192, rng))
+        report = endpoint_rigidity_classify(p0, p1)
+        assert report.verdict is RigidityVerdict.COMMON_ROW_LEAF
+
     @PROPERTY_SETTINGS
     @given(leaf_pairs())
     def test_leaf_pairs_get_their_leaf(self, pair):
@@ -773,6 +784,18 @@ class TestPattern2x2:
     def test_dimension(self):
         with pytest.raises(DimensionMismatch):
             pattern_2x2_check(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("ratio, ok", [(10.0, False), (0.1, True)])
+    def test_gate_boundary(self, ratio, ok):
+        # A Kronecker sum B (x) I + I (x) A satisfies every relation; z14
+        # then moves by ratio times PATTERN_TOL = 1e-10 of the scale.
+        rng = np.random.default_rng(91)
+        a, b = (3.0 * rand_symmetric(2, rng) for _ in range(2))
+        z = kron(b, np.eye(2)) + kron(np.eye(2), a)
+        scale = frob(z)
+        assert scale > 1.0 and pattern_2x2_check(z) == (True, [])
+        z[0, 3] = z[3, 0] = ratio * 1e-10 * scale
+        assert pattern_2x2_check(z) == (ok, [] if ok else ["z14=0"])
 
 
 class TestPullbackMetric:
@@ -922,3 +945,18 @@ class TestInvariantRejected:
         build(0.0)
         with pytest.raises(error):
             build(1e-9)
+
+
+class TestChartVectorShape:
+    # Every eigenvalue vector must have shape (n,), n from u0, as the
+    # profile vectors must.
+    @pytest.mark.parametrize("name", ["u0", "u1", "v0", "v1"])
+    @pytest.mark.parametrize(
+        "vec", [np.ones(1), np.ones(3), np.ones((2, 1)), np.ones((2, 2))],
+        ids=["short", "long", "column", "square"],
+    )
+    def test_raises(self, name, vec):
+        vectors = {key: np.ones(2) for key in ("u0", "u1", "v0", "v1")}
+        vectors[name] = vec
+        with pytest.raises(DimensionMismatch):
+            CommutingChart(q_basis=np.eye(2), r_basis=np.eye(2), **vectors)

@@ -28,6 +28,7 @@ from kronbures import (
     leaf_membership,
     objective_J,
     pairwise_bures_sq_reduced,
+    pi_residual,
     recover_factors,
     reduced_distances_sq,
     row_leaf,
@@ -50,6 +51,7 @@ from conftest import (
     rand_orthogonal,
     rand_point,
     rand_spd,
+    rand_symmetric,
 )
 
 
@@ -114,6 +116,21 @@ class TestEmbedRecover:
     def test_non_square_dimension(self):
         with pytest.raises(DimensionMismatch):
             recover_factors(SpdMatrix.identity(6))
+
+    @pytest.mark.parametrize("ratio, rejected", [(10.0, True), (0.1, False)])
+    def test_membership_gate_boundary(self, ratio, rejected):
+        # E = Pi(G) has both partial traces zero, so K + E recovers K's
+        # factors and its reconstruction defect is ||E|| = eps ||K||, here
+        # ratio times MEMBERSHIP_TOL = 1e-8.
+        rng = np.random.default_rng(90)
+        k = embed(rand_point(3, rng)).mat
+        e = pi_residual(rand_symmetric(9, rng), 3)
+        e *= ratio * 1e-8 * frob(k) / frob(e)
+        if rejected:
+            with pytest.raises(NotInModel):
+                recover_factors(SpdMatrix(k + e))
+        else:
+            recover_factors(SpdMatrix(k + e))
 
 
 def _commuting_point(basis, u_eigs, v_eigs):
@@ -477,9 +494,15 @@ class TestSpectrumSlot:
         reduced_distances_sq(rand_point(4, np.random.default_rng(71)), [q])
         assert len(calls) == 1
 
-    def test_self_pair_stores_nothing(self):
+    def test_self_pair_is_served_with_the_cold_bits(self, monkeypatch):
         p, _ = self._problem(65, count=0)
+        cold = reduced_distances_sq(p, [p])
         pairwise_bures_sq_reduced(p, p)
+        assert p._memo[0]() is p
+        calls = _count_spectra(monkeypatch)
+        warm = reduced_distances_sq(p, [p])
+        assert calls == []
+        assert warm.tolist() == cold.tolist()
         assert p._memo is None
 
     def test_mixed_dimensions_leave_every_slot(self):

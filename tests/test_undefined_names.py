@@ -6,7 +6,8 @@ undefined global fails only when a call reaches that line. The compiler's
 symbol tables list each scope's global reads without running anything.
 The converse check reads each module's syntax tree: an import no line
 reads is left over from code that has gone. ``__init__`` imports only to
-export, so it is exempt.
+export, so it is exempt. The same trees show that only ``spd_core`` names
+the pair-cache slot.
 """
 
 import ast
@@ -65,3 +66,25 @@ def _unread_imports(path):
 )
 def test_imports_are_read(path):
     assert _unread_imports(path) == []
+
+
+def _memo_mentions(path):
+    """Line numbers where a module names the pair-cache slot ``_memo``, as a
+    name, an attribute or a string."""
+    tree = ast.parse(path.read_text())
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_memo")
+        or (isinstance(node, ast.Attribute) and node.attr == "_memo")
+        or (isinstance(node, ast.Constant) and node.value == "_memo")
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "spd_core.py"], ids=lambda p: p.name
+)
+def test_pair_cache_slot_is_named_only_in_spd_core(path):
+    # spd_core._leave and _take decide who keys, who clears and how long a
+    # slot lives; every other module goes through them.
+    assert _memo_mentions(path) == []
