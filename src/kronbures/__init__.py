@@ -56,7 +56,6 @@ from .kron_model import (
 from .closure_diagnostics import (
     ClosureVerdict,
     CommutingChart,
-    DepartureCoefficients,
     FactorTransports,
     RigidityVerdict,
     SqrtProfile,

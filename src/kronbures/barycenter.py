@@ -129,7 +129,6 @@ class SliceBarycenter:
 class LeafBarycenter:
     """Leafwise barycenter with the underlying factor-level solution."""
 
-    leaf: FactorLeaf
     point: KroneckerPoint
     factor_solution: SpdMatrix
 
@@ -268,7 +267,7 @@ def leaf_barycenter(leaf: FactorLeaf, points, weights) -> LeafBarycenter:
     w = _check_weights(weights, len(points))
     m_bar = bw_barycenter([leaf_factor(leaf, p) for p in points], w)
     point = leaf_point(leaf, m_bar)
-    return LeafBarycenter(leaf=leaf, point=point, factor_solution=m_bar)
+    return LeafBarycenter(point=point, factor_solution=m_bar)
 
 
 def log_coordinate_oracle(data: SliceData) -> tuple[np.ndarray, np.ndarray, float]:

@@ -29,7 +29,6 @@ from .barycenter import (
 )
 from .bures_metric import bures_distance_sq
 from .closure_diagnostics import (
-    DepartureCoefficients,
     SqrtProfile,
     delta_diag,
     delta_geo_asymptote,
@@ -257,12 +256,11 @@ def departure_draw(n: int, rng: np.random.Generator, regime: str) -> SqrtProfile
 def departure_draw_metrics(profile: SqrtProfile) -> dict:
     """Max moduli over the interior grid and the small-t quadratic fit."""
     grid = np.arange(1, 200) / 200.0
-    coeffs = DepartureCoefficients.from_profile(profile)
-    geo = delta_geo_closed_form(coeffs, grid)
+    geo = delta_geo_closed_form(profile, grid)
     diag = delta_diag(profile, grid)
     fit_ts = grid[:10]
     fitted = float((fit_ts**2 @ geo[:10] ** 2) / (fit_ts**4).sum())
-    predicted = delta_geo_asymptote(coeffs)
+    predicted = delta_geo_asymptote(profile)
     fit_rel_err = abs(fitted - predicted) / predicted if predicted > 0.0 else 0.0
     return {
         "max_delta_geo": float(geo.max()),

@@ -11,7 +11,7 @@ classification, the 2x2 pattern test, and the isotropic pullback metric.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -20,7 +20,6 @@ from .bures_metric import _check_parameter, _transport
 from .errors import (
     DimensionMismatch,
     InconsistentVerdict,
-    NonPositiveCoordinate,
     NotSimultaneouslyDiagonalizable,
     NumericalConsistencyError,
     ParameterOutOfRange,
@@ -68,41 +67,45 @@ class RigidityVerdict(Enum):
     DEPARTS = "departs"
 
 
+def _store_vectors(obj, label: str, gauged: tuple[str, str], squared: bool) -> None:
+    """Store each vector field of obj as a float array, after checking it.
+
+    All must share one shape (n,) with n >= 1 and be entrywise finite and
+    positive. The two gauged vectors, squared first when they hold square
+    roots, carry the unit-product gauge.
+    """
+    vecs = [(f.name, np.asarray(getattr(obj, f.name), dtype=float)) for f in fields(obj)]
+    shape = vecs[0][1].shape
+    for name, vec in vecs:
+        if len(shape) != 1 or shape[0] == 0 or vec.shape != shape:
+            raise DimensionMismatch(
+                f"{label}{name} has shape {vec.shape}; all vectors need one shape "
+                f"(n,) with n >= 1"
+            )
+        _check_positive(f"{label}{name}", vec)
+        object.__setattr__(obj, name, vec)
+    for name in gauged:
+        vec = getattr(obj, name)
+        if squared:
+            _check_gauge(f"{label}{name} o {name}", vec * vec)
+        else:
+            _check_gauge(f"{label}{name}", vec)
+
+
 @dataclass(frozen=True, eq=False)
 class CommutingChart:
-    """Joint diagonalizing bases and eigenvalue vectors for a commuting pair.
+    """Eigenvalue vectors of a commuting pair in a joint diagonalizing basis.
 
-    Q diagonalizes both U factors, R both V factors, and the U eigenvalue
-    rows carry the determinant gauge (unit product).
+    The U eigenvalue vectors carry the determinant gauge (unit product).
     """
 
-    q_basis: np.ndarray
-    r_basis: np.ndarray
     u0: np.ndarray
     u1: np.ndarray
     v0: np.ndarray
     v1: np.ndarray
 
     def __post_init__(self):
-        n = self.u0.shape[0]
-        for name, basis in (("q_basis", self.q_basis), ("r_basis", self.r_basis)):
-            if basis.shape != (n, n):
-                raise DimensionMismatch(f"{name} has shape {basis.shape}, expected {(n, n)}")
-            defect = np.linalg.norm(basis.T @ basis - np.eye(n))
-            if defect > 1e-10:
-                raise NotSimultaneouslyDiagonalizable(
-                    f"{name} is not orthogonal: defect {defect:.6e}"
-                )
-        for name, vals in (("u0", self.u0), ("u1", self.u1), ("v0", self.v0), ("v1", self.v1)):
-            if vals.shape != (n,):
-                raise DimensionMismatch(f"{name} has shape {vals.shape}, expected {(n,)}")
-            _check_positive(name, vals)
-        _check_gauge("u0", self.u0)
-        _check_gauge("u1", self.u1)
-
-    @property
-    def n(self) -> int:
-        return self.u0.shape[0]
+        _store_vectors(self, "", ("u0", "u1"), squared=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,18 +122,8 @@ class SqrtProfile:
     d: np.ndarray
 
     def __post_init__(self):
-        n = self.a.shape[0]
-        for name, vec in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-            if vec.shape != (n,):
-                raise DimensionMismatch(f"{name} has shape {vec.shape}, expected {(n,)}")
-            _check_positive(f"profile vector {name}", vec)
         # a o a and c o c are the chart's U eigenvalues.
-        _check_gauge("profile vector a o a", self.a * self.a)
-        _check_gauge("profile vector c o c", self.c * self.c)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
+        _store_vectors(self, "profile vector ", ("a", "c"), squared=True)
 
     @classmethod
     def from_chart(cls, chart: CommutingChart) -> "SqrtProfile":
@@ -139,43 +132,6 @@ class SqrtProfile:
             b=np.sqrt(chart.v0),
             c=np.sqrt(chart.u1),
             d=np.sqrt(chart.v1),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class DepartureCoefficients:
-    """Norms and inner products of the profile vectors.
-
-    A = |a|^2, C = |c|^2, rho = <a, c>, B = |b|^2, D = |d|^2, sigma = <b, d>.
-    """
-
-    A: float
-    B: float
-    C: float
-    D: float
-    rho: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive("coefficients A, B, C, D", (self.A, self.B, self.C, self.D))
-        for name, val in (("rho", self.rho), ("sigma", self.sigma)):
-            if not np.isfinite(val):
-                raise NonPositiveCoordinate(f"coefficient {name} must be finite")
-        # Cauchy-Schwarz, with slack for round-off on collinear profiles.
-        if self.rho**2 > self.A * self.C * (1.0 + 1e-9):
-            raise NumericalConsistencyError("rho^2 exceeds A*C beyond round-off")
-        if self.sigma**2 > self.B * self.D * (1.0 + 1e-9):
-            raise NumericalConsistencyError("sigma^2 exceeds B*D beyond round-off")
-
-    @classmethod
-    def from_profile(cls, profile: SqrtProfile) -> "DepartureCoefficients":
-        return cls(
-            A=float(np.dot(profile.a, profile.a)),
-            B=float(np.dot(profile.b, profile.b)),
-            C=float(np.dot(profile.c, profile.c)),
-            D=float(np.dot(profile.d, profile.d)),
-            rho=float(np.dot(profile.a, profile.c)),
-            sigma=float(np.dot(profile.b, profile.d)),
         )
 
 
@@ -238,7 +194,7 @@ def _check_commuting(a: np.ndarray, b: np.ndarray, label: str) -> None:
 
 def _diagonalize_pair(
     a0: SpdMatrix, a1: SpdMatrix, label: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     basis = _joint_eigenbasis(a0, a1.mat)
     vals = []
     for m in (a0.mat, a1.mat):
@@ -250,7 +206,7 @@ def _diagonalize_pair(
                 f"{label} factors have off-diagonal mass {off:.6e} in the joint basis"
             )
         vals.append(diag)
-    return basis, vals[0], vals[1]
+    return vals[0], vals[1]
 
 
 def build_chart(p0: KroneckerPoint, p1: KroneckerPoint) -> CommutingChart:
@@ -264,16 +220,16 @@ def build_chart(p0: KroneckerPoint, p1: KroneckerPoint) -> CommutingChart:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
     _check_commuting(p0.u_factor.mat, p1.u_factor.mat, "U factors")
     _check_commuting(p0.v_factor.mat, p1.v_factor.mat, "V factors")
-    q, u0, u1 = _diagonalize_pair(p0.u_factor, p1.u_factor, "U")
-    r, v0, v1 = _diagonalize_pair(p0.v_factor, p1.v_factor, "V")
-    return CommutingChart(q_basis=q, r_basis=r, u0=u0, u1=u1, v0=v0, v1=v1)
+    u0, u1 = _diagonalize_pair(p0.u_factor, p1.u_factor, "U")
+    v0, v1 = _diagonalize_pair(p0.v_factor, p1.v_factor, "V")
+    return CommutingChart(u0=u0, u1=u1, v0=v0, v1=v1)
 
 
 def profile_matrix(profile: SqrtProfile, t: float) -> np.ndarray:
     """Interpolant H_t = (1-t) a b^T + t c d^T, t in [0, 1].
 
     For ``SqrtProfile.from_chart(chart)``, the entrywise squares of H_t are
-    the commuting geodesic's diagonal entries in the chart basis R (x) Q,
+    the commuting geodesic's diagonal entries in the joint eigenbasis R (x) Q,
     and H_t has rank one exactly when the geodesic point stays in the model.
     """
     _check_parameter(t)
@@ -296,12 +252,26 @@ def classify_closure_commuting(chart: CommutingChart) -> ClosureVerdict:
     return ClosureVerdict.DEPARTS_IMMEDIATELY
 
 
-def _collinearity_defects(coeffs: DepartureCoefficients) -> tuple[float, float]:
+def _coefficients(profile: SqrtProfile):
+    """Norms and inner products of the profile vectors, and the clipped
+    collinearity defects du = A C - rho^2 and dv = B D - sigma^2.
+
+    A = |a|^2, B = |b|^2, C = |c|^2, D = |d|^2, rho = <a, c>, sigma = <b, d>.
+    Only under- or overflow can make A, B, C or D non-positive or infinite.
+    """
+    a, b, c, d = profile.a, profile.b, profile.c, profile.d
+    big_a = float(np.dot(a, a))
+    big_b = float(np.dot(b, b))
+    big_c = float(np.dot(c, c))
+    big_d = float(np.dot(d, d))
+    rho = float(np.dot(a, c))
+    sigma = float(np.dot(b, d))
+    _check_positive("coefficients A, B, C, D", (big_a, big_b, big_c, big_d))
     # Exact zeros here are meaningful: bitwise-equal leaf profiles cancel
     # exactly, which makes the moduli vanish identically on leaves.
-    du = max(coeffs.A * coeffs.C - coeffs.rho * coeffs.rho, 0.0)
-    dv = max(coeffs.B * coeffs.D - coeffs.sigma * coeffs.sigma, 0.0)
-    return du, dv
+    du = max(big_a * big_c - rho * rho, 0.0)
+    dv = max(big_b * big_d - sigma * sigma, 0.0)
+    return big_a, big_b, big_c, big_d, rho, sigma, du, dv
 
 
 def _t_grid(t) -> np.ndarray:
@@ -325,19 +295,15 @@ def _like_t(t, values: np.ndarray):
     return float(values[0]) if np.ndim(t) == 0 else values
 
 
-def delta_geo_closed_form(coeffs: DepartureCoefficients, t):
+def delta_geo_closed_form(profile: SqrtProfile, t):
     """Square-root departure modulus sigma_2(H_t) in closed form.
 
     t is a scalar (returns a float) or a 1-D grid (returns an array).
     """
     ts = _t_grid(t)
-    du, dv = _collinearity_defects(coeffs)
+    big_a, big_b, big_c, big_d, rho, sigma, du, dv = _coefficients(profile)
     s = 1.0 - ts
-    big_t = (
-        s**2 * coeffs.A * coeffs.B
-        + 2.0 * ts * s * coeffs.rho * coeffs.sigma
-        + ts * ts * coeffs.C * coeffs.D
-    )
+    big_t = s**2 * big_a * big_b + 2.0 * ts * s * rho * sigma + ts * ts * big_c * big_d
     delta = ts * ts * s**2 * du * dv
     rad = big_t * big_t - 4.0 * delta
     negative = rad < -1e-12 * big_t * big_t
@@ -352,10 +318,10 @@ def delta_geo_closed_form(coeffs: DepartureCoefficients, t):
     return _like_t(t, np.sqrt(ratio))
 
 
-def delta_geo_asymptote(coeffs: DepartureCoefficients) -> float:
+def delta_geo_asymptote(profile: SqrtProfile) -> float:
     """Quadratic coefficient of delta_geo(t)^2 = coeff * t^2 + O(t^3)."""
-    du, dv = _collinearity_defects(coeffs)
-    return du * dv / (coeffs.A * coeffs.B)
+    big_a, big_b, *_, du, dv = _coefficients(profile)
+    return du * dv / (big_a * big_b)
 
 
 def delta_diag(profile: SqrtProfile, t):
@@ -370,7 +336,7 @@ def delta_diag(profile: SqrtProfile, t):
     t is a scalar (returns a float) or a 1-D grid (returns an array).
     """
     ts = _t_grid(t)
-    du, dv = _collinearity_defects(DepartureCoefficients.from_profile(profile))
+    *_, du, dv = _coefficients(profile)
     if du == 0.0 or dv == 0.0:
         # Collinear profile vectors make H_t rank one for every t.
         return _like_t(t, np.zeros_like(ts))
@@ -542,7 +508,7 @@ def departure_profile_rows(profile: SqrtProfile, ts=None):
     Each modulus is evaluated once over the whole grid.
     """
     ts = np.linspace(0.0, 1.0, 201) if ts is None else np.asarray(ts, dtype=float)
-    geo = delta_geo_closed_form(DepartureCoefficients.from_profile(profile), ts)
+    geo = delta_geo_closed_form(profile, ts)
     diag = delta_diag(profile, ts)
     yield from zip(ts.tolist(), geo.tolist(), diag.tolist())
 

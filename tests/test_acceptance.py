@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from kronbures import (
-    DepartureCoefficients,
     KroneckerPoint,
     RigidityVerdict,
     SpdMatrix,
@@ -174,12 +173,11 @@ def test_criterion_5_closed_form_modulus():
     worst_diag = 0.0
     for k in range(draws):
         profile = departure_draw(n, np.random.default_rng(SEED + k), "generic")
-        coeffs = DepartureCoefficients.from_profile(profile)
         for t in grid:
             t = float(t)
             h = profile_matrix(profile, t)
             sigma2 = float(np.linalg.svd(h, compute_uv=False)[1])
-            worst_geo = max(worst_geo, abs(delta_geo_closed_form(coeffs, t) - sigma2))
+            worst_geo = max(worst_geo, abs(delta_geo_closed_form(profile, t) - sigma2))
             m = h * h
             tail = float(np.sqrt(np.sum(np.linalg.svd(m, compute_uv=False)[1:] ** 2)))
             worst_diag = max(worst_diag, abs(delta_diag(profile, t) - tail))
@@ -197,10 +195,9 @@ def test_criterion_6_asymptotic_coefficient():
     fit_errs = []
     for k in range(draws):
         profile = departure_draw(n, np.random.default_rng(SEED + k), "generic")
-        coeffs = DepartureCoefficients.from_profile(profile)
-        predicted = delta_geo_asymptote(coeffs)
+        predicted = delta_geo_asymptote(profile)
         t = 1e-4
-        ratio = delta_geo_closed_form(coeffs, t) ** 2 / t**2
+        ratio = delta_geo_closed_form(profile, t) ** 2 / t**2
         worst_dev = max(worst_dev, abs(ratio - predicted) / predicted)
         fit_errs.append(departure_draw_metrics(profile)["fit_rel_err"])
     mean_fit = float(np.mean(fit_errs))

@@ -299,10 +299,22 @@ class TestCli:
                 "pairwise", "pairwise_trial", 1, "rel_err", 1e3,
                 "n = 4, trial 2: rel_err 1.000e+03",
             ),
+            # 10x and 0.1x the gates PAIRWISE_REL_ERR_TOL = 1e-10 and
+            # LEAF_MODULUS_TOL = 1e-12: a loosened gate passes the first.
+            (
+                "pairwise", "pairwise_trial", 1, "rel_err", 1e-9,
+                "n = 4, trial 2: rel_err 1.000e-09",
+            ),
+            ("pairwise", "pairwise_trial", 1, "rel_err", 1e-11, None),
             (
                 "departure", "departure_draw_metrics", 0, "max_delta_diag", np.nan,
                 "leaf regime shared_u_leaf at n = 4, trial 2: max_delta_diag nan",
             ),
+            (
+                "departure", "departure_draw_metrics", 0, "max_delta_geo", 1e-11,
+                "leaf regime shared_u_leaf at n = 4, trial 2: max_delta_geo 1.000e-11",
+            ),
+            ("departure", "departure_draw_metrics", 0, "max_delta_geo", 1e-13, None),
             (
                 "barycenter", "barycenter_trial", 0, "numerical_obj", 1e3,
                 "dataset A at n = 4, trial 2: relative objective gap",
@@ -312,13 +324,18 @@ class TestCli:
                 "dataset A at n = 4, trial 2: coord_error 1.000e+03",
             ),
         ],
-        ids=["pairwise", "departure", "barycenter_gap", "barycenter_coord"],
+        ids=[
+            "pairwise", "pairwise_10x_gate", "pairwise_tenth_gate", "departure",
+            "departure_10x_gate", "departure_tenth_gate", "barycenter_gap",
+            "barycenter_coord",
+        ],
     )
     def test_gate_names_size_trial_and_metric(
         self, monkeypatch, capsys, command, trial_fn, warmups, metric, value, expected
     ):
-        # Push one trial's metric over its gate, or make it NaN; calls
-        # before the first trial are untimed warm-ups.
+        # Push one trial's metric over its gate, or make it NaN, or set it
+        # just inside (expected None: the run passes); calls before the
+        # first trial are untimed warm-ups.
         original = getattr(bench_cli, trial_fn)
         calls = []
 
@@ -330,7 +347,11 @@ class TestCli:
             return out
 
         monkeypatch.setattr(bench_cli, trial_fn, patched)
-        assert main([command, "--trials", "4", "--sizes", "4"]) == 3
+        code = main([command, "--trials", "4", "--sizes", "4"])
+        if expected is None:
+            assert code == 0
+            return
+        assert code == 3
         err = capsys.readouterr().err
         assert f"{command} experiment failed: NumericalConsistencyError: {expected}" in err
 
