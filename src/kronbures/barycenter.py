@@ -9,7 +9,6 @@ independent numerical oracle.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -36,8 +35,6 @@ from .kron_model import (
     reduced_distances_sq,
 )
 from .spd_core import SpdMatrix, _check_positive
-
-logger = logging.getLogger(__name__)
 
 WEIGHT_TOL = 1e-12
 
@@ -222,7 +219,6 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     v = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
     stack = np.stack([m.mat for m in mats])
     eye = np.eye(n)
-    prev_residual = np.inf
     best = (np.inf, v)
     for _ in range(BW_MAX_ITER):
         y, z = _root_factors(v)
@@ -234,13 +230,6 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
         residual = float(np.linalg.norm(g / np.multiply.outer(h, h) - eye))
         if residual < best[0]:
             best = (residual, v)
-        if residual > prev_residual:
-            logger.debug(
-                "barycenter residual increased from %.3e to %.3e",
-                prev_residual,
-                residual,
-            )
-        prev_residual = residual
         if residual <= BW_TOL:
             return v
         half = z @ g

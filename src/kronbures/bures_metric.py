@@ -53,16 +53,6 @@ def _clamp_distance_sq(d2: float, scale: float) -> float:
     )
 
 
-def _clamp_distances_sq(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """_clamp_distance_sq entrywise, with its bits, and its error for the
-    first entry beyond round-off (NaN included)."""
-    beyond = ~(d2 >= -_NEGATIVE_CLAMP * scale)
-    if beyond.any():
-        i = int(np.argmax(beyond))
-        _clamp_distance_sq(float(d2[i]), float(scale[i]))
-    return np.where(d2 >= 0.0, d2, 0.0)
-
-
 # The whitened product Y^T B Y, for a square-root factor Y Y^T = A, is
 # formed, symmetrized, by _whitened_product alone, and decomposed only by
 # the helpers below; see SpdMatrix for why it is never validated. Its
@@ -85,15 +75,14 @@ def _clamp_distances_sq(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _whitened_product(y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The symmetrized Y^T B Y; Y and B may also be stacks of any depth that
+    """The symmetrized Y^T B Y; Y and B may also be (m, n, n) stacks that
     broadcast."""
-    m = np.swapaxes(y, -1, -2) @ b @ y
-    return symmetrize(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape)
+    return symmetrize(np.swapaxes(y, -1, -2) @ b @ y)
 
 
 def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized Y^T B Y, clipped at 0; Y and
-    B may also be stacks of any depth that broadcast."""
+    B may also be (m, n, n) stacks that broadcast."""
     return np.maximum(np.linalg.eigvalsh(_whitened_product(y, b)), 0.0)
 
 
@@ -123,6 +112,7 @@ def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Bures-Wasserstein distance tr(A) + tr(B) - 2 tr((A^1/2 B A^1/2)^1/2)."""
     _check_same_dim(a, b)
     m = _whitened_product(_root_factors(a)[0], b.mat)
+    m.setflags(write=False)
     _leave(a, b, m)
     w = np.maximum(np.linalg.eigvalsh(m), 0.0)
     tr_sum = a.trace() + b.trace()

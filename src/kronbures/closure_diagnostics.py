@@ -20,6 +20,7 @@ from .bures_metric import _check_parameter, _transport
 from .errors import (
     DimensionMismatch,
     InconsistentVerdict,
+    NonPositiveCoordinate,
     NotSimultaneouslyDiagonalizable,
     NumericalConsistencyError,
     ParameterOutOfRange,
@@ -260,12 +261,14 @@ def _coefficients(profile: SqrtProfile):
     Only under- or overflow can make A, B, C or D non-positive or infinite.
     """
     a, b, c, d = profile.a, profile.b, profile.c, profile.d
-    big_a = float(np.dot(a, a))
-    big_b = float(np.dot(b, b))
-    big_c = float(np.dot(c, c))
-    big_d = float(np.dot(d, d))
-    rho = float(np.dot(a, c))
-    sigma = float(np.dot(b, d))
+    # An overflowing norm reads inf and fails the check below.
+    with np.errstate(over="ignore"):
+        big_a = float(np.dot(a, a))
+        big_b = float(np.dot(b, b))
+        big_c = float(np.dot(c, c))
+        big_d = float(np.dot(d, d))
+        rho = float(np.dot(a, c))
+        sigma = float(np.dot(b, d))
     _check_positive("coefficients A, B, C, D", (big_a, big_b, big_c, big_d))
     # Exact zeros here are meaningful: bitwise-equal leaf profiles cancel
     # exactly, which makes the moduli vanish identically on leaves.
@@ -303,9 +306,13 @@ def delta_geo_closed_form(profile: SqrtProfile, t):
     ts = _t_grid(t)
     big_a, big_b, big_c, big_d, rho, sigma, du, dv = _coefficients(profile)
     s = 1.0 - ts
-    big_t = s**2 * big_a * big_b + 2.0 * ts * s * rho * sigma + ts * ts * big_c * big_d
-    delta = ts * ts * s**2 * du * dv
-    rad = big_t * big_t - 4.0 * delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        big_t = s**2 * big_a * big_b + 2.0 * ts * s * rho * sigma + ts * ts * big_c * big_d
+        delta = ts * ts * s**2 * du * dv
+        rad = big_t * big_t - 4.0 * delta
+    # Finite coefficients whose products overflow read inf or NaN here.
+    if not np.isfinite(rad).all():
+        raise NonPositiveCoordinate("products of the profile coefficients overflow")
     negative = rad < -1e-12 * big_t * big_t
     if negative.any():
         raise NumericalConsistencyError(
@@ -321,7 +328,10 @@ def delta_geo_closed_form(profile: SqrtProfile, t):
 def delta_geo_asymptote(profile: SqrtProfile) -> float:
     """Quadratic coefficient of delta_geo(t)^2 = coeff * t^2 + O(t^3)."""
     big_a, big_b, *_, du, dv = _coefficients(profile)
-    return du * dv / (big_a * big_b)
+    coeff = du * dv / (big_a * big_b)
+    if not np.isfinite(coeff):
+        raise NonPositiveCoordinate("products of the profile coefficients overflow")
+    return coeff
 
 
 def delta_diag(profile: SqrtProfile, t):

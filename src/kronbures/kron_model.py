@@ -23,7 +23,6 @@ import numpy as np
 from .bures_metric import (
     _check_parameter,
     _clamp_distance_sq,
-    _clamp_distances_sq,
     _root_factors,
     _whitened_eigvals,
     bures_distance_sq,
@@ -84,9 +83,9 @@ class KroneckerPoint:
     read-only. The caches hold only n x n arrays; the n^2 x n^2 embedding
     caches nothing.
 
-    ``pairwise_bures_sq_reduced(p0, self)`` leaves its (2, n) spectrum on
-    ``self`` for ``reduced_distances_sq(p0, points)``, by the one hand-off
-    rule of ``spd_core._leave``.
+    ``pairwise_bures_sq_reduced(p0, self)`` leaves its squared distance, a
+    float, on ``self`` for ``reduced_distances_sq(p0, points)``, by the one
+    hand-off rule of ``spd_core._leave``.
     """
 
     u_factor: SpdMatrix
@@ -205,9 +204,20 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
 
 
 def _whitened_spectrum(roots: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    # Descending along the last axis, the order PairwiseSpectrum documents;
-    # root factors and factors are matching matrices, or stacks of them.
+    # Descending along the last axis, the order PairwiseSpectrum documents.
     return np.ascontiguousarray(_whitened_eigvals(roots, factors)[..., ::-1])
+
+
+def _reduced_sq(p0: KroneckerPoint, p1: KroneckerPoint) -> tuple[float, np.ndarray]:
+    """(d^2, spectrum): the clamped squared distance by the product form
+    tr(A^1/2) tr(B^1/2) of the cross term, and the read-only (2, n)
+    spectrum of the two whitened factor products, from one stacked
+    eigvalsh of shape (2, n, n)."""
+    spectrum = _read_only(_whitened_spectrum(p0._y_factors, p1._factors))
+    cross = np.sqrt(spectrum).sum(axis=-1)
+    tr_sum = p0._trace_product + p1._trace_product
+    d2 = _clamp_distance_sq(tr_sum - 2.0 * float(cross[0]) * float(cross[1]), tr_sum)
+    return d2, spectrum
 
 
 def pairwise_bures_sq_reduced(
@@ -215,53 +225,38 @@ def pairwise_bures_sq_reduced(
 ) -> tuple[float, PairwiseSpectrum]:
     """Squared Bures distance between embeddings from factor-size spectra.
 
-    Uses the product form tr(A^1/2) tr(B^1/2) for the cross term, so the
-    whole computation costs one stacked eigendecomposition of the two
+    The whole computation costs one stacked eigendecomposition of the two
     n x n whitened factors, plus p0's two root factors on its first use.
-    The read-only spectrum is left on p1 (``spd_core._leave``) for
+    The squared distance is left on p1 (``spd_core._leave``) for
     ``reduced_distances_sq(p0, ...)``.
     """
     if p0.n != p1.n:
         raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
-    spectrum = _whitened_spectrum(p0._y_factors, p1._factors)
-    cross = np.sqrt(spectrum).sum(axis=-1)
-    tr_sum = p0._trace_product + p1._trace_product
-    d2 = _clamp_distance_sq(tr_sum - 2.0 * float(cross[0]) * float(cross[1]), tr_sum)
-    _leave(p1, p0, spectrum)
+    d2, spectrum = _reduced_sq(p0, p1)
+    _leave(p1, p0, d2)
     return d2, PairwiseSpectrum(alpha=spectrum[0], beta=spectrum[1])
 
 
 def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
     """Squared Bures distances from p to each point, by the reduced formula.
 
-    Entry i equals ``pairwise_bures_sq_reduced(p, points[i])[0]`` bit for
-    bit. A point that holds the spectrum a ``pairwise_bures_sq_reduced(p,
+    A point that holds the squared distance a ``pairwise_bures_sq_reduced(p,
     point)`` call left on it (``spd_core._leave``) hands it over and its
-    slot is cleared, so a point listed twice is served once; the
-    whitened spectra of the other points, both factors, come from one
-    stacked eigendecomposition of shape (m, 2, n, n), in the order of
-    ``points``, with p's root factors broadcast against every factor
-    stack. The stacked route has the per-pair route's bits, so which
-    points were served changes no result. No slot is taken before every
-    dimension has been checked.
+    slot is cleared, so a point listed twice is served once. Every other
+    entry is computed by the per-pair function that call runs, so entry i
+    equals ``pairwise_bures_sq_reduced(p, points[i])[0]`` bit for bit
+    whichever way it was served. No slot is taken before every dimension
+    has been checked.
     """
     points = list(points)
     for q in points:
         if q.n != p.n:
             raise DimensionMismatch(f"factor dimensions differ: {p.n} vs {q.n}")
-    if not points:
-        return np.empty(0)
-    spectra = [_take(q, p) for q in points]
-    cold = [i for i, s in enumerate(spectra) if s is None]
-    if cold:
-        factors = np.stack([points[i]._factors for i in cold])
-        for i, s in zip(cold, _whitened_spectrum(p._y_factors, factors)):
-            spectra[i] = s
-    spectrum = np.stack(spectra)
-    cross = np.sqrt(spectrum).sum(axis=-1)
-    tr_sum = p._trace_product + np.array([q._trace_product for q in points])
-    d2 = tr_sum - 2.0 * cross[:, 0] * cross[:, 1]
-    return _clamp_distances_sq(d2, tr_sum)
+    out = np.empty(len(points))
+    for i, q in enumerate(points):
+        d2 = _take(q, p)
+        out[i] = _reduced_sq(p, q)[0] if d2 is None else d2
+    return out
 
 
 def _col_scale(anchor: np.ndarray, other: np.ndarray) -> float:

@@ -183,24 +183,24 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
-def _leave(holder, partner, value: np.ndarray) -> None:
-    """Leave value, made read-only, on holder for ``_take(holder, partner)``.
+def _leave(holder, partner, value) -> None:
+    """Leave value on holder for ``_take(holder, partner)``.
 
     The one hand-off rule of the pair caches: ``bures_distance_sq(a, b)``
-    leaves its whitened product on a for ``_transport(a, b)``, and
-    ``pairwise_bures_sq_reduced(p0, p1)`` its spectrum on p1 for
-    ``reduced_distances_sq(p0, ...)``; neither call both leaves and takes.
-    The slot ``_memo`` holds ``(weakref.ref(partner), value)`` until
-    the next ``_leave`` on holder or the matching ``_take``. The key is
-    identity, never equal values or the reversed pair, and never keeps
-    partner alive: no slot forms a reference cycle, a self pair included,
-    and once partner is gone an object that reuses its id matches nothing.
+    leaves its whitened product, which it marks read-only, on a for
+    ``_transport(a, b)``, and ``pairwise_bures_sq_reduced(p0, p1)`` its
+    squared distance on p1 for ``reduced_distances_sq(p0, ...)``; neither
+    call both leaves and takes. The slot ``_memo`` holds
+    ``(weakref.ref(partner), value)`` until the next ``_leave`` on holder
+    or the matching ``_take``. The key is identity, never equal values or
+    the reversed pair, and never keeps partner alive: no slot forms a
+    reference cycle, a self pair included, and once partner is gone an
+    object that reuses its id matches nothing.
     """
-    value.setflags(write=False)
     object.__setattr__(holder, "_memo", (weakref.ref(partner), value))
 
 
-def _take(holder, partner) -> np.ndarray | None:
+def _take(holder, partner):
     """The value ``_leave(holder, partner, ...)`` left, clearing the slot,
     or None, leaving the slot as it was. The slot is read once, so a lost
     race only computes the value again, with the same bits. A

@@ -196,6 +196,31 @@ class TestPerron:
         with pytest.raises(NumericalConsistencyError):
             perron_singular_pair(c)
 
+    @pytest.mark.parametrize("factor, rejected", [(10.0, True), (0.1, False)])
+    def test_residual_gate_boundary(self, monkeypatch, factor, rejected):
+        # A Perron vector tilted by theta toward the second eigenvector of
+        # CC^T leaves |C v1 - sigma1 u1| = theta (sigma1^2 - lambda2) / sigma1
+        # to first order; theta sets it to factor times the 1e-10 sigma1 gate.
+        c = np.exp(np.random.default_rng(6).standard_normal((4, 4)))
+        lam = np.linalg.eigvalsh(c @ c.T)
+        theta = factor * 1e-10 * lam[-1] / (lam[-1] - lam[-2])
+        eigh = np.linalg.eigh
+
+        def tilted(m):
+            w, q = eigh(m)
+            q = q.copy()
+            q[:, -1] = math.cos(theta) * np.abs(q[:, -1]) + math.sin(theta) * q[:, -2]
+            return w, q
+
+        monkeypatch.setattr(np.linalg, "eigh", tilted)
+        if rejected:
+            with pytest.raises(NumericalConsistencyError):
+                perron_singular_pair(c)
+        else:
+            sol = perron_singular_pair(c)
+            res = frob(c @ sol.v1 - sol.sigma1 * sol.u1)
+            assert 0.05 * 1e-10 * sol.sigma1 < res <= 1e-10 * sol.sigma1
+
 
 class TestSliceBarycenter:
     def test_single_datum_is_the_datum(self):
@@ -280,6 +305,21 @@ class TestBwBarycenter:
                 bw_barycenter(mats, w)
         else:
             assert np.array_equal(bw_barycenter(mats, w).mat, expected.mat)
+
+    def test_budget_exit_reports_the_best_iterate(self, monkeypatch):
+        # On a budget of one step the only iterate scored is the start, the
+        # weighted arithmetic mean, so NoConvergence carries it and its
+        # stationarity residual.
+        monkeypatch.setattr(barycenter, "BW_MAX_ITER", 1)
+        rng = np.random.default_rng(12)
+        mats = [rand_spd(4, rng) for _ in range(3)]
+        w = np.array([0.2, 0.3, 0.5])
+        with pytest.raises(NoConvergence) as info:
+            bw_barycenter(mats, w)
+        mean = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
+        assert np.array_equal(info.value.best.mat, mean.mat)
+        want = bw_stationarity_residual(info.value.best, mats, w)
+        assert abs(info.value.residual - want) <= 1e-12 * want
 
     def test_single_datum(self):
         v = rand_spd(4, np.random.default_rng(8))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -964,21 +965,77 @@ class TestProfileVectorShape:
         assert delta_diag(prof, 0.5) > 0.0
 
 
+_MODULI = pytest.mark.parametrize(
+    "modulus",
+    [
+        lambda prof: delta_geo_closed_form(prof, 0.5),
+        delta_geo_asymptote,
+        lambda prof: delta_diag(prof, 0.5),
+    ],
+    ids=["closed_form", "asymptote", "diag"],
+)
+
+
+def _overflow_profile(b0):
+    # With d = (1e100, 3), b = (1e170, 1) overflows |b|^2, and b = (1e100, 1)
+    # keeps A-D finite while B D and sigma^2 overflow.
+    return SqrtProfile(
+        a=np.ones(2),
+        b=np.array([b0, 1.0]),
+        c=np.array([2.0, 0.5]),
+        d=np.array([1e100, 3.0]),
+    )
+
+
 class TestCoefficientRange:
     # Positive profile vectors whose squared norm underflows to 0: every
     # modulus rejects them rather than divide by zero.
-    @pytest.mark.parametrize(
-        "modulus",
-        [
-            lambda prof: delta_geo_closed_form(prof, 0.5),
-            delta_geo_asymptote,
-            lambda prof: delta_diag(prof, 0.5),
-        ],
-        ids=["closed_form", "asymptote", "diag"],
-    )
+    @_MODULI
     def test_underflowing_norm_raises(self, modulus):
         prof = SqrtProfile(
             a=np.array([2.0, 0.5]), b=np.full(2, 1e-170), c=np.ones(2), d=np.ones(2)
         )
         with pytest.raises(NonPositiveCoordinate):
             modulus(prof)
+
+    # One error type whether or not RuntimeWarning is an error.
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @_MODULI
+    def test_overflowing_norm_raises(self, modulus, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(NonPositiveCoordinate):
+                modulus(_overflow_profile(1e170))
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize(
+        "modulus",
+        [lambda prof: delta_geo_closed_form(prof, [0.0, 0.5, 1.0]), delta_geo_asymptote],
+        ids=["closed_form", "asymptote"],
+    )
+    def test_overflowing_product_raises_in_closed_forms(self, modulus, action):
+        # Without the check the closed form reads 0.0 here, a false rank-one
+        # verdict (sigma_2(H_t) is 0.447 at t = 0.5), and the asymptote NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(NonPositiveCoordinate):
+                modulus(_overflow_profile(1e100))
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_overflowing_product_keeps_delta_diag(self, action):
+        # delta_diag multiplies no two norms, so it still answers: the tail
+        # of M_t = H_t o H_t against a 50-digit SVD.
+        import mpmath
+
+        prof = _overflow_profile(1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            got = delta_diag(prof, 0.5)
+        with mpmath.workdps(50):
+            h = [
+                [(mpmath.mpf(a) * b + mpmath.mpf(c) * d) / 2 for b, d in zip(prof.b, prof.d)]
+                for a, c in zip(prof.a, prof.c)
+            ]
+            m = mpmath.matrix([[x * x for x in row] for row in h])
+            want = float(mpmath.svd_r(m, compute_uv=False)[1])
+        assert abs(got - want) <= 1e-12 * want

@@ -416,7 +416,7 @@ def _copy(q):
 
 
 class TestSpectrumSlot:
-    """pairwise_bures_sq_reduced(p, q) leaves its spectrum on q, and
+    """pairwise_bures_sq_reduced(p, q) leaves its squared distance on q, and
     reduced_distances_sq(p, ...) takes it instead of decomposing again."""
 
     @staticmethod
@@ -448,8 +448,8 @@ class TestSpectrumSlot:
             pairwise_bures_sq_reduced(p, q)
         calls = _count_spectra(monkeypatch)
         got = reduced_distances_sq(p, cloud)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], np.stack([q._factors for q in cloud[1::2]]))
+        assert len(calls) == len(cloud[1::2])
+        assert all(f is q._factors for f, q in zip(calls, cloud[1::2]))
         assert got.tolist() == cold.tolist()
 
     def test_slot_is_taken(self, monkeypatch):
@@ -460,7 +460,7 @@ class TestSpectrumSlot:
         assert all(q._memo is None for q in cloud)
         calls = _count_spectra(monkeypatch)
         second = reduced_distances_sq(p, cloud)
-        assert len(calls) == 1 and calls[0].shape[0] == len(cloud)
+        assert [f.shape for f in calls] == [(2, 4, 4)] * len(cloud)
         assert second.tolist() == first.tolist()
 
     def test_pairwise_never_reads_the_slot(self, monkeypatch):
@@ -521,7 +521,7 @@ class TestSpectrumSlot:
         pairwise_bures_sq_reduced(p, q)
         calls = _count_spectra(monkeypatch)
         got = reduced_distances_sq(p, [q, q])
-        assert len(calls) == 1 and calls[0].shape[0] == 1
+        assert [f.shape for f in calls] == [(2, 4, 4)]
         assert got[0] == got[1]
 
     def test_threads_sharing_a_cloud_get_their_own_bits(self):
