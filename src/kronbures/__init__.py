@@ -72,7 +72,6 @@ from .closure_diagnostics import (
     profile_matrix,
     pullback_metric_isotropic,
     whitened_initial_velocity,
-    write_departure_profile,
 )
 from .barycenter import (
     LeafBarycenter,

@@ -1,10 +1,11 @@
 """Benchmark harness and CLI.
 
-Three experiments at desk scale: the pairwise spectral reduction
-(timing and accuracy), fixed-chart departure moduli, and the
-commuting-slice barycenter benchmarks. Reports are emitted as CSV, JSON,
-or aligned text. A single root seed plus the trial index determines every
-random stream, so metric values are bit-identical across runs.
+Three experiments at desk scale, listed in ``EXPERIMENTS``: the pairwise
+spectral reduction (timing and accuracy), fixed-chart departure moduli
+(and the per-t profile CSV), and the commuting-slice barycenter benchmarks.
+Reports are emitted as CSV, JSON, or aligned text. A single root seed plus
+the trial index determines every random stream, so metric values are
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
-from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .closure_diagnostics import (
     delta_diag,
     delta_geo_asymptote,
     delta_geo_closed_form,
-    write_departure_profile,
+    departure_profile_rows,
 )
 from .errors import (
     ConfigError,
@@ -46,9 +47,6 @@ from .spd_core import SpdMatrix
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 20
-DEFAULT_PAIRWISE_SIZES = (8, 16, 32)
-DEFAULT_DEPARTURE_SIZE = 32
-DEFAULT_BARYCENTER_SIZE = 8
 BARYCENTER_DATA_COUNT = 8
 
 DEPARTURE_REGIMES = ("shared_u_leaf", "shared_v_leaf", "generic")
@@ -56,35 +54,32 @@ BARYCENTER_DATASETS = ("A", "B", "C")
 
 LEAF_MODULUS_TOL = 1e-12
 PAIRWISE_REL_ERR_TOL = 1e-10
+# The oracle's objective gap is relative to max(|formula_obj|, 1).
+ORACLE_GAP_TOL = 1e-6
+ORACLE_COORD_TOL = 1e-4
+
+# The t grid of the departure profile CSV.
+PROFILE_GRID = np.linspace(0.0, 1.0, 201)
 
 # Pairwise evaluates the ambient n^2 x n^2 distance only up to this n.
 AMBIENT_CUTOFF = 64
 
 
-class ExperimentKind(Enum):
-    PAIRWISE = "pairwise"
-    DEPARTURE = "departure"
-    BARYCENTER = "barycenter"
-
-
-_DEFAULT_SIZES = {
-    ExperimentKind.PAIRWISE: DEFAULT_PAIRWISE_SIZES,
-    ExperimentKind.DEPARTURE: (DEFAULT_DEPARTURE_SIZE,),
-    ExperimentKind.BARYCENTER: (DEFAULT_BARYCENTER_SIZE,),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: ExperimentKind
+    """One experiment run; ``experiment`` is a name in ``EXPERIMENTS``."""
+
+    experiment: str
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
     sizes: tuple | None = None
     profile_out: str | None = None
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.sizes is None:
-            object.__setattr__(self, "sizes", _DEFAULT_SIZES[self.experiment])
+            object.__setattr__(self, "sizes", EXPERIMENTS[self.experiment].sizes)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:
@@ -93,10 +88,10 @@ class ExperimentConfig:
             raise ConfigError("sizes must be nonempty")
         if any(n < 1 for n in self.sizes):
             raise ConfigError(f"sizes must be positive, got {self.sizes}")
-        if self.experiment is not ExperimentKind.PAIRWISE and len(self.sizes) > 1:
-            raise ConfigError(
-                f"{self.experiment.value} takes one size, got {self.sizes}"
-            )
+        if self.experiment != "pairwise" and len(self.sizes) > 1:
+            raise ConfigError(f"{self.experiment} takes one size, got {self.sizes}")
+        if self.profile_out is not None and self.experiment != "departure":
+            raise ConfigError(f"{self.experiment} writes no profile")
 
 
 @dataclass(frozen=True)
@@ -132,11 +127,6 @@ def gen_log_diag(xi, normalized: bool) -> np.ndarray:
     return np.exp(xi)
 
 
-def _summarize(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())
-
-
 def _rows_from_trials(experiment, regime, n, metrics) -> list[SummaryRow]:
     """One summary row per metric, in the order of the ``metrics`` dict.
 
@@ -144,11 +134,11 @@ def _rows_from_trials(experiment, regime, n, metrics) -> list[SummaryRow]:
     """
     rows = []
     for metric, values in metrics.items():
-        mean, std = _summarize(values)
+        arr = np.asarray(values, dtype=float)
         rows.append(
             SummaryRow(
                 experiment=experiment, regime=regime, n=n, metric=metric,
-                mean=mean, std=std,
+                mean=float(arr.mean()), std=float(arr.std()),
             )
         )
     return rows
@@ -184,7 +174,7 @@ def pairwise_trial(n: int, rng: np.random.Generator, with_ambient: bool) -> dict
     reduced, _ = pairwise_bures_sq_reduced(p0, p1)
     reduced_time = time.perf_counter() - t0
 
-    out = {"reduced_time": reduced_time, "reduced_value": reduced}
+    out = {"reduced_time": reduced_time}
     if with_ambient:
         k0 = embed(p0)
         k1 = embed(p1)
@@ -193,7 +183,6 @@ def pairwise_trial(n: int, rng: np.random.Generator, with_ambient: bool) -> dict
         ambient_time = time.perf_counter() - t0
         out.update(
             ambient_time=ambient_time,
-            ambient_value=ambient,
             speedup=ambient_time / max(reduced_time, 1e-12),
             rel_err=abs(ambient - reduced) / abs(ambient),
         )
@@ -281,7 +270,10 @@ def run_departure_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
             for k in range(cfg.trials)
         ]
         if regime == "generic" and cfg.profile_out:
-            write_departure_profile(cfg.profile_out, profiles[0])
+            with open(cfg.profile_out, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("t", "delta_geo", "delta_diag"))
+                writer.writerows(departure_profile_rows(profiles[0], PROFILE_GRID))
         trials = [departure_draw_metrics(p) for p in profiles]
         metrics = {metric: [t[metric] for t in trials] for metric in trials[0]}
         if regime != "generic":
@@ -353,15 +345,14 @@ def run_barycenter_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
     for name in BARYCENTER_DATASETS:
         trials = [barycenter_trial(d) for d in datasets[name]]
         metrics = {metric: [t[metric] for t in trials] for metric in trials[0]}
-        # The oracle must agree with the exact formula; the objective gap is
-        # relative to max(|formula_obj|, 1).
+        # The oracle must agree with the exact formula.
         gaps = [
             abs(t["formula_obj"] - t["numerical_obj"]) / max(abs(t["formula_obj"]), 1.0)
             for t in trials
         ]
         context = f"dataset {name} at n = {n}"
-        _gate(context, "relative objective gap", gaps, 1e-6)
-        _gate(context, "coord_error", metrics["coord_error"], 1e-4)
+        _gate(context, "relative objective gap", gaps, ORACLE_GAP_TOL)
+        _gate(context, "coord_error", metrics["coord_error"], ORACLE_COORD_TOL)
         rows.extend(_rows_from_trials("barycenter", name, n, metrics))
     return rows
 
@@ -423,11 +414,18 @@ def emit_report(rows, format: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # CLI
 
-RUNNERS = {
-    ExperimentKind.PAIRWISE: run_pairwise_experiment,
-    ExperimentKind.DEPARTURE: run_departure_experiment,
-    ExperimentKind.BARYCENTER: run_barycenter_experiment,
+class Experiment(NamedTuple):
+    run: Callable[[ExperimentConfig], list]
+    sizes: tuple
+
+
+# Runners and default sizes; 'all' runs them in this order.
+EXPERIMENTS = {
+    "pairwise": Experiment(run_pairwise_experiment, (8, 16, 32)),
+    "departure": Experiment(run_departure_experiment, (32,)),
+    "barycenter": Experiment(run_barycenter_experiment, (8,)),
 }
+
 
 def _parse_sizes(raw: str) -> tuple:
     try:
@@ -455,38 +453,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--format", choices=("csv", "json", "table"), default="table")
     common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    common.add_argument(
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument(
         "--profile-out",
         type=str,
         default=None,
         help="per-t departure profile CSV for the first generic draw",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("pairwise", "departure", "barycenter", "all"):
-        sub.add_parser(name, parents=[common])
+    for name in (*EXPERIMENTS, "all"):
+        writes_profile = name in ("departure", "all")
+        sub.add_parser(name, parents=[common, profile] if writes_profile else [common])
     return parser
 
 
 def _configs_from_args(args) -> list[ExperimentConfig]:
-    if args.command == "all":
-        kinds = [ExperimentKind.PAIRWISE, ExperimentKind.DEPARTURE, ExperimentKind.BARYCENTER]
-    else:
-        kinds = [ExperimentKind(args.command)]
+    names = list(EXPERIMENTS) if args.command == "all" else [args.command]
     sizes = _parse_sizes(args.sizes) if args.sizes else None
-    configs = []
-    for kind in kinds:
-        # Under 'all', --sizes applies to pairwise only.
-        applies = args.command != "all" or kind is ExperimentKind.PAIRWISE
-        configs.append(
-            ExperimentConfig(
-                experiment=kind,
-                seed=args.seed,
-                trials=args.trials,
-                sizes=sizes if applies else None,
-                profile_out=args.profile_out,
-            )
+    profile_out = getattr(args, "profile_out", None)
+    return [
+        ExperimentConfig(
+            experiment=name,
+            seed=args.seed,
+            trials=args.trials,
+            # Under 'all', --sizes applies to pairwise only.
+            sizes=sizes if args.command != "all" or name == "pairwise" else None,
+            profile_out=profile_out if name == "departure" else None,
         )
-    return configs
+        for name in names
+    ]
 
 
 def _check_writable(path: str | None) -> None:
@@ -506,14 +501,15 @@ def main(argv=None) -> int:
     try:
         configs = _configs_from_args(args)
         _check_writable(args.out)
-        _check_writable(args.profile_out)
+        for cfg in configs:
+            _check_writable(cfg.profile_out)
         rows = []
         for cfg in configs:
             try:
-                rows.extend(RUNNERS[cfg.experiment](cfg))
+                rows.extend(EXPERIMENTS[cfg.experiment].run(cfg))
             except (NumericalConsistencyError, NoConvergence, InconsistentVerdict) as exc:
                 print(
-                    f"{cfg.experiment.value} experiment failed: "
+                    f"{cfg.experiment} experiment failed: "
                     f"{type(exc).__name__}: {exc}",
                     file=sys.stderr,
                 )

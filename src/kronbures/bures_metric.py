@@ -69,7 +69,8 @@ def _clamp_distance_sq(d2: float, scale: float) -> float:
 # H = Z W diag(r)^1/2: the product Z W and one syrk at N = n^2. Weyl on
 # Z R Z^T gives r_min / a_max <= lambda(T) <= r_max / a_min; those bounds
 # and the check's products TA and TAT reach a GeodesicCurve only through
-# geodesic. R itself is formed only at factor size, by factor_transports.
+# geodesic. R itself is formed only at factor size, by factor_transports,
+# and once per datum by bw_barycenter, whose fixed point sums the roots.
 # A transport from a to b decomposes the product bures_distance_sq(a, b)
 # left (spd_core._leave); one helper forms it, so the bits are the same.
 

@@ -10,7 +10,6 @@ classification, the 2x2 pattern test, and the isotropic pullback metric.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -512,21 +511,13 @@ def pullback_metric_isotropic(n: int, s: float, h_u, h_v) -> float:
     return 0.25 * n * (s * norm_u**2 + norm_v**2 / s)
 
 
-def departure_profile_rows(profile: SqrtProfile, ts=None):
-    """Yield (t, delta_geo, delta_diag) records over a t grid.
+def departure_profile_rows(profile: SqrtProfile, ts):
+    """Yield (t, delta_geo, delta_diag) records over the t grid ts.
 
     Each modulus is evaluated once over the whole grid.
     """
-    ts = np.linspace(0.0, 1.0, 201) if ts is None else np.asarray(ts, dtype=float)
+    ts = np.asarray(ts, dtype=float)
     geo = delta_geo_closed_form(profile, ts)
     diag = delta_diag(profile, ts)
     yield from zip(ts.tolist(), geo.tolist(), diag.tolist())
 
-
-def write_departure_profile(path, profile: SqrtProfile, ts=None) -> None:
-    """Write the per-t departure profile as CSV columns (t, delta_geo, delta_diag)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "delta_geo", "delta_diag"])
-        for t, dgeo, ddiag in departure_profile_rows(profile, ts):
-            writer.writerow([repr(t), repr(dgeo), repr(ddiag)])

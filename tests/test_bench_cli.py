@@ -14,8 +14,8 @@ from kronbures import bench_cli
 from kronbures.barycenter import ORACLE_GRAD_TOL
 from kronbures.bench_cli import (
     AMBIENT_CUTOFF,
+    EXPERIMENTS,
     ExperimentConfig,
-    ExperimentKind,
     SummaryRow,
     barycenter_dataset,
     departure_draw,
@@ -58,9 +58,20 @@ class TestGenerators:
         assert np.allclose(d, [np.e, 1.0 / np.e])
 
 
+class TestExperimentConfig:
+    def test_unknown_experiment(self):
+        with pytest.raises(ConfigError, match="unknown experiment 'closure'"):
+            ExperimentConfig(experiment="closure")
+
+    @pytest.mark.parametrize("experiment", ["pairwise", "barycenter"])
+    def test_profile_out_only_on_departure(self, experiment):
+        with pytest.raises(ConfigError, match="writes no profile"):
+            ExperimentConfig(experiment=experiment, profile_out="profile.csv")
+
+
 class TestPairwiseExperiment:
     def test_rows_and_accuracy(self):
-        cfg = ExperimentConfig(experiment=ExperimentKind.PAIRWISE, trials=3, sizes=(8,))
+        cfg = ExperimentConfig(experiment="pairwise", trials=3, sizes=(8,))
         rows = run_pairwise_experiment(cfg)
         metrics = {r.metric: r for r in rows}
         assert metrics["rel_err"].mean <= 1e-12
@@ -69,7 +80,7 @@ class TestPairwiseExperiment:
 
     def test_ambient_skipped_above_cutoff(self):
         cfg = ExperimentConfig(
-            experiment=ExperimentKind.PAIRWISE, trials=2, sizes=(AMBIENT_CUTOFF + 1,)
+            experiment="pairwise", trials=2, sizes=(AMBIENT_CUTOFF + 1,)
         )
         rows = run_pairwise_experiment(cfg)
         metrics = {r.metric for r in rows}
@@ -77,7 +88,7 @@ class TestPairwiseExperiment:
         assert "ambient_time" not in metrics and "rel_err" not in metrics
 
     def test_storage_ratio_table_values(self):
-        cfg = ExperimentConfig(experiment=ExperimentKind.PAIRWISE, trials=1, sizes=(8, 16))
+        cfg = ExperimentConfig(experiment="pairwise", trials=1, sizes=(8, 16))
         rows = run_pairwise_experiment(cfg)
         got = {r.n: r.mean for r in rows if r.metric == "storage_ratio"}
         assert got == {8: 32.0, 16: 128.0}
@@ -86,7 +97,7 @@ class TestPairwiseExperiment:
 class TestDepartureExperiment:
     def test_leaf_regimes_vanish_generic_positive(self):
         cfg = ExperimentConfig(
-            experiment=ExperimentKind.DEPARTURE, trials=3, sizes=(12,)
+            experiment="departure", trials=3, sizes=(12,)
         )
         rows = run_departure_experiment(cfg)
         by_regime = {}
@@ -102,7 +113,7 @@ class TestDepartureExperiment:
     def test_profile_out(self, tmp_path):
         path = tmp_path / "profile.csv"
         cfg = ExperimentConfig(
-            experiment=ExperimentKind.DEPARTURE,
+            experiment="departure",
             trials=2,
             sizes=(8,),
             profile_out=str(path),
@@ -113,12 +124,13 @@ class TestDepartureExperiment:
         assert rows[0] == ["t", "delta_geo", "delta_diag"]
         assert len(rows) == 202
         assert all(len(r) == 3 for r in rows)
+        assert rows[1] == ["0.0", "0.0", "0.0"]
 
 
 class TestBarycenterExperiment:
     def test_rows_and_agreement(self):
         cfg = ExperimentConfig(
-            experiment=ExperimentKind.BARYCENTER, trials=2, sizes=(8,)
+            experiment="barycenter", trials=2, sizes=(8,)
         )
         rows = run_barycenter_experiment(cfg)
         regimes = {r.regime for r in rows}
@@ -199,6 +211,11 @@ class TestEmitReport:
         assert path.read_bytes() == text.encode()
 
 
+def _gap(gap):
+    """A numerical_obj at the given objective gap from the trial's formula_obj."""
+    return lambda t: t["formula_obj"] + gap * max(abs(t["formula_obj"]), 1.0)
+
+
 class TestCli:
     def test_pairwise_exit_zero(self, tmp_path):
         out = tmp_path / "rows.json"
@@ -235,10 +252,10 @@ class TestCli:
     ):
         # The path is checked before the first experiment starts.
         def must_not_run(cfg):
-            raise AssertionError(f"{cfg.experiment.value} ran")
+            raise AssertionError(f"{cfg.experiment} ran")
 
-        for kind in ExperimentKind:
-            monkeypatch.setitem(bench_cli.RUNNERS, kind, must_not_run)
+        for name, experiment in EXPERIMENTS.items():
+            monkeypatch.setitem(EXPERIMENTS, name, experiment._replace(run=must_not_run))
         path = tmp_path / "missing" / "out.csv"
         assert main([command, "--trials", "1", "--sizes", "4", flag, str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
@@ -248,14 +265,21 @@ class TestCli:
             main(["pairwise", "--ambient-cutoff", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["pairwise", "barycenter"])
+    def test_profile_out_only_where_written(self, tmp_path, command):
+        # Only departure (and 'all', for departure) writes a profile.
+        path = tmp_path / "profile.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trials", "1", "--sizes", "4", "--profile-out", str(path)])
+        assert exc.value.code == 2
+        assert not path.exists()
+
     def test_numerical_failure_exit_three(self, monkeypatch):
         def boom(cfg):
             raise NumericalConsistencyError("leaf modulus above tolerance")
 
         monkeypatch.setitem(
-            __import__("kronbures.bench_cli", fromlist=["RUNNERS"]).RUNNERS,
-            ExperimentKind.DEPARTURE,
-            boom,
+            EXPERIMENTS, "departure", EXPERIMENTS["departure"]._replace(run=boom)
         )
         assert main(["departure", "--trials", "1"]) == 3
 
@@ -265,7 +289,9 @@ class TestCli:
         def boom(cfg):
             raise NumericalConsistencyError("leaf modulus above tolerance")
 
-        monkeypatch.setitem(bench_cli.RUNNERS, ExperimentKind.DEPARTURE, boom)
+        monkeypatch.setitem(
+            EXPERIMENTS, "departure", EXPERIMENTS["departure"]._replace(run=boom)
+        )
         report, profile = tmp_path / "report.csv", tmp_path / "profile.csv"
         report.write_text("previous report\n")
         argv = ["departure", "--trials", "1", "--out", str(report),
@@ -288,7 +314,9 @@ class TestCli:
         def conflict(cfg):
             raise InconsistentVerdict("factor verdict conflicts with residual")
 
-        monkeypatch.setitem(bench_cli.RUNNERS, ExperimentKind.DEPARTURE, conflict)
+        monkeypatch.setitem(
+            EXPERIMENTS, "departure", EXPERIMENTS["departure"]._replace(run=conflict)
+        )
         assert main(["departure", "--trials", "1"]) == 3
         assert "departure experiment" in capsys.readouterr().err
 
@@ -323,11 +351,24 @@ class TestCli:
                 "barycenter", "barycenter_trial", 0, "coord_error", 1e3,
                 "dataset A at n = 4, trial 2: coord_error 1.000e+03",
             ),
+            # 10x and 0.1x the gates ORACLE_GAP_TOL = 1e-6, on the gap
+            # relative to max(|formula_obj|, 1), and ORACLE_COORD_TOL = 1e-4.
+            (
+                "barycenter", "barycenter_trial", 0, "numerical_obj", _gap(1e-5),
+                "dataset A at n = 4, trial 2: relative objective gap 1.000e-05",
+            ),
+            ("barycenter", "barycenter_trial", 0, "numerical_obj", _gap(1e-7), None),
+            (
+                "barycenter", "barycenter_trial", 0, "coord_error", 1e-3,
+                "dataset A at n = 4, trial 2: coord_error 1.000e-03",
+            ),
+            ("barycenter", "barycenter_trial", 0, "coord_error", 1e-5, None),
         ],
         ids=[
             "pairwise", "pairwise_10x_gate", "pairwise_tenth_gate", "departure",
             "departure_10x_gate", "departure_tenth_gate", "barycenter_gap",
-            "barycenter_coord",
+            "barycenter_coord", "barycenter_gap_10x_gate", "barycenter_gap_tenth_gate",
+            "barycenter_coord_10x_gate", "barycenter_coord_tenth_gate",
         ],
     )
     def test_gate_names_size_trial_and_metric(
@@ -335,7 +376,8 @@ class TestCli:
     ):
         # Push one trial's metric over its gate, or make it NaN, or set it
         # just inside (expected None: the run passes); calls before the
-        # first trial are untimed warm-ups.
+        # first trial are untimed warm-ups. A callable value is computed
+        # from the trial's own results.
         original = getattr(bench_cli, trial_fn)
         calls = []
 
@@ -343,7 +385,7 @@ class TestCli:
             out = original(*args)
             calls.append(None)
             if len(calls) == warmups + 3:
-                out[metric] = value
+                out[metric] = value(out) if callable(value) else value
             return out
 
         monkeypatch.setattr(bench_cli, trial_fn, patched)
@@ -420,7 +462,7 @@ class TestSeed42Reports:
 
     def test_departure(self):
         rows = run_departure_experiment(
-            ExperimentConfig(experiment=ExperimentKind.DEPARTURE, seed=42, sizes=(32,))
+            ExperimentConfig(experiment="departure", seed=42, sizes=(32,))
         )
         got = self._by_key(rows)
         assert got.keys() == self.DEPARTURE.keys()
@@ -429,7 +471,7 @@ class TestSeed42Reports:
 
     def test_barycenter_objectives(self):
         rows = run_barycenter_experiment(
-            ExperimentConfig(experiment=ExperimentKind.BARYCENTER, seed=42, sizes=(8,))
+            ExperimentConfig(experiment="barycenter", seed=42, sizes=(8,))
         )
         got = self._by_key(rows)
         for key, expected in self.BARYCENTER.items():

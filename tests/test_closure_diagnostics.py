@@ -16,6 +16,7 @@ from kronbures import (
     LeafKind,
     NonPositiveCoordinate,
     NotSimultaneouslyDiagonalizable,
+    NumericalConsistencyError,
     ParameterOutOfRange,
     RigidityVerdict,
     SpdMatrix,
@@ -38,7 +39,6 @@ from kronbures import (
     row_leaf,
     transport_map,
     whitened_initial_velocity,
-    write_departure_profile,
 )
 from kronbures import bures_metric, closure_diagnostics
 from kronbures.closure_diagnostics import profile_matrix
@@ -289,6 +289,23 @@ class TestDeltaGeo:
         prof = rand_profile(5, np.random.default_rng(20))
         leaf = SqrtProfile(a=prof.a, b=prof.b, c=prof.a.copy(), d=prof.d)
         assert delta_geo_asymptote(leaf) == 0.0
+
+    @pytest.mark.parametrize("eta, raises", [(1e-11, True), (1e-13, False)])
+    def test_discriminant_gate_boundary(self, monkeypatch, eta, raises):
+        # A = B = C = D = 1, rho = sigma = 0, du = 1 + eta, dv = 1: at t = 0.5,
+        # T = 1/2 and rad = T^2 - 4 Delta = -eta T^2, so eta is 10x and 0.1x
+        # the gate 1e-12 T^2.
+        monkeypatch.setattr(
+            closure_diagnostics,
+            "_coefficients",
+            lambda profile: (1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0 + eta, 1.0),
+        )
+        prof = rand_profile(2, np.random.default_rng(0))
+        if raises:
+            with pytest.raises(NumericalConsistencyError, match="discriminant"):
+                delta_geo_closed_form(prof, 0.5)
+        else:
+            assert delta_geo_closed_form(prof, 0.5) > 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_asymptote_small_t(self, seed):
@@ -815,16 +832,16 @@ class TestPullbackMetric:
         with pytest.raises(TraceNotZero):
             pullback_metric_isotropic(2, 1.0, np.eye(2), np.zeros((2, 2)))
 
-
-def test_write_departure_profile(tmp_path):
-    prof = rand_profile(4, np.random.default_rng(17))
-    path = tmp_path / "profile.csv"
-    write_departure_profile(path, prof)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,delta_geo,delta_diag"
-    assert len(lines) == 202
-    t, dgeo, ddiag = (float(x) for x in lines[1].split(","))
-    assert (t, dgeo, ddiag) == (0.0, 0.0, 0.0)
+    @pytest.mark.parametrize("factor, raises", [(10.0, True), (0.1, False)])
+    def test_trace_gate_boundary(self, factor, raises):
+        # H_U = diag(1 + delta, -1) has trace delta and norm sqrt(2) to first
+        # order; delta is 10x and 0.1x the gate 1e-12 * |H_U|.
+        h_u = np.diag([1.0 + factor * 1e-12 * np.sqrt(2.0), -1.0])
+        if raises:
+            with pytest.raises(TraceNotZero):
+                pullback_metric_isotropic(2, 1.0, h_u, np.zeros((2, 2)))
+        else:
+            assert pullback_metric_isotropic(2, 1.0, h_u, np.zeros((2, 2))) > 0.0
 
 
 class TestNonFiniteRejected:

@@ -332,8 +332,8 @@ class TestStackedReductionOracle:
         p0 = KroneckerPoint(SpdMatrix.identity(1), SpdMatrix([[v0]]))
         p1 = KroneckerPoint(SpdMatrix.identity(1), SpdMatrix([[v1]]))
         want = (np.sqrt(v0) - np.sqrt(v1)) ** 2
-        # The batched side runs cold, before the pairwise call leaves its
-        # spectrum on p1.
+        # reduced_distances_sq runs first, so it computes the entry by
+        # _reduced_sq before the pairwise call leaves its distance on p1.
         batched = reduced_distances_sq(p0, [p1])
         d2, spectrum = pairwise_bures_sq_reduced(p0, p1)
         assert abs(d2 - want) <= 1e-15 * want
@@ -355,8 +355,8 @@ class TestBatchedReduction:
     @given(clouds())
     def test_bitwise_equal_to_scalar_loop(self, problem):
         p, cloud, weights = problem
-        # The batched side runs cold, before the scalar loop leaves its
-        # spectra on the cloud.
+        # reduced_distances_sq runs first, so it computes every entry by
+        # _reduced_sq before the scalar loop leaves its distances on the cloud.
         batched = reduced_distances_sq(p, cloud)
         objective = objective_J(p, cloud, weights)
         scalar = [pairwise_bures_sq_reduced(p, q)[0] for q in cloud]
@@ -366,8 +366,9 @@ class TestBatchedReduction:
         assert objective == _scalar_objective(p, cloud, weights)
 
     def test_cold_point_bitwise_equal(self):
-        # The batched route on a point with an empty cache gives the bits
-        # the scalar route gives on another fresh copy of it.
+        # The cloud's slots hold distances to twin, a fresh copy of p, so
+        # reduced_distances_sq(p, ...) computes every entry by _reduced_sq
+        # and must give the bits pairwise_bures_sq_reduced gave from twin.
         rng = np.random.default_rng(40)
         p = rand_point(5, rng)
         cloud = [rand_point(5, rng) for _ in range(7)]
@@ -441,7 +442,7 @@ class TestSpectrumSlot:
         assert warm.tolist() == cold.tolist()
         assert warm_objective == cold_objective
 
-    def test_half_warm_decomposes_the_cold_half_once(self, monkeypatch):
+    def test_half_warm_decomposes_each_cold_point_once(self, monkeypatch):
         p, cloud = self._problem(61)
         cold = reduced_distances_sq(p, [_copy(q) for q in cloud])
         for q in cloud[::2]:
