@@ -34,7 +34,7 @@ from .kron_model import (
     leaf_point,
     reduced_distances_sq,
 )
-from .spd_core import SpdMatrix, _check_positive
+from .spd_core import SpdMatrix, _check_positive, _store_positive
 
 WEIGHT_TOL = 1e-12
 
@@ -57,12 +57,13 @@ def _check_weights(weights, count: int) -> np.ndarray:
     return w
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SliceData:
     """Commuting-coordinate slice data: eigenvalue rows and weights.
 
     Row i of u_eigs and v_eigs holds the chart eigenvalues of datum i; the
-    u rows carry the determinant gauge (unit product).
+    u rows carry the determinant gauge (unit product). Arrays and checked
+    weights are stored as read-only float copies, so ``kappa`` stays valid.
     """
 
     u_eigs: np.ndarray
@@ -71,26 +72,12 @@ class SliceData:
     kappa: float = field(init=False)
 
     def __post_init__(self):
-        self.u_eigs = np.asarray(self.u_eigs, dtype=float)
-        self.v_eigs = np.asarray(self.v_eigs, dtype=float)
-        if self.u_eigs.ndim != 2 or self.u_eigs.shape != self.v_eigs.shape:
-            raise DimensionMismatch(
-                f"eigenvalue arrays have shapes {self.u_eigs.shape} and "
-                f"{self.v_eigs.shape}"
-            )
-        if self.u_eigs.size == 0:
-            raise DimensionMismatch(
-                f"slice data need at least one row and one column, got shape "
-                f"{self.u_eigs.shape}"
-            )
-        _check_positive("u_eigs", self.u_eigs)
-        _check_positive("v_eigs", self.v_eigs)
+        _store_positive(self, 2, u_eigs=self.u_eigs, v_eigs=self.v_eigs)
         _check_gauge("u eigenvalue rows", self.u_eigs)
-        self.weights = _check_weights(self.weights, self.count)
+        _store_positive(self, 1, weights=_check_weights(self.weights, self.count))
         # Constant part of the slice objective, computed once.
-        self.kappa = float(
-            np.dot(self.weights, self.u_eigs.sum(axis=1) * self.v_eigs.sum(axis=1))
-        )
+        kappa = np.dot(self.weights, self.u_eigs.sum(axis=1) * self.v_eigs.sum(axis=1))
+        object.__setattr__(self, "kappa", float(kappa))
 
     @property
     def n(self) -> int:

@@ -204,6 +204,10 @@ def _geodesic_bounds(curve: GeodesicCurve, t: float) -> _Deferred:
 
 
 def _check_parameter(t: float) -> None:
+    if np.ndim(t) != 0:
+        raise DimensionMismatch(
+            f"geodesic parameter must be a scalar, got shape {np.shape(t)}"
+        )
     # NaN fails the comparison too.
     if not 0.0 <= t <= 1.0:
         raise ParameterOutOfRange(f"geodesic parameter {t} outside [0, 1]")

@@ -10,7 +10,7 @@ classification, the 2x2 pattern test, and the isotropic pullback metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,6 +29,7 @@ from .kron_model import KroneckerPoint, LeafKind, _check_gauge, _on_leaf
 from .spd_core import (
     SpdMatrix,
     _check_positive,
+    _store_positive,
     kron,
     partial_trace_1,
     partial_trace_2,
@@ -67,36 +68,12 @@ class RigidityVerdict(Enum):
     DEPARTS = "departs"
 
 
-def _store_vectors(obj, label: str, gauged: tuple[str, str], squared: bool) -> None:
-    """Store each vector field of obj as a float array, after checking it.
-
-    All must share one shape (n,) with n >= 1 and be entrywise finite and
-    positive. The two gauged vectors, squared first when they hold square
-    roots, carry the unit-product gauge.
-    """
-    vecs = [(f.name, np.asarray(getattr(obj, f.name), dtype=float)) for f in fields(obj)]
-    shape = vecs[0][1].shape
-    for name, vec in vecs:
-        if len(shape) != 1 or shape[0] == 0 or vec.shape != shape:
-            raise DimensionMismatch(
-                f"{label}{name} has shape {vec.shape}; all vectors need one shape "
-                f"(n,) with n >= 1"
-            )
-        _check_positive(f"{label}{name}", vec)
-        object.__setattr__(obj, name, vec)
-    for name in gauged:
-        vec = getattr(obj, name)
-        if squared:
-            _check_gauge(f"{label}{name} o {name}", vec * vec)
-        else:
-            _check_gauge(f"{label}{name}", vec)
-
-
 @dataclass(frozen=True, eq=False)
 class CommutingChart:
     """Eigenvalue vectors of a commuting pair in a joint diagonalizing basis.
 
-    The U eigenvalue vectors carry the determinant gauge (unit product).
+    They are stored as read-only float copies of one shape (n,), n >= 1,
+    entrywise finite and positive; u0 and u1 carry the determinant gauge.
     """
 
     u0: np.ndarray
@@ -105,7 +82,9 @@ class CommutingChart:
     v1: np.ndarray
 
     def __post_init__(self):
-        _store_vectors(self, "", ("u0", "u1"), squared=False)
+        _store_positive(self, 1, u0=self.u0, u1=self.u1, v0=self.v0, v1=self.v1)
+        _check_gauge("u0", self.u0)
+        _check_gauge("u1", self.u1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +92,8 @@ class SqrtProfile:
     """Square-root vectors a, b, c, d of the chart eigenvalues.
 
     The interpolant H_t = (1-t) a b^T + t c d^T collects the square roots
-    of the commuting geodesic's diagonal entries.
+    of the commuting geodesic's diagonal entries. Stored as the chart's
+    vectors are; a o a and c o c, its U eigenvalues, carry the gauge.
     """
 
     a: np.ndarray
@@ -122,8 +102,9 @@ class SqrtProfile:
     d: np.ndarray
 
     def __post_init__(self):
-        # a o a and c o c are the chart's U eigenvalues.
-        _store_vectors(self, "profile vector ", ("a", "c"), squared=True)
+        _store_positive(self, 1, a=self.a, b=self.b, c=self.c, d=self.d)
+        _check_gauge("a o a", self.a * self.a)
+        _check_gauge("c o c", self.c * self.c)
 
     @classmethod
     def from_chart(cls, chart: CommutingChart) -> "SqrtProfile":

@@ -41,12 +41,36 @@ def _check_positive(name: str, vals) -> np.ndarray:
     return arr
 
 
+def _store_positive(obj, ndim: int, **arrays) -> None:
+    """Store each named array on obj as a read-only float copy, after one
+    shape rule (all share one shape with ndim axes, none of length 0) and
+    ``_check_positive``. A later edit of a passed array cannot reach it."""
+    owner = type(obj).__name__
+    stored = {name: np.array(vals, dtype=float) for name, vals in arrays.items()}
+    shape = next(iter(stored.values())).shape
+    for name, arr in stored.items():
+        if arr.ndim != ndim or 0 in shape or arr.shape != shape:
+            raise DimensionMismatch(
+                f"{owner}.{name} has shape {arr.shape}; {', '.join(stored)} need "
+                f"one {ndim}-d shape with no axis of length 0"
+            )
+    for name, arr in stored.items():
+        _check_positive(f"{owner}.{name}", arr)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral factorization A = Q diag(w) Q^T, eigenvalues sorted descending."""
+    """Spectral factorization A = Q diag(w) Q^T, eigenvalues sorted descending.
+    Both arrays are marked read-only; take ``.copy()`` for a writable one."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        self.eigenvalues.setflags(write=False)
+        self.eigenvectors.setflags(write=False)
 
 
 def _eigh_descending(a: np.ndarray) -> EigenDecomposition:

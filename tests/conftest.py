@@ -1,10 +1,11 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and assertions for the test suite.
 
 All randomness is seeded through numpy default_rng so every test is
 deterministic run to run.
 """
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -55,6 +56,21 @@ def rand_symmetric(n, rng):
 
 def frob(x):
     return float(np.linalg.norm(x))
+
+
+def assert_stored_copies(obj, passed):
+    """obj stores each named input of passed as a read-only copy: editing
+    every mutable input afterwards leaves the stored arrays as they were,
+    and writing into a stored array raises ValueError."""
+    want = {name: getattr(obj, name).copy() for name in passed}
+    for vals in passed.values():
+        if not isinstance(vals, tuple):
+            vals[0] = 1e9
+    for name, vals in want.items():
+        stored = getattr(obj, name)
+        assert np.array_equal(stored, vals), name
+        with pytest.raises(ValueError):
+            stored[...] = 1.0
 
 
 def commuting_geodesic_eval(a, b, t):

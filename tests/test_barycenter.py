@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from kronbures.bures_metric import _whitened_product, _whitened_root_eig
 from kronbures.bench_cli import barycenter_dataset, gen_log_diag, gen_spd
 from kronbures.kron_model import leaf_factor
 
-from conftest import PROPERTY_SETTINGS, frob, rand_point, rand_spd
+from conftest import PROPERTY_SETTINGS, assert_stored_copies, frob, rand_point, rand_spd
 
 
 def rand_slice_data(n, count, rng, scale=1.0):
@@ -644,6 +645,37 @@ class TestSliceData:
     def test_empty_input_rejected(self, case):
         with pytest.raises(DimensionMismatch):
             self.EMPTY[case]()
+
+    # Fresh writable inputs (u_eigs, v_eigs, weights) on each call.
+    INPUTS = {
+        "ones": lambda: (np.ones((2, 2)), np.ones((2, 2)), np.array([0.5, 0.5])),
+        "random": lambda: (*_three_data(), np.array([0.2, 0.3, 0.5])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INPUTS))
+    def test_stores_read_only_copies(self, case):
+        u, v, w = self.INPUTS[case]()
+        assert_stored_copies(SliceData(u, v, w), dict(u_eigs=u, v_eigs=v, weights=w))
+
+    @pytest.mark.parametrize("name", ["u_eigs", "v_eigs", "weights", "kappa"])
+    def test_fields_frozen(self, name):
+        data = SliceData(*self.INPUTS["ones"]())
+        with pytest.raises(FrozenInstanceError):
+            setattr(data, name, getattr(data, name))
+
+    def test_refused_edit_keeps_min_value(self):
+        # An edit that reached the stored weights would leave kappa stale.
+        data = SliceData(*self.INPUTS["random"]())
+        with pytest.raises(ValueError):
+            data.weights[:] = [0.5, 0.3, 0.2]
+        fresh = SliceData(*self.INPUTS["random"]())
+        assert slice_barycenter(data).min_value == slice_barycenter(fresh).min_value
+
+
+def _three_data():
+    """Writable eigenvalue rows of three random data at n = 3."""
+    data = rand_slice_data(3, 3, np.random.default_rng(30))
+    return data.u_eigs.copy(), data.v_eigs.copy()
 
 
 def _unit_slice(u_eigs=None, v_eigs=None):

@@ -22,9 +22,11 @@ from kronbures import (
     embed,
     geodesic,
     geodesic_eval,
+    leaf_geodesic,
     pairwise_bures_sq_reduced,
     recover_factors,
     reduced_distances_sq,
+    row_leaf,
     spd_sqrt,
     transport_map,
 )
@@ -39,6 +41,7 @@ from kronbures.bures_metric import (
     _whitened_root_eig,
 )
 from kronbures.closure_diagnostics import SqrtProfile, build_chart, profile_matrix
+from kronbures.kron_model import leaf_point
 from kronbures.spd_core import PD_TOLERANCE, _Deferred
 
 from conftest import (
@@ -55,6 +58,9 @@ def commuting_pair(n, rng):
     wa = np.exp(rng.standard_normal(n))
     wb = np.exp(rng.standard_normal(n))
     return SpdMatrix((q * wa) @ q.T), SpdMatrix((q * wb) @ q.T), wa, wb
+
+
+LEAF = row_leaf(SpdMatrix.identity(2))
 
 
 def diagonal_chart(a, b):
@@ -506,6 +512,26 @@ class TestGeodesicPoints:
     def test_parameter_outside_unit_interval(self, evaluate, t):
         a, b = SpdMatrix(np.diag([1.0, 2.0])), SpdMatrix(np.diag([4.0, 3.0]))
         with pytest.raises(ParameterOutOfRange):
+            evaluate(a, b, t)
+
+    @pytest.mark.parametrize("t", [[0.5], np.array([0.2, 0.7])], ids=["list", "array"])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda a, b, t: geodesic_eval(geodesic(a, b), t),
+            lambda a, b, t: leaf_geodesic(
+                LEAF, leaf_point(LEAF, a), leaf_point(LEAF, b), t
+            ),
+            lambda a, b, t: profile_matrix(
+                SqrtProfile.from_chart(diagonal_chart(a, b)), t
+            ),
+        ],
+        ids=["geodesic_eval", "leaf_geodesic", "profile_matrix"],
+    )
+    def test_non_scalar_parameter(self, evaluate, t):
+        # One error type, not Python's TypeError or numpy's ValueError.
+        a, b = SpdMatrix(np.diag([1.0, 2.0])), SpdMatrix(np.diag([4.0, 3.0]))
+        with pytest.raises(DimensionMismatch):
             evaluate(a, b, t)
 
     def test_peak_memory(self):

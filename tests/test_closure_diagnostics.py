@@ -45,6 +45,7 @@ from kronbures.closure_diagnostics import profile_matrix
 
 from conftest import (
     PROPERTY_SETTINGS,
+    assert_stored_copies,
     frob,
     leaf_pair,
     leaf_pairs,
@@ -939,6 +940,25 @@ _BAD_VECTORS = pytest.mark.parametrize(
 )
 
 
+# Fresh inputs on each call: ndarrays only, and the array-likes of the
+# float-storage tests below.
+_CHART_INPUTS = {
+    "arrays": lambda: dict(
+        u0=np.array([2.0, 0.5]), u1=np.ones(2), v0=np.array([3.0, 1.0]), v1=np.ones(2)
+    ),
+    "array_likes": lambda: dict(u0=[2, 0.5], u1=(1, 1), v0=[3, 1], v1=np.ones(2)),
+}
+_PROFILE_INPUTS = {
+    "arrays": lambda: dict(
+        a=np.ones(2),
+        b=np.array([2.0, 3.0]),
+        c=np.array([2.0, 0.5]),
+        d=np.array([1.0, 4.0]),
+    ),
+    "array_likes": lambda: dict(a=[1, 1], b=(2, 3), c=[2.0, 0.5], d=[1, 4]),
+}
+
+
 class TestChartVectorShape:
     # Every eigenvalue vector must have shape (n,), n >= 1 from u0, as the
     # profile vectors must.
@@ -961,6 +981,11 @@ class TestChartVectorShape:
             assert isinstance(vec, np.ndarray) and vec.dtype == float
         assert classify_closure_commuting(chart) is ClosureVerdict.DEPARTS_IMMEDIATELY
 
+    @pytest.mark.parametrize("case", sorted(_CHART_INPUTS))
+    def test_stores_read_only_copies(self, case):
+        passed = _CHART_INPUTS[case]()
+        assert_stored_copies(CommutingChart(**passed), passed)
+
 
 class TestProfileVectorShape:
     @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
@@ -980,6 +1005,11 @@ class TestProfileVectorShape:
         for vec in (prof.a, prof.b, prof.c, prof.d):
             assert isinstance(vec, np.ndarray) and vec.dtype == float
         assert delta_diag(prof, 0.5) > 0.0
+
+    @pytest.mark.parametrize("case", sorted(_PROFILE_INPUTS))
+    def test_stores_read_only_copies(self, case):
+        passed = _PROFILE_INPUTS[case]()
+        assert_stored_copies(SqrtProfile(**passed), passed)
 
 
 _MODULI = pytest.mark.parametrize(

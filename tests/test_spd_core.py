@@ -3,8 +3,10 @@ import pytest
 
 from kronbures import (
     DimensionMismatch,
+    KroneckerPoint,
     NotPositiveDefinite,
     SpdMatrix,
+    embed,
     gauge_normalize,
     kron,
     log_det,
@@ -14,7 +16,7 @@ from kronbures import (
     symmetrize,
 )
 from kronbures.bures_metric import _root_factors
-from kronbures.spd_core import EigenDecomposition, _Deferred
+from kronbures.spd_core import PD_TOLERANCE, EigenDecomposition, _Deferred
 
 from conftest import ORTHO_TOL, RECON_TOL, frob, rand_spd
 
@@ -41,6 +43,24 @@ class TestSpdMatrix:
         a = SpdMatrix(np.eye(3))
         with pytest.raises(ValueError):
             a.mat[0, 0] = 2.0
+
+    SPECTRA = {
+        "eager": lambda x: SpdMatrix(x),
+        "deferred": lambda x: SpdMatrix(x, _eig=_Deferred(float("nan"), float("nan"))),
+        "scaled": lambda x: SpdMatrix(x).scaled(2.0),
+        "embedded": lambda x: embed(
+            KroneckerPoint.from_factors(SpdMatrix(x), SpdMatrix(x))
+        ),
+    }
+
+    @pytest.mark.parametrize("route", sorted(SPECTRA))
+    def test_spectrum_immutable(self, route):
+        # An edited cached spectrum would feed every later distance silently.
+        a = self.SPECTRA[route](rand_spd(3, np.random.default_rng(7)).mat)
+        eig = a.eig  # a deferred spectrum is formed on this first read
+        for arr in (eig.eigenvalues, eig.eigenvectors):
+            with pytest.raises(ValueError):
+                arr[0] *= 1.1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_eigendecomposition_contract(self, seed):
@@ -367,6 +387,19 @@ class TestBoundedDeferredRoute:
         with pytest.raises(NotPositiveDefinite) as got:
             SpdMatrix(entries, _eig=bounds)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("k, proved", [(2.0, True), (0.5, False)])
+    def test_slack_gate_boundary(self, monkeypatch, n, k, proved):
+        # The margin is proved only above (PD_TOLERANCE + 64 N eps) * upper:
+        # a lower bound half the 64 N eps slack above PD_TOLERANCE decides
+        # nothing, one twice the slack above it proves the margin.
+        r = PD_TOLERANCE + k * 64 * n * np.finfo(float).eps
+        bounds = _Deferred(r, 1.0)
+        assert bounds.proves_margin(n) == proved
+        x = self._spd()[0] if n == 5 else np.diag(np.linspace(1.0, 2.0, n))
+        calls = eigvalsh_calls(monkeypatch, lambda: SpdMatrix(x, _eig=bounds))
+        assert calls == (0 if proved else 1)
 
     def test_non_finite_raises_before_the_bounds_are_read(self, monkeypatch):
         def unread(self, n):
