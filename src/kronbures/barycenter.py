@@ -34,7 +34,7 @@ from .kron_model import (
     leaf_point,
     reduced_distances_sq,
 )
-from .spd_core import SpdMatrix, _check_positive, _store_positive
+from .spd_core import SpdMatrix, _check_positive, _match_dims, _square, _store_positive
 
 WEIGHT_TOL = 1e-12
 
@@ -152,11 +152,7 @@ def perron_singular_pair(c_mat) -> PerronSolution:
     eigenvector can be taken entrywise positive (Perron-Frobenius); eigh
     fixes it only up to sign, hence the absolute value.
     """
-    c_mat = np.asarray(c_mat, dtype=float)
-    if c_mat.ndim != 2 or c_mat.shape[0] != c_mat.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {c_mat.shape}")
-    if c_mat.size == 0:
-        raise DimensionMismatch("matrix dimension must be at least 1")
+    c_mat = _square(c_mat)
     _check_positive("coefficient matrix", c_mat)
     u = np.abs(np.linalg.eigh(c_mat @ c_mat.T)[1][:, -1])
     v = c_mat.T @ u
@@ -201,8 +197,7 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     w = _check_weights(weights, len(mats))
     n = mats[0].dim
     for m in mats:
-        if m.dim != n:
-            raise DimensionMismatch("barycenter data have mixed dimensions")
+        _match_dims(n, m.dim)
     v = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
     stack = np.stack([m.mat for m in mats])
     eye = np.eye(n)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalConsistencyError, ParameterOutOfRange
-from .spd_core import SpdMatrix, _Deferred, _leave, _take, symmetrize
+from .spd_core import SpdMatrix, _Deferred, _leave, _match_dims, _take, symmetrize
 
 # Transport maps must reproduce their endpoints to this relative accuracy.
 TRANSPORT_CHECK_TOL = 1e-10
@@ -34,11 +34,6 @@ class GeodesicCurve:
     _ta: np.ndarray = field(repr=False)
     _tat: np.ndarray = field(repr=False)
     _transport_bounds: _Deferred = field(repr=False)
-
-
-def _check_same_dim(a: SpdMatrix, b: SpdMatrix) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
 
 
 def _clamp_distance_sq(d2: float, scale: float) -> float:
@@ -111,7 +106,7 @@ def _root_factors(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Bures-Wasserstein distance tr(A) + tr(B) - 2 tr((A^1/2 B A^1/2)^1/2)."""
-    _check_same_dim(a, b)
+    _match_dims(a.dim, b.dim)
     m = _whitened_product(_root_factors(a)[0], b.mat)
     m.setflags(write=False)
     _leave(a, b, m)
@@ -130,7 +125,7 @@ def transport_map(
     formed and T's spectral bounds; ``geodesic`` passes it, and no other
     caller keeps them.
     """
-    _check_same_dim(a, b)
+    _match_dims(a.dim, b.dim)
     t, _, parts = _transport(a, b)
     if _parts is not None:
         _parts.extend(parts)
@@ -203,14 +198,32 @@ def _geodesic_bounds(curve: GeodesicCurve, t: float) -> _Deferred:
     return _Deferred(lower * lower, upper * upper)
 
 
-def _check_parameter(t: float) -> None:
-    if np.ndim(t) != 0:
-        raise DimensionMismatch(
-            f"geodesic parameter must be a scalar, got shape {np.shape(t)}"
-        )
+def _curve_parameter(t) -> np.ndarray:
+    """The one rule for a curve parameter: t, a real scalar or 1-D grid with
+    every entry in [0, 1], as a float array (a float grid is not copied).
+    Strings, None, complex values and NaN raise ParameterOutOfRange."""
+    try:
+        ts = np.asarray(t)
+    except ValueError:  # a ragged nesting has no shape
+        raise DimensionMismatch(f"curve parameter {t!r} has no array shape") from None
+    if ts.dtype.kind not in "biuf":
+        raise ParameterOutOfRange(f"curve parameter {t!r} is not real")
+    if ts.ndim > 1:
+        raise DimensionMismatch(f"curve parameter of shape {ts.shape} is not 1-D")
+    ts = ts.astype(float, copy=False)
     # NaN fails the comparison too.
-    if not 0.0 <= t <= 1.0:
-        raise ParameterOutOfRange(f"geodesic parameter {t} outside [0, 1]")
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise ParameterOutOfRange(f"curve parameter {ts[outside][0]} outside [0, 1]")
+    return ts
+
+
+def _check_parameter(t) -> float:
+    """A scalar t that passes ``_curve_parameter``, as a float."""
+    ts = _curve_parameter(t)
+    if ts.ndim != 0:
+        raise DimensionMismatch(f"curve parameter of shape {ts.shape} is not a scalar")
+    return float(ts)
 
 
 def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
@@ -224,7 +237,7 @@ def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
     and their sum is bounded by c N eps times those same terms, which is
     what the 64 N eps slack of the proved margin covers.
     """
-    _check_parameter(t)
+    t = _check_parameter(t)
     s = 1.0 - t
     out = curve._ta + curve._ta.T
     out *= t * s

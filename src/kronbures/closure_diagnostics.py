@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bures_metric import _check_parameter, _transport
+from .bures_metric import _check_parameter, _curve_parameter, _transport
 from .errors import (
     DimensionMismatch,
     InconsistentVerdict,
@@ -29,6 +29,7 @@ from .kron_model import KroneckerPoint, LeafKind, _check_gauge, _on_leaf
 from .spd_core import (
     SpdMatrix,
     _check_positive,
+    _match_dims,
     _store_positive,
     kron,
     partial_trace_1,
@@ -197,8 +198,7 @@ def build_chart(p0: KroneckerPoint, p1: KroneckerPoint) -> CommutingChart:
     joint basis leaves off-diagonal mass above CHART_TOL, raises
     NotSimultaneouslyDiagonalizable; neither test implies the other.
     """
-    if p0.n != p1.n:
-        raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
+    _match_dims(p0.n, p1.n)
     _check_commuting(p0.u_factor.mat, p1.u_factor.mat, "U factors")
     _check_commuting(p0.v_factor.mat, p1.v_factor.mat, "V factors")
     u0, u1 = _diagonalize_pair(p0.u_factor, p1.u_factor, "U")
@@ -213,7 +213,7 @@ def profile_matrix(profile: SqrtProfile, t: float) -> np.ndarray:
     the commuting geodesic's diagonal entries in the joint eigenbasis R (x) Q,
     and H_t has rank one exactly when the geodesic point stays in the model.
     """
-    _check_parameter(t)
+    t = _check_parameter(t)
     return (1.0 - t) * np.outer(profile.a, profile.b) + t * np.outer(
         profile.c, profile.d
     )
@@ -257,33 +257,19 @@ def _coefficients(profile: SqrtProfile):
     return big_a, big_b, big_c, big_d, rho, sigma, du, dv
 
 
-def _t_grid(t) -> np.ndarray:
-    """t as a 1-D float grid; every entry must lie in [0, 1]."""
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise DimensionMismatch(
-            f"modulus parameter must be a scalar or 1-D, got shape {ts.shape}"
-        )
-    ts = ts.reshape(-1)
-    outside = ~((ts >= 0.0) & (ts <= 1.0))
-    if outside.any():
-        raise ParameterOutOfRange(
-            f"modulus parameter {ts[outside][0]} outside [0, 1]"
-        )
-    return ts
-
-
-def _like_t(t, values: np.ndarray):
+def _like_t(t: np.ndarray, values: np.ndarray):
     """A float for a scalar t, else the array of values over the grid."""
-    return float(values[0]) if np.ndim(t) == 0 else values
+    return float(values[0]) if t.ndim == 0 else values
 
 
 def delta_geo_closed_form(profile: SqrtProfile, t):
     """Square-root departure modulus sigma_2(H_t) in closed form.
 
-    t is a scalar (returns a float) or a 1-D grid (returns an array).
+    t is a scalar (returns a float) or a 1-D grid (returns an array), both
+    checked by the curve-parameter rule of ``geodesic_eval``.
     """
-    ts = _t_grid(t)
+    t = _curve_parameter(t)
+    ts = t.reshape(-1)
     big_a, big_b, big_c, big_d, rho, sigma, du, dv = _coefficients(profile)
     s = 1.0 - ts
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,9 +309,11 @@ def delta_diag(profile: SqrtProfile, t):
     M_t has the singular values of the 3x3 matrix R_X diag(w_t) R_Y^T, so a
     grid of t is one stacked SVD. Nothing is squared, so the tail keeps
     absolute accuracy near round-off times ||M_t||_2 even where it is tiny.
-    t is a scalar (returns a float) or a 1-D grid (returns an array).
+    t is a scalar (returns a float) or a 1-D grid (returns an array), both
+    checked by the curve-parameter rule of ``geodesic_eval``.
     """
-    ts = _t_grid(t)
+    t = _curve_parameter(t)
+    ts = t.reshape(-1)
     *_, du, dv = _coefficients(profile)
     if du == 0.0 or dv == 0.0:
         # Collinear profile vectors make H_t rank one for every t.
@@ -348,10 +336,6 @@ def pi_residual(z, n: int) -> np.ndarray:
     the Kronecker-sum space {I (x) A + B (x) I}.
     """
     z = symmetrize(z)
-    if z.shape != (n * n, n * n):
-        raise DimensionMismatch(
-            f"expected a {n * n} x {n * n} matrix, got shape {z.shape}"
-        )
     t1 = partial_trace_1(z, n)
     t2 = partial_trace_2(z, n)
     eye = np.eye(n)
@@ -362,8 +346,7 @@ def pi_residual(z, n: int) -> np.ndarray:
 
 def factor_transports(p0: KroneckerPoint, p1: KroneckerPoint) -> FactorTransports:
     """Factor Bures transports S_U, S_V and the whitened maps P, Q."""
-    if p0.n != p1.n:
-        raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
+    _match_dims(p0.n, p1.n)
     # The transports whiten in p0's factor eigenbases, as transport_map
     # does, so they have its bits.
     s_v, eig_v, _ = _transport(p0.v_factor, p1.v_factor)
@@ -493,11 +476,10 @@ def pullback_metric_isotropic(n: int, s: float, h_u, h_v) -> float:
 
 
 def departure_profile_rows(profile: SqrtProfile, ts):
-    """Yield (t, delta_geo, delta_diag) records over the t grid ts.
-
-    Each modulus is evaluated once over the whole grid.
+    """Yield (t, delta_geo, delta_diag) records over the t grid ts, or one
+    record for a scalar ts. Each modulus is evaluated once over the grid.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = _curve_parameter(ts).reshape(-1)
     geo = delta_geo_closed_form(profile, ts)
     diag = delta_diag(profile, ts)
     yield from zip(ts.tolist(), geo.tolist(), diag.tolist())

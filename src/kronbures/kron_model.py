@@ -39,6 +39,7 @@ from .spd_core import (
     EigenDecomposition,
     SpdMatrix,
     _leave,
+    _match_dims,
     _take,
     gauge_normalize,
     kron,
@@ -92,10 +93,7 @@ class KroneckerPoint:
     v_factor: SpdMatrix
 
     def __post_init__(self):
-        if self.u_factor.dim != self.v_factor.dim:
-            raise DimensionMismatch(
-                f"factor dimensions differ: {self.u_factor.dim} vs {self.v_factor.dim}"
-            )
+        _match_dims(self.u_factor.dim, self.v_factor.dim)
         _check_gauge("U", self.u_factor.eig.eigenvalues)
 
     @property
@@ -230,8 +228,7 @@ def pairwise_bures_sq_reduced(
     The squared distance is left on p1 (``spd_core._leave``) for
     ``reduced_distances_sq(p0, ...)``.
     """
-    if p0.n != p1.n:
-        raise DimensionMismatch(f"factor dimensions differ: {p0.n} vs {p1.n}")
+    _match_dims(p0.n, p1.n)
     d2, spectrum = _reduced_sq(p0, p1)
     _leave(p1, p0, d2)
     return d2, PairwiseSpectrum(alpha=spectrum[0], beta=spectrum[1])
@@ -250,8 +247,7 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
     """
     points = list(points)
     for q in points:
-        if q.n != p.n:
-            raise DimensionMismatch(f"factor dimensions differ: {p.n} vs {q.n}")
+        _match_dims(p.n, q.n)
     out = np.empty(len(points))
     for i, q in enumerate(points):
         d2 = _take(q, p)
@@ -283,10 +279,7 @@ def _on_leaf(kind: LeafKind, anchor: np.ndarray, other: np.ndarray) -> bool:
 
 def leaf_membership(leaf: FactorLeaf, p: KroneckerPoint) -> bool:
     """Whether a point lies on the leaf, up to relative tolerance LEAF_TOL."""
-    if leaf.anchor.dim != p.n:
-        raise DimensionMismatch(
-            f"leaf dimension {leaf.anchor.dim} does not match point dimension {p.n}"
-        )
+    _match_dims(leaf.anchor.dim, p.n)
     other = p.u_factor if leaf.kind is LeafKind.ROW else p.v_factor
     return _on_leaf(leaf.kind, leaf.anchor.mat, other.mat)
 

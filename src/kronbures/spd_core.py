@@ -8,6 +8,7 @@ is the validated wrapper used wherever positive definiteness is required.
 
 from __future__ import annotations
 
+import operator
 import sys
 import weakref
 from dataclasses import dataclass
@@ -30,6 +31,20 @@ def symmetrize(a) -> np.ndarray:
             f"expected a square matrix or a stack of them, got shape {arr.shape}"
         )
     return 0.5 * (arr + np.swapaxes(arr, -1, -2))
+
+
+def _match_dims(n0: int, n1: int) -> None:
+    """The one size check for two SPD matrices or two model points."""
+    if n0 != n1:
+        raise DimensionMismatch(f"dimensions differ: {n0} vs {n1}")
+
+
+def _square(entries) -> np.ndarray:
+    """entries as a 2-D square float array of size at least 1."""
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    return arr
 
 
 def _check_positive(name: str, vals) -> np.ndarray:
@@ -151,11 +166,7 @@ class SpdMatrix:
     __slots__ = ("mat", "_eig", "_memo", "__weakref__")
 
     def __init__(self, entries, *, _eig=None):
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise DimensionMismatch("matrix dimension must be at least 1")
+        arr = _square(entries)
         deferred = isinstance(_eig, _Deferred)
         if _eig is None or deferred:
             arr = symmetrize(arr)
@@ -257,17 +268,18 @@ def kron(a, b) -> np.ndarray:
     One broadcast product of A[q, None, r, None] and B[None, i, None, j],
     the multiply np.kron makes, without its wrapper; the bits are the same.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected square factors, got shape {m.shape}")
+    a, b = _square(a), _square(b)
     size = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
 
 
 def _blocks(k, n: int) -> np.ndarray:
+    """k (n^2 x n^2) as n x n blocks; n is an integer >= 1, not a bool."""
     k = np.asarray(k, dtype=float)
+    try:
+        n = operator.index(None if isinstance(n, bool) else n)
+    except TypeError:
+        raise DimensionMismatch(f"block dimension {n!r} is not an integer") from None
     if n < 1:
         raise DimensionMismatch(f"block dimension must be positive, got {n}")
     if k.shape != (n * n, n * n):
@@ -293,9 +305,6 @@ def gauge_normalize(u: SpdMatrix, v: SpdMatrix) -> tuple[SpdMatrix, SpdMatrix]:
     The Kronecker product (V/c) (x) (cU) is unchanged, so both pairs
     represent the same model point.
     """
-    if u.dim != v.dim:
-        raise DimensionMismatch(
-            f"factor dimensions differ: {u.dim} vs {v.dim}"
-        )
+    _match_dims(u.dim, v.dim)
     c = float(np.exp(-log_det(u) / u.dim))
     return u.scaled(c), v.scaled(1.0 / c)

@@ -73,6 +73,24 @@ def assert_stored_copies(obj, passed):
             stored[...] = 1.0
 
 
+def cholesky_reduced_sq(p0, p1):
+    """(d^2, tr_sum): a reference squared Bures distance between the
+    embeddings of two model points, and tr(V0) tr(U0) + tr(V1) tr(U1).
+
+    It shares no route with the library, which whitens by eigenvectors:
+    with Cholesky factors A = L_A L_A^T and B = L_B L_B^T, the cross term
+    tr((A^1/2 B A^1/2)^1/2) of a factor pair is the nuclear norm of
+    L_B^T L_A, and the embedding's cross term is the product of the two
+    factors' terms.
+    """
+    cross = 1.0
+    for a, b in ((p0.u_factor, p1.u_factor), (p0.v_factor, p1.v_factor)):
+        l_a, l_b = np.linalg.cholesky(a.mat), np.linalg.cholesky(b.mat)
+        cross *= float(np.linalg.svd(l_b.T @ l_a, compute_uv=False).sum())
+    tr_sum = sum(p.u_factor.trace() * p.v_factor.trace() for p in (p0, p1))
+    return tr_sum - 2.0 * cross, tr_sum
+
+
 def commuting_geodesic_eval(a, b, t):
     """((1-t) A^1/2 + t B^1/2)^2, the Bures geodesic between commuting SPD
     matrices by its plain formula: an oracle for the general evaluator."""

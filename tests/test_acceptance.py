@@ -108,6 +108,54 @@ def test_criterion_2_complexity_ordering():
     )
 
 
+def _decompositions(monkeypatch, fn) -> list:
+    """(name, input shape) of each numpy eigen or SVD call fn() makes."""
+    calls = []
+
+    def counted(name, f):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return f(a, *args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as m:
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            m.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        fn()
+    return calls
+
+
+def test_criterion_2_decomposition_count(monkeypatch):
+    # The complexity claim as a count that timing noise cannot blur: on
+    # freshly built points the reduced distance decomposes two n x n
+    # whitened factors, 2 n^3 work, and the ambient one an n^2 x n^2
+    # matrix, n^6.
+    for n in (4, 8, 16):
+        rng = np.random.default_rng(SEED + n)
+        p0, p1 = (
+            KroneckerPoint.from_factors(gen_spd(n, rng), gen_spd(n, rng))
+            for _ in range(2)
+        )
+        reduced = _decompositions(
+            monkeypatch, lambda: pairwise_bures_sq_reduced(p0, p1)
+        )
+        ambient = _decompositions(
+            monkeypatch, lambda: bures_distance_sq(embed(p0), embed(p1))
+        )
+        work = [
+            sum(int(np.prod(shape[:-2])) * shape[-1] ** 3 for _, shape in calls)
+            for calls in (reduced, ambient)
+        ]
+        _report(
+            2,
+            reduced == [("eigvalsh", (2, n, n))]
+            and ambient == [("eigvalsh", (n * n, n * n))]
+            and work == [2 * n**3, n**6],
+            f"n = {n}: reduced {reduced}, ambient {ambient}, work {work}",
+        )
+
+
 def test_criterion_3_leaf_closure():
     worst = 0.0
     grid = np.linspace(0.0, 1.0, 21)

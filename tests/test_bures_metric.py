@@ -514,7 +514,11 @@ class TestGeodesicPoints:
         with pytest.raises(ParameterOutOfRange):
             evaluate(a, b, t)
 
-    @pytest.mark.parametrize("t", [[0.5], np.array([0.2, 0.7])], ids=["list", "array"])
+    @pytest.mark.parametrize(
+        "t",
+        [[0.5], np.array([0.2, 0.7]), [[0.5]]],
+        ids=["list", "array", "nested"],
+    )
     @pytest.mark.parametrize(
         "evaluate",
         [

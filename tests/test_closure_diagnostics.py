@@ -30,7 +30,10 @@ from kronbures import (
     embed,
     endpoint_rigidity_classify,
     factor_transports,
+    geodesic,
+    geodesic_eval,
     kron,
+    leaf_geodesic,
     partial_trace_1,
     partial_trace_2,
     pattern_2x2_check,
@@ -409,7 +412,17 @@ class TestModulusGrid:
                 expected = [scalar_delta_geo(prof, t) for t in ts.tolist()]
                 assert delta_geo_closed_form(prof, ts).tolist() == expected
 
-    @pytest.mark.parametrize("bad", [[0.5, 1.0 + 1e-9], [-1e-9, 0.5], [0.5, np.nan]])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0.5, 1.0 + 1e-9],
+            [-1e-9, 0.5],
+            [0.5, np.nan],
+            [0.5, "0.5"],
+            [None, 0.5],
+            [0.5, 0.5 + 0j],
+        ],
+    )
     def test_one_bad_entry_raises(self, bad):
         prof = rand_profile(4, np.random.default_rng(93))
         with pytest.raises(ParameterOutOfRange):
@@ -460,6 +473,67 @@ class TestModulusGrid:
             per_grid.append(dict(counts))
         assert per_grid[0] == per_grid[1]
         assert sum(per_grid[1].values()) <= 3
+
+
+def _t_takers():
+    """The six functions that take a curve parameter t, each as f(t)."""
+    a, b = SpdMatrix(np.diag([1.0, 2.0])), SpdMatrix(np.diag([4.0, 3.0]))
+    curve = geodesic(a, b)
+    leaf = row_leaf(SpdMatrix.identity(2))
+    p0, p1 = KroneckerPoint(leaf.anchor, a), KroneckerPoint(leaf.anchor, b)
+    prof = rand_profile(4, np.random.default_rng(97))
+    return {
+        "geodesic_eval": lambda t: geodesic_eval(curve, t),
+        "leaf_geodesic": lambda t: leaf_geodesic(leaf, p0, p1, t),
+        "profile_matrix": lambda t: profile_matrix(prof, t),
+        "delta_geo_closed_form": lambda t: delta_geo_closed_form(prof, t),
+        "delta_diag": lambda t: delta_diag(prof, t),
+        "departure_profile_rows": lambda t: list(
+            closure_diagnostics.departure_profile_rows(prof, t)
+        ),
+    }
+
+
+class TestCurveParameterRule:
+    """Every function that takes t checks it by one rule, so a bad t raises
+    the same package error from each, whatever the RuntimeWarning filter."""
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize(
+        "t, error",
+        [
+            ("0.5", ParameterOutOfRange),
+            (None, ParameterOutOfRange),
+            (0.5 + 0j, ParameterOutOfRange),
+            (0.5 + 1j, ParameterOutOfRange),
+            (float("nan"), ParameterOutOfRange),
+            (-0.1, ParameterOutOfRange),
+            (1.5, ParameterOutOfRange),
+            ([[0.5]], DimensionMismatch),
+            ([0.5, "0.5"], ParameterOutOfRange),
+            ([[0.5], 0.5], DimensionMismatch),
+        ],
+        ids=[
+            "str", "none", "complex-real", "complex", "nan", "below", "above", "2d",
+            "mixed", "ragged",
+        ],
+    )
+    def test_same_error_from_every_function(self, action, t, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            for name, f in _t_takers().items():
+                with pytest.raises(error):
+                    f(t)
+                    pytest.fail(f"{name} accepted t = {t!r}")
+
+    def test_profile_rows_take_a_scalar(self):
+        prof = rand_profile(4, np.random.default_rng(98))
+        rows = list(closure_diagnostics.departure_profile_rows(prof, 0.5))
+        assert rows == [(0.5, delta_geo_closed_form(prof, 0.5), delta_diag(prof, 0.5))]
+
+    def test_float_grid_not_copied(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        assert bures_metric._curve_parameter(grid) is grid
 
 
 class TestPiResidual:

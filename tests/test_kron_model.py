@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronbures import (
@@ -34,6 +34,7 @@ from kronbures import (
     row_leaf,
 )
 from kronbures import kron_model
+from kronbures.bench_cli import gen_spd
 from kronbures.bures_metric import _clamp_distance_sq, _root_factors
 from kronbures.kron_model import leaf_factor, leaf_point
 from kronbures.spd_core import kron
@@ -42,6 +43,7 @@ from conftest import (
     ORTHO_TOL,
     PROPERTY_SETTINGS,
     RECON_TOL,
+    cholesky_reduced_sq,
     clouds,
     commuting_geodesic_eval,
     frob,
@@ -267,6 +269,22 @@ class TestPairwiseReduction:
         reduced, _ = pairwise_bures_sq_reduced(p0, p1)
         ambient = bures_distance_sq(k0, k1)
         assert abs(reduced - ambient) <= 1e-10 * (k0.trace() + k1.trace())
+
+    # Few examples: one at n = 128 takes about 40 ms, most of it building
+    # the four factors.
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 128), st.integers(0, 2**32 - 1))
+    @example(1, 0)
+    @example(128, 0)
+    def test_matches_cholesky_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        p0, p1 = (
+            KroneckerPoint.from_factors(gen_spd(n, rng), gen_spd(n, rng))
+            for _ in range(2)
+        )
+        reduced, _ = pairwise_bures_sq_reduced(p0, p1)
+        want, tr_sum = cholesky_reduced_sq(p0, p1)
+        assert abs(reduced - want) <= 1e-12 * tr_sum
 
     @PROPERTY_SETTINGS
     @given(point_pairs(1, 8))

@@ -12,6 +12,7 @@ from kronbures import (
     log_det,
     partial_trace_1,
     partial_trace_2,
+    pi_residual,
     spd_sqrt,
     symmetrize,
 )
@@ -175,6 +176,8 @@ class TestKron:
             (np.ones((1, 2)), np.eye(1)),
             (np.ones(3), np.eye(3)),
             (np.eye(2), np.ones((2, 2, 2))),
+            (np.zeros((0, 0)), np.eye(2)),
+            (np.eye(2), np.zeros((0, 0))),
         ],
     )
     def test_rejects_non_square_either_side(self, a, b):
@@ -192,8 +195,9 @@ class TestPartialTraces:
         assert frob(partial_trace_2(k, 3) - u.trace() * v.mat) <= 1e-12 * frob(k)
 
     def test_identity(self):
-        assert np.array_equal(partial_trace_1(np.eye(4), 2), 2.0 * np.eye(2))
-        assert np.array_equal(partial_trace_2(np.eye(4), 2), 2.0 * np.eye(2))
+        for n in (2, np.int64(2)):
+            assert np.array_equal(partial_trace_1(np.eye(4), n), 2.0 * np.eye(2))
+            assert np.array_equal(partial_trace_2(np.eye(4), n), 2.0 * np.eye(2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_trace_identity(self, seed):
@@ -211,8 +215,18 @@ class TestPartialTraces:
             assert np.allclose(got, 2.0 * ptrace(x, 4) + 3.0 * ptrace(y, 4))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            partial_trace_1(np.eye(6), 2)
+        # A block size that is not an integer, a bool among them, is a
+        # shape error too, not Python's TypeError.
+        cases = [
+            (partial_trace_1, np.eye(6), 2),
+            (partial_trace_1, np.eye(4), 2.0),
+            (partial_trace_2, np.eye(4), "2"),
+            (pi_residual, np.eye(4), 2.0),
+            (partial_trace_1, np.eye(1), True),
+        ]
+        for fn, k, n in cases:
+            with pytest.raises(DimensionMismatch):
+                fn(k, n)
 
 
 class TestGaugeNormalize:
