@@ -234,11 +234,16 @@ def classify_closure_commuting(chart: CommutingChart) -> ClosureVerdict:
 
 
 def _coefficients(profile: SqrtProfile):
-    """Norms and inner products of the profile vectors, and the clipped
-    collinearity defects du = A C - rho^2 and dv = B D - sigma^2.
+    """Norms and inner products of the profile vectors, and the collinearity
+    defects du = A C - rho^2 and dv = B D - sigma^2.
 
     A = |a|^2, B = |b|^2, C = |c|^2, D = |d|^2, rho = <a, c>, sigma = <b, d>.
     Only under- or overflow can make A, B, C or D non-positive or infinite.
+    Each defect is formed as the Gram determinant's projection residual,
+    du = A |c - (rho/A) a|^2 and dv = B |d - (sigma/B) b|^2, not by the
+    subtraction, which cancels near a leaf: for c = a (1 + O(eps)) the
+    defect is O(eps^2) A C and keeps its relative accuracy of about
+    machine epsilon / eps. Both are non-negative as formed.
     """
     a, b, c, d = profile.a, profile.b, profile.c, profile.d
     # An overflowing norm reads inf and fails the check below.
@@ -250,10 +255,15 @@ def _coefficients(profile: SqrtProfile):
         rho = float(np.dot(a, c))
         sigma = float(np.dot(b, d))
     _check_positive("coefficients A, B, C, D", (big_a, big_b, big_c, big_d))
-    # Exact zeros here are meaningful: bitwise-equal leaf profiles cancel
-    # exactly, which makes the moduli vanish identically on leaves.
-    du = max(big_a * big_c - rho * rho, 0.0)
-    dv = max(big_b * big_d - sigma * sigma, 0.0)
+    # Exact zeros here are meaningful: for bitwise-equal leaf copies rho and
+    # A are one dot product, so rho/A is 1 and the residual is exactly 0,
+    # which makes the moduli vanish identically on leaves. A product that
+    # overflows reads inf, which the moduli reject.
+    with np.errstate(over="ignore"):
+        res_u = c - (rho / big_a) * a
+        res_v = d - (sigma / big_b) * b
+        du = big_a * float(np.dot(res_u, res_u))
+        dv = big_b * float(np.dot(res_v, res_v))
     return big_a, big_b, big_c, big_d, rho, sigma, du, dv
 
 
@@ -316,7 +326,7 @@ def delta_diag(profile: SqrtProfile, t):
     ts = t.reshape(-1)
     *_, du, dv = _coefficients(profile)
     if du == 0.0 or dv == 0.0:
-        # Collinear profile vectors make H_t rank one for every t.
+        # Exactly collinear profile vectors make H_t rank one for every t.
         return _like_t(t, np.zeros_like(ts))
     a, b, c, d = profile.a, profile.b, profile.c, profile.d
     r_x = np.linalg.qr(np.column_stack((a * a, a * c, c * c)), mode="r")

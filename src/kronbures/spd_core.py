@@ -22,15 +22,35 @@ from .errors import DimensionMismatch, NonPositiveCoordinate, NotPositiveDefinit
 PD_TOLERANCE = 1e-12
 
 
+# From this size on, numpy halves the sum of 0.5 * (A + A^T) in the sum's
+# own buffer (temporary elision), so it holds one temporary of A's size
+# where the summed halves hold two.
+_ELISION_BYTES = 256 * 1024
+
+
 def symmetrize(a) -> np.ndarray:
-    """Symmetric average 0.5 * (A + A^T) of a square matrix, or of each
-    matrix in a stack of shape (m, n, n)."""
+    """Symmetric average 0.5 A + 0.5 A^T of a square matrix, or of each
+    matrix in a stack of shape (m, n, n).
+
+    Halving first cannot overflow on finite entries, where 0.5 * (A + A^T)
+    does above half the float range. From _ELISION_BYTES on, the sum is
+    halved in its own buffer instead, for its memory, and the halves are
+    summed only where it overflows. Halving is exact outside the subnormal
+    range, so the two routes give the same bits there."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
         raise DimensionMismatch(
             f"expected a square matrix or a stack of them, got shape {arr.shape}"
         )
-    return 0.5 * (arr + np.swapaxes(arr, -1, -2))
+    if arr.nbytes >= _ELISION_BYTES:
+        # inf + -inf reads NaN, which every caller rejects as non-finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr + np.swapaxes(arr, -1, -2)
+        if np.isfinite(total).all() or not np.isfinite(arr).all():
+            total *= 0.5
+            return total
+    half = 0.5 * arr
+    return half + np.swapaxes(half, -1, -2)
 
 
 def _match_dims(n0: int, n1: int) -> None:
@@ -147,14 +167,18 @@ class SpdMatrix:
     threads racing on that first read both compute it from the same
     read-only entries, get the same bits, and either may store it.
 
-    No library path forms a principal or an inverse root: where A^1/2 or
-    A^-1/2 enters, it scales the columns of A's cached eigenvectors. The
-    public ``spd_sqrt`` returns A^1/2 as an unvalidated array: its margin
-    sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) = 1e-6 could not fail. The
-    whitened product Y^T B Y, Y Y^T = A, is never wrapped: it can fall
-    below the margin while what is built from it is well conditioned (for
-    V0 (x) U and V1 (x) U it carries U^2), so ``bures_metric`` clips its
-    spectrum at 0 and validates the result instead.
+    No library path forms an inverse root, and one forms principal roots:
+    ``barycenter.bw_barycenter`` starts from sum_i w_i V_i^1/2, each
+    weighted root Q_i diag(w_i l_i^1/2) Q_i^T from the datum's cached
+    eigenvectors. Elsewhere,
+    where A^1/2 or A^-1/2 enters, it scales the columns of A's cached
+    eigenvectors. The public ``spd_sqrt`` returns A^1/2 as an unvalidated
+    array: its margin sqrt(w_min / w_max) > sqrt(PD_TOLERANCE) = 1e-6 could
+    not fail. The whitened product Y^T B Y, Y Y^T = A, is never wrapped: it
+    can fall below the margin while what is built from it is well
+    conditioned (for V0 (x) U and V1 (x) U it carries U^2), so
+    ``bures_metric`` clips its spectrum at 0 and validates the result
+    instead.
 
     ``bures_metric.bures_distance_sq(self, b)`` leaves its symmetrized
     whitened product M on ``self`` for a transport from ``self`` to that

@@ -4,12 +4,15 @@ All randomness is seeded through numpy default_rng so every test is
 deterministic run to run.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from kronbures import KroneckerPoint, LeafKind, SpdMatrix, col_leaf, row_leaf, spd_sqrt
+from kronbures import spd_core
 
 # Hypothesis properties run a fixed example sequence with no example database.
 PROPERTY_SETTINGS = settings(
@@ -150,3 +153,31 @@ def clouds(draw, max_n=16, max_count=40):
     cloud = [rand_point(n, rng) for _ in range(count)]
     weights = rng.random(count) + 0.5
     return p, cloud, weights / weights.sum()
+
+
+def linalg_calls(monkeypatch, fn, *args) -> list:
+    """(name, dimension) of each eigh, eigvalsh and spd_sqrt call made by
+    fn(*args), in call order."""
+    calls = []
+
+    def counting(name, f):
+        def wrapped(a, *rest, **kw):
+            calls.append((name, (a.mat if isinstance(a, SpdMatrix) else a).shape[-1]))
+            return f(a, *rest, **kw)
+
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    orig = spd_core.spd_sqrt
+    wrapped = counting("spd_sqrt", orig)
+    for key, module in list(sys.modules.items()):
+        if key == "kronbures" or key.startswith("kronbures."):
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, wrapped)
+    try:
+        fn(*args)
+    finally:
+        monkeypatch.undo()
+    return calls

@@ -38,7 +38,15 @@ from kronbures.bures_metric import _whitened_product, _whitened_root_eig
 from kronbures.bench_cli import barycenter_dataset, gen_log_diag, gen_spd
 from kronbures.kron_model import leaf_factor
 
-from conftest import PROPERTY_SETTINGS, assert_stored_copies, frob, rand_point, rand_spd
+from conftest import (
+    PROPERTY_SETTINGS,
+    assert_stored_copies,
+    frob,
+    linalg_calls,
+    rand_orthogonal,
+    rand_point,
+    rand_spd,
+)
 
 
 def rand_slice_data(n, count, rng, scale=1.0):
@@ -272,11 +280,22 @@ class TestSliceBarycenter:
         assert frob(y_hat - sol.y_star) <= 1e-7 * frob(sol.y_star)
 
 
+def _root_mean(mats, w):
+    """The start S S^T of bw_barycenter, S = sum_i w_i M_i^1/2, with each
+    weighted root Q diag(w_i l^1/2) Q^T formed alone from M_i's cached
+    eigendecomposition Q diag(l) Q^T."""
+    s = sum(
+        (m.eig.eigenvectors * (wi * np.sqrt(m.eig.eigenvalues))) @ m.eig.eigenvectors.T
+        for wi, m in zip(w, mats)
+    )
+    return SpdMatrix(s @ s.T)
+
+
 def _bw_per_matrix(mats, w):
     """bw_barycenter's fixed point with each root (Y^T M_i Y)^1/2 taken alone,
-    in V = Q L Q^T's eigenbasis (Y = Q L^1/2, h = sqrt(diag L)); None where
-    it exhausts the iteration budget."""
-    v = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
+    in V = Q L Q^T's eigenbasis (Y = Q L^1/2, h = sqrt(diag L)), from the
+    root-mean start; None where it exhausts the iteration budget."""
+    v = _root_mean(mats, w)
     for _ in range(barycenter.BW_MAX_ITER):
         q, h = v.eig.eigenvectors, np.sqrt(v.eig.eigenvalues)
         roots = (_whitened_root_eig(_whitened_product(q * h, m.mat)) for m in mats)
@@ -307,18 +326,28 @@ class TestBwBarycenter:
         else:
             assert np.array_equal(bw_barycenter(mats, w).mat, expected.mat)
 
+    @pytest.mark.parametrize("count", [8, 20])
+    def test_scalar_start_adds_roots_in_data_order(self, count):
+        # 1 x 1 data commute, so the start is returned; it must sum the roots
+        # one after another, as the per-matrix loop does, where ndarray.sum
+        # would add eight or more of them pairwise.
+        rng = np.random.default_rng(14)
+        mats = [SpdMatrix(np.exp(3.0 * rng.standard_normal((1, 1)))) for _ in range(count)]
+        w = rng.random(count) + 0.5
+        w = w / w.sum()
+        assert np.array_equal(bw_barycenter(mats, w).mat, _root_mean(mats, w).mat)
+
     def test_budget_exit_reports_the_best_iterate(self, monkeypatch):
         # On a budget of one step the only iterate scored is the start, the
-        # weighted arithmetic mean, so NoConvergence carries it and its
-        # stationarity residual.
+        # square of the weighted root mean, so NoConvergence carries it and
+        # its stationarity residual.
         monkeypatch.setattr(barycenter, "BW_MAX_ITER", 1)
         rng = np.random.default_rng(12)
         mats = [rand_spd(4, rng) for _ in range(3)]
         w = np.array([0.2, 0.3, 0.5])
         with pytest.raises(NoConvergence) as info:
             bw_barycenter(mats, w)
-        mean = SpdMatrix(sum(wi * m.mat for wi, m in zip(w, mats)))
-        assert np.array_equal(info.value.best.mat, mean.mat)
+        assert np.array_equal(info.value.best.mat, _root_mean(mats, w).mat)
         want = bw_stationarity_residual(info.value.best, mats, w)
         assert abs(info.value.residual - want) <= 1e-12 * want
 
@@ -342,6 +371,23 @@ class TestBwBarycenter:
         )
         assert np.allclose(np.diag(bar.mat), expected, atol=1e-10)
         assert frob(bar.mat - np.diag(np.diag(bar.mat))) <= 1e-12
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_commuting_data_stop_at_the_start(self, monkeypatch, rotated):
+        # The start (sum_i w_i V_i^1/2)^2 is the barycenter of commuting
+        # data, so the first residual check passes: one eigh validates the
+        # start and one stacked eigh whitens the data, where the
+        # arithmetic-mean start took a second step and four eigh calls.
+        rng = np.random.default_rng(13)
+        n = 5
+        basis = rand_orthogonal(n, rng) if rotated else np.eye(n)
+        diags = [np.exp(2.0 * rng.standard_normal(n)) for _ in range(4)]
+        mats = [SpdMatrix((basis * d) @ basis.T) for d in diags]
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        assert linalg_calls(monkeypatch, bw_barycenter, mats, w) == [("eigh", n)] * 2
+        root_mean = sum(wi * np.sqrt(d) for wi, d in zip(w, diags))
+        expected = (basis * root_mean**2) @ basis.T
+        assert frob(bw_barycenter(mats, w).mat - expected) <= 1e-13 * frob(expected)
 
     def test_stationarity(self):
         rng = np.random.default_rng(11)

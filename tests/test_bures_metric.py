@@ -1,5 +1,4 @@
 import gc
-import sys
 import tracemalloc
 import weakref
 from unittest import mock
@@ -48,6 +47,7 @@ from conftest import (
     PROPERTY_SETTINGS,
     commuting_geodesic_eval,
     frob,
+    linalg_calls,
     rand_orthogonal,
     rand_spd,
 )
@@ -326,34 +326,6 @@ class TestSpdConstructions:
         a, b = rand_spd(5, rng), rand_spd(5, rng)
         assert spd_builds(monkeypatch, transport_map, a, b) == 1
         assert isinstance(transport_map(a, b), SpdMatrix)
-
-
-def linalg_calls(monkeypatch, fn, *args) -> list:
-    """(name, dimension) of each eigh, eigvalsh and spd_sqrt call made by
-    fn(*args), in call order."""
-    calls = []
-
-    def counting(name, f):
-        def wrapped(a, *rest, **kw):
-            calls.append((name, (a.mat if isinstance(a, SpdMatrix) else a).shape[-1]))
-            return f(a, *rest, **kw)
-
-        return wrapped
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    orig = spd_core.spd_sqrt
-    wrapped = counting("spd_sqrt", orig)
-    for key, module in list(sys.modules.items()):
-        if key == "kronbures" or key.startswith("kronbures."):
-            for attr, value in list(vars(module).items()):
-                if value is orig:
-                    monkeypatch.setattr(module, attr, wrapped)
-    try:
-        fn(*args)
-    finally:
-        monkeypatch.undo()
-    return calls
 
 
 class TestAmbientFactorizations:
@@ -683,6 +655,45 @@ class TestCertifiedMargin:
                 geodesic_eval(curve, t)
 
         check_bounds(deferred_builds(curve_points))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_proved_margin_is_sound_at_the_gate(self, n):
+        # Embeddings K0 = V0 (x) U0 whose spectral ratio rho sits near the
+        # gate (PD_TOLERANCE + 64 N eps), at k = 1e-3 ... 2 times its slack
+        # above PD_TOLERANCE, and K1 with the factor spectra reversed in the
+        # same bases. Then K0^1/2 K1 K0^1/2 is a multiple of I, so T's Weyl
+        # bounds are tight and T and the points near either end are as
+        # close to the margin as K0: every matrix whose bounds prove the
+        # margin must also pass the eigvalsh margin test.
+        size = n * n
+        slack = 64 * size * np.finfo(float).eps
+        proved = []
+        for k in (1e-3, 0.5, 1.001, 1.1, 2.0):
+            ratio = PD_TOLERANCE + k * slack
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                bases = rand_orthogonal(n, rng), rand_orthogonal(n, rng)
+                logs = np.linspace(0.0, 0.5 * np.log(ratio), n)
+
+                def point(sign):
+                    u, v = (SpdMatrix((q * np.exp(sign * logs)) @ q.T) for q in bases)
+                    return embed(KroneckerPoint.from_factors(u, v))
+
+                k0, k1 = point(1.0), point(-1.0)
+
+                def run():
+                    curve = geodesic(k0, k1)
+                    for t in (0.0, 1e-9, 1e-6, 1e-3, 0.5, 1 - 1e-6, 1.0):
+                        geodesic_eval(curve, t)
+
+                for x, bounds in deferred_builds(run):
+                    if bounds.proves_margin(size):
+                        w = np.linalg.eigvalsh(x)
+                        assert w[-1] > 0.0 and w[0] > PD_TOLERANCE * w[-1], (k, seed)
+                        proved.append(bounds.lower / bounds.upper)
+        # Not vacuous: some proved bounds lie within 1e-3 of the gate.
+        gate = PD_TOLERANCE + slack
+        assert min(proved) <= 1.001 * gate
 
     def test_undecided_midpoint_runs_one_eigvalsh(self, monkeypatch):
         curve = undecided_midpoint_curve()

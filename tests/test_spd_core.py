@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,36 @@ def test_symmetrize_stack_matches_each_matrix():
     sym = symmetrize(stack)
     for i in range(4):
         assert np.array_equal(sym[i], symmetrize(stack[i]))
+
+
+@pytest.mark.parametrize("n", [2, 200])
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_symmetrize_does_not_overflow_on_finite_entries(action, n):
+    # 0.5 * (A + A^T) overflowed here: RuntimeWarning under the "error"
+    # filter, and NotPositiveDefinite("non-finite entries") for the finite
+    # 1e308 I under the default one. n = 200 takes the halved-sum route.
+    near_max = np.full((n, n), 1e308)
+    near_max[0, 1], near_max[1, 0] = 1.7e308, 1.6e308
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        sym = symmetrize(near_max)
+        big = SpdMatrix(1e308 * np.eye(n))
+    assert sym[0, 1] == sym[1, 0] and abs(sym[0, 1] - 1.65e308) <= 1e-15 * 1.65e308
+    sym[0, 1] = sym[1, 0] = 1e308
+    assert np.all(sym == 1e308)
+    assert np.array_equal(big.mat, 1e308 * np.eye(n))
+    assert np.all(big.eig.eigenvalues == 1e308)
+
+
+@pytest.mark.parametrize("n", [6, 200])
+def test_symmetrize_routes_agree_outside_the_subnormal_range(n):
+    # The summed halves and the halved sum give the same bits wherever no
+    # entry is subnormal, on either side of the elision size.
+    rng = np.random.default_rng(5)
+    for scale in (1e-300, 1.0, 1e300):
+        a = scale * rng.standard_normal((n, n))
+        assert np.array_equal(symmetrize(a), 0.5 * (a + a.T))
+        assert np.array_equal(symmetrize(a), 0.5 * a + 0.5 * a.T)
 
 
 def test_supplied_spectrum_keeps_every_check():
