@@ -48,10 +48,9 @@ ORACLE_GRAD_TOL = 1e-8
 
 
 def _check_weights(weights, count: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float).ravel()
+    w = _check_positive("weights", weights)
     if w.shape != (count,):
         raise DimensionMismatch(f"expected {count} weights, got shape {w.shape}")
-    _check_positive("weights", w)
     if abs(w.sum() - 1.0) > WEIGHT_TOL * max(1.0, count):
         raise ParameterOutOfRange(f"weights sum to {w.sum()!r}, expected 1")
     return w
@@ -181,18 +180,28 @@ def slice_barycenter(data: SliceData) -> SliceBarycenter:
     )
 
 
+def _weighted_root_sum(q: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i Q_i diag(w_i r_i) Q_i^T for stacks Q of eigenvectors and r of
+    root eigenvalues: w_i scales the eigenvalues, all N roots come from one
+    stacked matmul, and Python's sum adds them in data order, where
+    ndarray.sum would add N >= 8 roots of size 1 x 1 pairwise."""
+    return sum((q * (w[:, None] * r)[..., None, :]) @ np.swapaxes(q, -1, -2))
+
+
 def bw_barycenter(mats, weights) -> SpdMatrix:
     """Bures-Wasserstein barycenter on the SPD cone by fixed-point iteration.
 
     Starts at V_0 = S S^T, S = sum_i w_i V_i^1/2, the barycenter itself when
     the data commute (Bhatia, Jain and Lim, Expo. Math. 37, 2019); the
     iteration converges from any SPD start (Alvarez-Esteban et al.,
-    J. Math. Anal. Appl. 441, 2016). Each weighted root
-    Q_i diag(w_i l_i^1/2) Q_i^T scales the columns of V_i's cached
-    eigenvectors, all N from one stacked matmul, summed in data order. It
-    stops when the stationarity residual ||sum_i w_i T_{V -> V_i} - I||_F
-    falls below BW_TOL. Each step works in V's eigenbasis V = Q L Q^T, with
-    h = sqrt(diag L), Y = Q L^1/2 and Z = Q L^-1/2:
+    J. Math. Anal. Appl. 441, 2016). The start and each step sum their
+    weighted roots by one helper, with w_i folded into the eigenvalues: the
+    start's Q_i diag(w_i l_i^1/2) Q_i^T scale the columns of V_i's cached
+    eigenvectors, a step's W_i diag(w_i r_i) W_i^T those of its stacked
+    eigh. It stops when the stationarity residual
+    ||sum_i w_i T_{V -> V_i} - I||_F falls below BW_TOL. Each step works in
+    V's eigenbasis V = Q L Q^T, with h = sqrt(diag L), Y = Q L^1/2 and
+    Z = Q L^-1/2:
     G' = sum_i w_i (Y^T M_i Y)^1/2 is Q^T G Q for the usual
     G = sum_i w_i (V^1/2 M_i V^1/2)^1/2, the residual is
     ||G' / (h h^T) - I||_F entrywise, and the next iterate V^-1/2 G^2 V^-1/2
@@ -205,10 +214,7 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     for m in mats:
         _match_dims(n, m.dim)
     e = np.stack([m.eig.eigenvectors for m in mats])
-    scale = w[:, None] * np.sqrt(np.stack([m.eig.eigenvalues for m in mats]))
-    # Python's sum adds the weighted roots in data order; ndarray.sum would
-    # add N >= 8 roots of size 1 x 1 pairwise.
-    s = sum((e * scale[..., None, :]) @ np.swapaxes(e, -1, -2))
+    s = _weighted_root_sum(e, np.sqrt(np.stack([m.eig.eigenvalues for m in mats])), w)
     v = SpdMatrix(s @ s.T)
     stack = np.stack([m.mat for m in mats])
     eye = np.eye(n)
@@ -216,10 +222,8 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     for _ in range(BW_MAX_ITER):
         y, z = _root_factors(v)
         h = np.sqrt(v.eig.eigenvalues)
-        # All N roots (Y^T M_i Y)^1/2 from one stacked eigh; summed in data order.
-        q, r = _whitened_root_eig(_whitened_product(y, stack))
-        roots = (q * r[..., None, :]) @ np.swapaxes(q, -1, -2)
-        g = sum(wi * root for wi, root in zip(w, roots))
+        # All N roots (Y^T M_i Y)^1/2 from one stacked eigh.
+        g = _weighted_root_sum(*_whitened_root_eig(_whitened_product(y, stack)), w)
         residual = float(np.linalg.norm(g / np.multiply.outer(h, h) - eye))
         if residual < best[0]:
             best = (residual, v)

@@ -9,7 +9,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalConsistencyError, ParameterOutOfRange
-from .spd_core import SpdMatrix, _Deferred, _leave, _match_dims, _take, symmetrize
+from .spd_core import (
+    SpdMatrix,
+    _Deferred,
+    _float_array,
+    _leave,
+    _match_dims,
+    _symmetrized,
+    _take,
+)
 
 # Transport maps must reproduce their endpoints to this relative accuracy.
 TRANSPORT_CHECK_TOL = 1e-10
@@ -73,7 +81,7 @@ def _clamp_distance_sq(d2: float, scale: float) -> float:
 def _whitened_product(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The symmetrized Y^T B Y; Y and B may also be (m, n, n) stacks that
     broadcast."""
-    return symmetrize(np.swapaxes(y, -1, -2) @ b @ y)
+    return _symmetrized(np.swapaxes(y, -1, -2) @ b @ y)
 
 
 def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,15 +210,9 @@ def _curve_parameter(t) -> np.ndarray:
     """The one rule for a curve parameter: t, a real scalar or 1-D grid with
     every entry in [0, 1], as a float array (a float grid is not copied).
     Strings, None, complex values and NaN raise ParameterOutOfRange."""
-    try:
-        ts = np.asarray(t)
-    except ValueError:  # a ragged nesting has no shape
-        raise DimensionMismatch(f"curve parameter {t!r} has no array shape") from None
-    if ts.dtype.kind not in "biuf":
-        raise ParameterOutOfRange(f"curve parameter {t!r} is not real")
+    ts = _float_array(t, "curve parameter")
     if ts.ndim > 1:
         raise DimensionMismatch(f"curve parameter of shape {ts.shape} is not 1-D")
-    ts = ts.astype(float, copy=False)
     # NaN fails the comparison too.
     outside = ~((ts >= 0.0) & (ts <= 1.0))
     if outside.any():

@@ -14,7 +14,9 @@ class DimensionMismatch(KronburesError):
 
 
 class ParameterOutOfRange(KronburesError):
-    """A scalar parameter lies outside its admissible interval."""
+    """A parameter lies outside its admissible range: a scalar outside its
+    interval, or an array argument that is not real or, where finiteness is
+    its rule, has a non-finite entry."""
 
 
 class GaugeViolation(KronburesError):

@@ -14,6 +14,7 @@ distances and barycenters are the standard Bures ones of the factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -60,7 +61,6 @@ LEAF_TOL = 1e-8
 def _check_gauge(name: str, eigs) -> None:
     """Reject eigenvalues, one row or a stack of rows, whose product drifts
     from one: |sum log| may not exceed GAUGE_TOL per dimension."""
-    eigs = np.asarray(eigs)
     drift = float(np.abs(np.log(eigs).sum(axis=-1)).max())
     if drift > GAUGE_TOL * eigs.shape[-1]:
         raise GaugeViolation(
@@ -255,9 +255,26 @@ def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:
     return out
 
 
-def _col_scale(anchor: np.ndarray, other: np.ndarray) -> float:
-    """Least-squares scalar with other approximately tau * anchor."""
-    return float(np.sum(other * anchor) / np.sum(anchor * anchor))
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x 2^-e, e) with the largest entry of x 2^-e in [0.5, 1), an exact
+    scaling. x is an SPD factor or a positive eigenvalue vector, whose
+    largest entry is also its largest in magnitude."""
+    e = math.frexp(x.max())[1]
+    return np.ldexp(x, -e), e
+
+
+def _col_scale(anchor: np.ndarray, other: np.ndarray) -> tuple[float, int] | None:
+    """(t, k) for the least-squares scalar tau = t 2^k with other
+    approximately tau * anchor, if other lies on anchor's column leaf
+    (tau > 0 and |other / tau - anchor| <= LEAF_TOL |anchor|), else None.
+    V carries a point's whole scale, so tau and the gap are formed on
+    unit-scaled copies, where no scale of V makes their sums under- or
+    overflow; elsewhere the copies give the same bits."""
+    (a, ea), (o, eo) = _unit_scaled(anchor), _unit_scaled(other)
+    t = float(np.sum(o * a) / np.sum(a * a))
+    if t > 0.0 and np.linalg.norm(o / t - a) <= LEAF_TOL * np.linalg.norm(a):
+        return t, eo - ea
+    return None
 
 
 def _on_leaf(kind: LeafKind, anchor: np.ndarray, other: np.ndarray) -> bool:
@@ -265,15 +282,12 @@ def _on_leaf(kind: LeafKind, anchor: np.ndarray, other: np.ndarray) -> bool:
 
     other is the point's factor on the anchored side: U on a row leaf,
     which must equal the anchor, and V on a column leaf, which must be a
-    positive multiple of it. The test reads Frobenius norms only, so it
-    serves factors and their eigenvalue vectors in a common orthogonal
-    basis alike.
+    positive multiple of it (``_col_scale``). The test reads Frobenius
+    norms only, so it serves factors and their eigenvalue vectors in a
+    common orthogonal basis alike.
     """
     if kind is LeafKind.COL:
-        tau = _col_scale(anchor, other)
-        if tau <= 0.0:
-            return False
-        other = other / tau
+        return _col_scale(anchor, other) is not None
     return bool(np.linalg.norm(other - anchor) <= LEAF_TOL * np.linalg.norm(anchor))
 
 
@@ -290,11 +304,15 @@ def leaf_factor(leaf: FactorLeaf, p: KroneckerPoint) -> SpdMatrix:
     Raises NotOnLeaf off the leaf. The chart scales squared Bures distances
     by tr(anchor) and carries Bures geodesics to Bures geodesics.
     """
-    if not leaf_membership(leaf, p):
-        raise NotOnLeaf(f"point is not on the {leaf.kind.value} leaf")
     if leaf.kind is LeafKind.ROW:
-        return p.v_factor
-    return p.u_factor.scaled(_col_scale(leaf.anchor.mat, p.v_factor.mat))
+        if leaf_membership(leaf, p):
+            return p.v_factor
+    else:
+        _match_dims(leaf.anchor.dim, p.n)
+        scale = _col_scale(leaf.anchor.mat, p.v_factor.mat)
+        if scale is not None:
+            return p.u_factor.scaled(float(np.ldexp(*scale)))
+    raise NotOnLeaf(f"point is not on the {leaf.kind.value} leaf")
 
 
 def leaf_point(leaf: FactorLeaf, m: SpdMatrix) -> KroneckerPoint:

@@ -16,7 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveCoordinate, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch,
+    NonPositiveCoordinate,
+    NotPositiveDefinite,
+    ParameterOutOfRange,
+)
 
 # Relative spectral margin below which a matrix is rejected as not SPD.
 PD_TOLERANCE = 1e-12
@@ -28,25 +33,41 @@ PD_TOLERANCE = 1e-12
 _ELISION_BYTES = 256 * 1024
 
 
+def _float_array(a, what: str, *, finite: bool = False) -> np.ndarray:
+    """a as a float array, not copied if it is one. A ragged nesting raises
+    DimensionMismatch; a dtype not bool, int or float (complex, str, object,
+    None), or with finite a non-finite entry, raises ParameterOutOfRange."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # a ragged nesting has no shape
+        raise DimensionMismatch(f"{what} {a!r} has no array shape") from None
+    if arr.dtype.kind not in "biuf":
+        raise ParameterOutOfRange(f"{what} of dtype {arr.dtype} is not real")
+    if finite and not np.isfinite(arr).all():
+        raise ParameterOutOfRange(f"{what} has non-finite entries")
+    return arr.astype(float, copy=False)
+
+
 def symmetrize(a) -> np.ndarray:
     """Symmetric average 0.5 A + 0.5 A^T of a square matrix, or of each
-    matrix in a stack of shape (m, n, n).
-
-    Halving first cannot overflow on finite entries, where 0.5 * (A + A^T)
-    does above half the float range. From _ELISION_BYTES on, the sum is
-    halved in its own buffer instead, for its memory, and the halves are
-    summed only where it overflows. Halving is exact outside the subnormal
-    range, so the two routes give the same bits there."""
-    arr = np.asarray(a, dtype=float)
+    matrix in an (m, n, n) stack; a non-finite entry raises ParameterOutOfRange."""
+    arr = _float_array(a, "matrix", finite=True)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionMismatch(
-            f"expected a square matrix or a stack of them, got shape {arr.shape}"
-        )
+        raise DimensionMismatch(f"expected square matrices, got shape {arr.shape}")
+    return _symmetrized(arr)
+
+
+def _symmetrized(arr: np.ndarray) -> np.ndarray:
+    """``symmetrize`` unchecked, for arrays the library built. Halving first
+    cannot overflow on finite entries, where 0.5 * (A + A^T) does above half
+    the float range. From _ELISION_BYTES on, the sum is halved in its own
+    buffer instead, for its memory, and the halves are summed only where it
+    overflows. Halving is exact outside the subnormal range, so the two
+    routes give the same bits there."""
     if arr.nbytes >= _ELISION_BYTES:
-        # inf + -inf reads NaN, which every caller rejects as non-finite.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             total = arr + np.swapaxes(arr, -1, -2)
-        if np.isfinite(total).all() or not np.isfinite(arr).all():
+        if np.isfinite(total).all():
             total *= 0.5
             return total
     half = 0.5 * arr
@@ -59,9 +80,9 @@ def _match_dims(n0: int, n1: int) -> None:
         raise DimensionMismatch(f"dimensions differ: {n0} vs {n1}")
 
 
-def _square(entries) -> np.ndarray:
+def _square(entries, *, finite: bool = False) -> np.ndarray:
     """entries as a 2-D square float array of size at least 1."""
-    arr = np.asarray(entries, dtype=float)
+    arr = _float_array(entries, "matrix", finite=finite)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -70,7 +91,7 @@ def _square(entries) -> np.ndarray:
 def _check_positive(name: str, vals) -> np.ndarray:
     """vals as a flat float array; raises NonPositiveCoordinate unless every
     entry is finite and positive (NaN fails the sign test too)."""
-    arr = np.asarray(vals, dtype=float).ravel()
+    arr = _float_array(vals, name).ravel()
     if not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise NonPositiveCoordinate(f"{name} must be entrywise finite and positive")
     return arr
@@ -81,7 +102,7 @@ def _store_positive(obj, ndim: int, **arrays) -> None:
     shape rule (all share one shape with ndim axes, none of length 0) and
     ``_check_positive``. A later edit of a passed array cannot reach it."""
     owner = type(obj).__name__
-    stored = {name: np.array(vals, dtype=float) for name, vals in arrays.items()}
+    stored = {k: np.array(_float_array(v, f"{owner}.{k}")) for k, v in arrays.items()}
     shape = next(iter(stored.values())).shape
     for name, arr in stored.items():
         if arr.ndim != ndim or 0 in shape or arr.shape != shape:
@@ -191,11 +212,11 @@ class SpdMatrix:
 
     def __init__(self, entries, *, _eig=None):
         arr = _square(entries)
-        deferred = isinstance(_eig, _Deferred)
-        if _eig is None or deferred:
-            arr = symmetrize(arr)
         if not np.all(np.isfinite(arr)):
             raise NotPositiveDefinite("matrix has non-finite entries")
+        deferred = isinstance(_eig, _Deferred)
+        if _eig is None or deferred:
+            arr = _symmetrized(arr)
         if deferred:
             eig, w = _eig, None
             if not _eig.proves_margin(arr.shape[0]):
@@ -283,7 +304,7 @@ def spd_sqrt(a: SpdMatrix) -> np.ndarray:
     roots, so no extra factorization is performed.
     """
     q = a.eig.eigenvectors
-    return symmetrize((q * np.sqrt(a.eig.eigenvalues)) @ q.T)
+    return _symmetrized((q * np.sqrt(a.eig.eigenvalues)) @ q.T)
 
 
 def kron(a, b) -> np.ndarray:
@@ -292,14 +313,14 @@ def kron(a, b) -> np.ndarray:
     One broadcast product of A[q, None, r, None] and B[None, i, None, j],
     the multiply np.kron makes, without its wrapper; the bits are the same.
     """
-    a, b = _square(a), _square(b)
+    a, b = _square(a, finite=True), _square(b, finite=True)
     size = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
 
 
 def _blocks(k, n: int) -> np.ndarray:
     """k (n^2 x n^2) as n x n blocks; n is an integer >= 1, not a bool."""
-    k = np.asarray(k, dtype=float)
+    k = _float_array(k, "matrix", finite=True)
     try:
         n = operator.index(None if isinstance(n, bool) else n)
     except TypeError:

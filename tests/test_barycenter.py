@@ -81,6 +81,12 @@ class TestObjective:
         )
         assert abs(reduced - ambient) <= 1e-11 * max(ambient, 1.0)
 
+    def test_weight_count_must_match_data(self):
+        rng = np.random.default_rng(14)
+        k, p = rand_point(2, rng), rand_point(2, rng)
+        with pytest.raises(DimensionMismatch, match="expected 2 weights"):
+            objective_J(k, [k, p], [1.0])
+
 
 class TestSliceObjective:
     def test_vanishes_at_single_datum(self):
@@ -108,6 +114,12 @@ class TestSliceObjective:
         data = rand_slice_data(3, 2, np.random.default_rng(3))
         with pytest.raises(NonPositiveCoordinate):
             slice_objective(np.array([1.0, -1.0, 1.0]), np.ones(3), data)
+
+    def test_coordinates_must_have_length_n(self):
+        data = rand_slice_data(3, 2, np.random.default_rng(3))
+        for x, y in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
+            with pytest.raises(DimensionMismatch, match="n = 3"):
+                slice_objective(x, y, data)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rayleigh_route_identity(self, seed):
@@ -292,14 +304,15 @@ def _root_mean(mats, w):
 
 
 def _bw_per_matrix(mats, w):
-    """bw_barycenter's fixed point with each root (Y^T M_i Y)^1/2 taken alone,
-    in V = Q L Q^T's eigenbasis (Y = Q L^1/2, h = sqrt(diag L)), from the
-    root-mean start; None where it exhausts the iteration budget."""
+    """bw_barycenter's fixed point with each weighted root w_i (Y^T M_i Y)^1/2
+    = W diag(w_i r) W^T taken alone, in V = Q L Q^T's eigenbasis
+    (Y = Q L^1/2, h = sqrt(diag L)), from the root-mean start; None where it
+    exhausts the iteration budget."""
     v = _root_mean(mats, w)
     for _ in range(barycenter.BW_MAX_ITER):
         q, h = v.eig.eigenvectors, np.sqrt(v.eig.eigenvalues)
         roots = (_whitened_root_eig(_whitened_product(q * h, m.mat)) for m in mats)
-        g = sum(wi * ((wq * r) @ wq.T) for wi, (wq, r) in zip(w, roots))
+        g = sum((wq * (wi * r)) @ wq.T for wi, (wq, r) in zip(w, roots))
         if float(np.linalg.norm(g / np.outer(h, h) - np.eye(v.dim))) <= barycenter.BW_TOL:
             return v
         half = (q / h) @ g

@@ -216,6 +216,22 @@ class TestClassify:
         chart = build_chart(*example_commuting_nonclosure_pair())
         assert classify_closure_commuting(chart) is ClosureVerdict.DEPARTS_IMMEDIATELY
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 1e-170, 1e-160, 1e-100, 1e100, 1e160, 1e170, 1e300]
+    )
+    def test_col_leaf_verdict_is_scale_free(self, scale, action):
+        # v1 = 2 v0 exactly is a column leaf at every scale of the V
+        # eigenvalues; v1 off the ray through v0 departs.
+        u0, u1 = np.array([2.0, 0.5, 1.0]), np.array([0.5, 2.0, 1.0])
+        v0 = scale * np.array([1.0, 3.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            col = CommutingChart(u0=u0, u1=u1, v0=v0, v1=2.0 * v0)
+            off = CommutingChart(u0=u0, u1=u1, v0=v0, v1=v0[::-1].copy())
+            assert classify_closure_commuting(col) is ClosureVerdict.ALWAYS_IN_MODEL_COL_LEAF
+            assert classify_closure_commuting(off) is ClosureVerdict.DEPARTS_IMMEDIATELY
+
     @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-5])
     @pytest.mark.parametrize("kind", ["row", "col"])
     def test_chart_verdict_matches_factor_verdict(self, kind, eps):
@@ -994,6 +1010,12 @@ class TestPullbackMetric:
     def test_trace_not_zero(self):
         with pytest.raises(TraceNotZero):
             pullback_metric_isotropic(2, 1.0, np.eye(2), np.zeros((2, 2)))
+
+    def test_tangents_must_be_n_by_n(self):
+        h_u = np.diag([1.0, -1.0])
+        for n, a, b in ((3, h_u, np.eye(3)), (2, h_u, np.eye(3)), (2, np.eye(3), h_u)):
+            with pytest.raises(DimensionMismatch, match="do not match n"):
+                pullback_metric_isotropic(n, 1.0, a, b)
 
     @pytest.mark.parametrize("factor, raises", [(10.0, True), (0.1, False)])
     def test_trace_gate_boundary(self, factor, raises):

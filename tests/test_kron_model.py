@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -671,6 +672,32 @@ class TestLeafMembership:
             col_leaf(p1.v_factor),
         ):
             assert not (leaf_membership(leaf, p0) and leaf_membership(leaf, p1))
+
+
+# V scales spanning the float range. The column-leaf sums sum(V1 * V0) and
+# sum(V0 * V0) overflow from about 1e155 on and underflow below about
+# 1e-155 when formed at V's own scale.
+LEAF_SCALES = [1e-300, 1e-170, 1e-160, 1e-100, 1e100, 1e160, 1e170, 1e300]
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("scale", LEAF_SCALES)
+def test_col_leaf_test_is_scale_free(scale, action):
+    # V1 = 2 V0 exactly lies on V0's column leaf at every scale, with
+    # tau = 2 exactly, and a point whose V is not a multiple of V0 does not.
+    rng = np.random.default_rng(46)
+    v = rand_spd(3, rng)
+    u0, u1 = rand_spd(3, rng, normalized=True), rand_spd(3, rng, normalized=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        v0 = SpdMatrix(scale * v.mat)
+        leaf = col_leaf(v0)
+        on = KroneckerPoint(u1, SpdMatrix(2.0 * v0.mat))
+        off = KroneckerPoint(u1, SpdMatrix(scale * rand_spd(3, rng).mat))
+        assert leaf_membership(leaf, KroneckerPoint(u0, v0))
+        assert leaf_membership(leaf, on)
+        assert not leaf_membership(leaf, off)
+        assert np.array_equal(leaf_factor(leaf, on).mat, u1.scaled(2.0).mat)
 
 
 def _row_leaf_pair(n, rng):

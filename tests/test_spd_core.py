@@ -225,6 +225,8 @@ class TestPartialTraces:
             (partial_trace_2, np.eye(4), "2"),
             (pi_residual, np.eye(4), 2.0),
             (partial_trace_1, np.eye(1), True),
+            (partial_trace_1, np.eye(4), 0),
+            (partial_trace_2, np.eye(4), -2),
         ]
         for fn, k, n in cases:
             with pytest.raises(DimensionMismatch):
@@ -317,6 +319,9 @@ def test_supplied_spectrum_keeps_every_check():
     # finiteness and margin checks still run.
     a = rand_spd(4, np.random.default_rng(4))
     assert np.array_equal(a.scaled(3.0).mat, 3.0 * a.mat)
+    for c in (0.0, -2.0):
+        with pytest.raises(NotPositiveDefinite, match="scale factor"):
+            a.scaled(c)
     with pytest.raises(DimensionMismatch):
         SpdMatrix(np.ones((2, 3)), _eig=a.eig)
     with pytest.raises(NotPositiveDefinite):
