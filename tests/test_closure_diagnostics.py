@@ -228,7 +228,7 @@ class TestClassify:
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
             col = CommutingChart(u0=u0, u1=u1, v0=v0, v1=2.0 * v0)
-            off = CommutingChart(u0=u0, u1=u1, v0=v0, v1=v0[::-1].copy())
+            off = CommutingChart(u0=u0, u1=u1, v0=v0, v1=v0[::-1])
             assert classify_closure_commuting(col) is ClosureVerdict.ALWAYS_IN_MODEL_COL_LEAF
             assert classify_closure_commuting(off) is ClosureVerdict.DEPARTS_IMMEDIATELY
 
