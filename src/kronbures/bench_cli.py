@@ -160,8 +160,9 @@ def _gate(context: str, metric: str, values, tol: float) -> None:
 # Experiment 1: pairwise spectral reduction
 
 
-def pairwise_trial(n: int, rng: np.random.Generator, with_ambient: bool) -> dict:
-    """One pairwise draw; returns timings and the ambient/reduced error.
+def pairwise_trial(n: int, rng: np.random.Generator) -> dict:
+    """One pairwise draw; returns timings and, up to n = AMBIENT_CUTOFF,
+    the ambient timing, speedup and ambient/reduced error.
 
     Endpoints are drawn as gauge-normalized pairs of G G^T + 0.01 I
     factors; timings cover only the distance evaluation, with endpoints
@@ -175,7 +176,7 @@ def pairwise_trial(n: int, rng: np.random.Generator, with_ambient: bool) -> dict
     reduced_time = time.perf_counter() - t0
 
     out = {"reduced_time": reduced_time}
-    if with_ambient:
+    if n <= AMBIENT_CUTOFF:
         k0 = embed(p0)
         k1 = embed(p1)
         t0 = time.perf_counter()
@@ -193,17 +194,11 @@ def run_pairwise_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
     """Per-size timing, speedup, relative error, and storage ratio rows."""
     rows = []
     for n in cfg.sizes:
-        with_ambient = n <= AMBIENT_CUTOFF
         # One untimed warm-up evaluation per size.
-        pairwise_trial(n, _trial_rng(cfg.seed, 0), with_ambient)
-        trials = [
-            pairwise_trial(n, _trial_rng(cfg.seed, k), with_ambient)
-            for k in range(cfg.trials)
-        ]
-        metrics = {"reduced_time": [t["reduced_time"] for t in trials]}
-        if with_ambient:
-            for metric in ("ambient_time", "speedup", "rel_err"):
-                metrics[metric] = [t[metric] for t in trials]
+        pairwise_trial(n, _trial_rng(cfg.seed, 0))
+        trials = [pairwise_trial(n, _trial_rng(cfg.seed, k)) for k in range(cfg.trials)]
+        metrics = {metric: [t[metric] for t in trials] for metric in trials[0]}
+        if "rel_err" in metrics:
             _gate(f"n = {n}", "rel_err", metrics["rel_err"], PAIRWISE_REL_ERR_TOL)
         rows.extend(_rows_from_trials("pairwise", "", n, metrics))
         rows.append(
@@ -288,14 +283,14 @@ def run_departure_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
 # Experiment 3: slice barycenter benchmarks
 
 
-def barycenter_dataset(
-    name: str, n: int, count: int, rng: np.random.Generator
-) -> SliceData:
-    """Datasets A (isotropic leaf), B (scale 0.1), C (scale 1).
+def barycenter_dataset(name: str, n: int, rng: np.random.Generator) -> SliceData:
+    """Datasets A (isotropic leaf), B (scale 0.1), C (scale 1), each of
+    BARYCENTER_DATA_COUNT data.
 
     Draw order per datum stream: alpha log-scales first, then the U and V
     log-coordinate blocks for B and C.
     """
+    count = BARYCENTER_DATA_COUNT
     alphas = np.exp(rng.standard_normal(count))
     if name == "A":
         u_eigs = np.ones((count, n))
@@ -339,9 +334,7 @@ def run_barycenter_experiment(cfg: ExperimentConfig) -> list[SummaryRow]:
     for k in range(cfg.trials):
         rng = _trial_rng(cfg.seed, k)
         for name in BARYCENTER_DATASETS:
-            datasets[name].append(
-                barycenter_dataset(name, n, BARYCENTER_DATA_COUNT, rng)
-            )
+            datasets[name].append(barycenter_dataset(name, n, rng))
     for name in BARYCENTER_DATASETS:
         trials = [barycenter_trial(d) for d in datasets[name]]
         metrics = {metric: [t[metric] for t in trials] for metric in trials[0]}

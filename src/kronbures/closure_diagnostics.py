@@ -339,16 +339,17 @@ def delta_diag(profile: SqrtProfile, t):
     return _like_t(t, np.where((ts > 0.0) & (ts < 1.0), tail, 0.0))
 
 
-def pi_residual(z, n: int) -> np.ndarray:
+def pi_residual(z) -> np.ndarray:
     """Partial-trace residual, the projection away from Kronecker sums.
 
-    Pi(Z) = Z - (1/n) I (x) tr1(Z) - (1/n) tr2(Z) (x) I + tr(Z)/n^2 I.
-    Both partial traces of the result vanish, and the kernel is exactly
-    the Kronecker-sum space {I (x) A + B (x) I}.
+    Pi(Z) = Z - (1/n) I (x) tr1(Z) - (1/n) tr2(Z) (x) I + tr(Z)/n^2 I for
+    an n^2 x n^2 matrix Z. Both partial traces of the result vanish, and the
+    kernel is exactly the Kronecker-sum space {I (x) A + B (x) I}.
     """
     z = symmetrize(z)
-    t1 = partial_trace_1(z, n)
-    t2 = partial_trace_2(z, n)
+    t1 = partial_trace_1(z)
+    t2 = partial_trace_2(z)
+    n = t1.shape[0]
     eye = np.eye(n)
     out = z - kron(eye, t1) / n - kron(t2, eye) / n
     out[np.diag_indices_from(out)] += np.trace(z) / n**2
@@ -456,11 +457,11 @@ def pattern_2x2_check(z0) -> tuple[bool, list[str]]:
     return not violated, violated
 
 
-def pullback_metric_isotropic(n: int, s: float, h_u, h_v) -> float:
+def pullback_metric_isotropic(s: float, h_u, h_v) -> float:
     """Pullback metric (n/4)(s |H_U|^2 + |H_V|^2 / s) at the point (I, sI).
 
-    H_U must be trace-free, matching the tangent space of the
-    determinant-normalized factor.
+    H_U and H_V are n x n tangents of one shape. H_U must be trace-free,
+    matching the tangent space of the determinant-normalized factor.
     """
     if not (np.isfinite(s) and s > 0.0):
         raise ParameterOutOfRange(
@@ -468,10 +469,11 @@ def pullback_metric_isotropic(n: int, s: float, h_u, h_v) -> float:
         )
     h_u = symmetrize(h_u)
     h_v = symmetrize(h_v)
-    if h_u.shape != (n, n) or h_v.shape != (n, n):
+    if h_u.ndim != 2 or h_v.shape != h_u.shape:
         raise DimensionMismatch(
-            f"tangent shapes {h_u.shape}, {h_v.shape} do not match n = {n}"
+            f"tangents of shapes {h_u.shape}, {h_v.shape} are not n x n of one shape"
         )
+    n = h_u.shape[0]
     norm_u = float(np.linalg.norm(h_u))
     if abs(float(np.trace(h_u))) > 1e-12 * max(norm_u, np.finfo(float).tiny):
         raise TraceNotZero(f"tr(H_U) = {np.trace(h_u):.6e} is not zero")

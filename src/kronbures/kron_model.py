@@ -30,12 +30,7 @@ from .bures_metric import (
     geodesic,
     geodesic_eval,
 )
-from .errors import (
-    DimensionMismatch,
-    GaugeViolation,
-    NotInModel,
-    NotOnLeaf,
-)
+from .errors import GaugeViolation, NotInModel, NotOnLeaf
 from .spd_core import (
     EigenDecomposition,
     SpdMatrix,
@@ -184,13 +179,11 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
 
     Since tr1(K) = tr(V) U and tr2(K) = tr(U) V, the pair (tr1(K),
     tr2(K) / tr tr1(K)) represents V (x) U before the gauge; membership is
-    verified by reconstructing the input.
+    verified by reconstructing the input. The partial traces raise
+    DimensionMismatch unless K is n^2 x n^2.
     """
-    n = round(float(np.sqrt(k.dim)))
-    if n * n != k.dim:
-        raise DimensionMismatch(f"dimension {k.dim} is not a perfect square")
-    t1 = SpdMatrix(partial_trace_1(k.mat, n))
-    t2 = SpdMatrix(partial_trace_2(k.mat, n) / t1.trace())
+    t1 = SpdMatrix(partial_trace_1(k.mat))
+    t2 = SpdMatrix(partial_trace_2(k.mat) / t1.trace())
     p = KroneckerPoint.from_factors(t1, t2)
     defect = np.linalg.norm(kron(p.v_factor.mat, p.u_factor.mat) - k.mat)
     if defect > MEMBERSHIP_TOL * np.linalg.norm(k.mat):

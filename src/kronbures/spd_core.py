@@ -8,7 +8,7 @@ is the validated wrapper used wherever positive definiteness is required.
 
 from __future__ import annotations
 
-import operator
+import math
 import sys
 import weakref
 from dataclasses import dataclass
@@ -318,30 +318,24 @@ def kron(a, b) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
 
 
-def _blocks(k, n: int) -> np.ndarray:
-    """k (n^2 x n^2) as n x n blocks; n is an integer >= 1, not a bool."""
+def _blocks(k) -> np.ndarray:
+    """k as its n x n blocks, shape (n, n, n, n): the one rule that k is
+    n^2 x n^2 with n >= 1, and the one place n is read from k's shape."""
     k = _float_array(k, "matrix", finite=True)
-    try:
-        n = operator.index(None if isinstance(n, bool) else n)
-    except TypeError:
-        raise DimensionMismatch(f"block dimension {n!r} is not an integer") from None
-    if n < 1:
-        raise DimensionMismatch(f"block dimension must be positive, got {n}")
-    if k.shape != (n * n, n * n):
-        raise DimensionMismatch(
-            f"expected a {n * n} x {n * n} matrix, got shape {k.shape}"
-        )
+    n = math.isqrt(k.shape[0]) if k.ndim == 2 else 0
+    if n < 1 or k.shape != (n * n, n * n):
+        raise DimensionMismatch(f"expected an n^2 x n^2 matrix, got shape {k.shape}")
     return k.reshape(n, n, n, n)
 
 
-def partial_trace_1(k, n: int) -> np.ndarray:
+def partial_trace_1(k) -> np.ndarray:
     """Sum of the n diagonal n x n blocks; satisfies tr1(V (x) U) = tr(V) U."""
-    return np.einsum("qiqj->ij", _blocks(k, n))
+    return np.einsum("qiqj->ij", _blocks(k))
 
 
-def partial_trace_2(k, n: int) -> np.ndarray:
+def partial_trace_2(k) -> np.ndarray:
     """Blockwise trace [tr(K_qr)]; satisfies tr2(V (x) U) = tr(U) V."""
-    return np.einsum("qiri->qr", _blocks(k, n))
+    return np.einsum("qiri->qr", _blocks(k))
 
 
 def gauge_normalize(u: SpdMatrix, v: SpdMatrix) -> tuple[SpdMatrix, SpdMatrix]:

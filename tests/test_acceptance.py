@@ -85,13 +85,13 @@ def test_criterion_2_complexity_ordering():
     every_faster = True
     ratios = {}
     for n in sizes:
-        pairwise_trial(n, np.random.default_rng(SEED), True)  # warm-up
+        pairwise_trial(n, np.random.default_rng(SEED))  # warm-up
         speedups = []
         for k in range(trials):
             # Three calls on the same draw; their minimum times drop one-off
             # scheduling delays, as the benchmark's per-unit minima do.
             runs = [
-                pairwise_trial(n, np.random.default_rng(SEED + k), True)
+                pairwise_trial(n, np.random.default_rng(SEED + k))
                 for _ in range(3)
             ]
             reduced = min(r["reduced_time"] for r in runs)
@@ -341,7 +341,7 @@ def test_criterion_9_slice_barycenter_exactness():
     for k in range(20):
         rng = np.random.default_rng(SEED + k)
         for name in ("A", "B", "C"):
-            data = barycenter_dataset(name, 8, 8, rng)
+            data = barycenter_dataset(name, 8, rng)
             result = barycenter_trial(data)
             gap = abs(result["formula_obj"] - result["numerical_obj"]) / max(
                 abs(result["formula_obj"]), 1e-30
@@ -398,24 +398,24 @@ def test_criterion_11_projection_properties():
         for _ in range(50):
             z = rand_symmetric(n * n, rng)
             scale = max(frob(z), 1.0)
-            pz = pi_residual(z, n)
-            worst = max(worst, frob(pi_residual(pz, n) - pz) / scale)
+            pz = pi_residual(z)
+            worst = max(worst, frob(pi_residual(pz) - pz) / scale)
             y = rand_symmetric(n * n, rng)
             worst = max(
                 worst,
-                abs(float(np.sum(pz * y) - np.sum(z * pi_residual(y, n))))
+                abs(float(np.sum(pz * y) - np.sum(z * pi_residual(y))))
                 / (scale * max(frob(y), 1.0)),
             )
             a = rand_symmetric(n, rng)
             a -= np.trace(a) / n * np.eye(n)
             b = rand_symmetric(n, rng)
             member = kron(np.eye(n), a) + kron(b, np.eye(n))
-            worst = max(worst, frob(pi_residual(member, n)) / max(frob(member), 1.0))
+            worst = max(worst, frob(pi_residual(member)) / max(frob(member), 1.0))
             q, r = rand_orthogonal(n, rng), rand_orthogonal(n, rng)
             rot = kron(r, q)
             worst = max(
                 worst,
-                frob(pi_residual(rot.T @ z @ rot, n) - rot.T @ pz @ rot) / scale,
+                frob(pi_residual(rot.T @ z @ rot) - rot.T @ pz @ rot) / scale,
             )
     _report(
         11,

@@ -538,7 +538,7 @@ class TestLogCoordinateOracle:
     @pytest.mark.parametrize("name", ["A", "B", "C"])
     def test_harness_datasets_match_perron(self, name):
         for seed in range(1000, 1040):
-            _assert_matches_perron(barycenter_dataset(name, 8, 8, np.random.default_rng(seed)))
+            _assert_matches_perron(barycenter_dataset(name, 8, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -571,7 +571,7 @@ class TestLogCoordinateOracle:
 
     def test_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(barycenter, "ORACLE_MAX_ITER", 1)
-        data = barycenter_dataset("C", 8, 8, np.random.default_rng(1003))
+        data = barycenter_dataset("C", 8, np.random.default_rng(1003))
         with pytest.raises(NoConvergence) as info:
             log_coordinate_oracle(data)
         assert info.value.residual > barycenter.ORACLE_GRAD_TOL
@@ -594,7 +594,7 @@ class TestLogCoordinateOracle:
         # Dataset A has isotropic data, so C is a multiple of the all-ones
         # matrix and one sweep lands on its Perron pair.
         monkeypatch.setattr(barycenter, "ORACLE_MAX_ITER", 1)
-        _assert_matches_perron(barycenter_dataset("A", 8, 8, np.random.default_rng(5)))
+        _assert_matches_perron(barycenter_dataset("A", 8, np.random.default_rng(5)))
 
 
 def _assert_matches_perron(data):
@@ -645,7 +645,7 @@ class TestOracleBitwiseReference:
     @pytest.mark.parametrize("name", ["A", "B", "C"])
     def test_harness_datasets(self, name):
         for seed in range(1000, 1040):
-            _assert_same_solve(barycenter_dataset(name, 8, 8, np.random.default_rng(seed)))
+            _assert_same_solve(barycenter_dataset(name, 8, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("weight_ratio", [8.0, 2.0])
     @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])

@@ -142,7 +142,7 @@ class TestBarycenterExperiment:
             assert by_key[(name, "coord_error")] <= 1e-6
 
     def test_dataset_a_protocol(self):
-        data = barycenter_dataset("A", 8, 8, np.random.default_rng(42))
+        data = barycenter_dataset("A", 8, np.random.default_rng(42))
         assert np.array_equal(data.u_eigs, np.ones((8, 8)))
         # each datum is an isotropic V factor
         assert np.allclose(data.v_eigs, data.v_eigs[:, :1])

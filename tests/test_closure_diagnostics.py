@@ -648,10 +648,10 @@ class TestPiResidual:
             a -= np.trace(a) / n * np.eye(n)
             b = rand_symmetric(n, rng)
             z = kron(np.eye(n), a) + kron(b, np.eye(n))
-            assert frob(pi_residual(z, n)) <= 1e-12 * max(frob(z), 1.0)
+            assert frob(pi_residual(z)) <= 1e-12 * max(frob(z), 1.0)
 
     def test_identity_in_kernel(self):
-        assert frob(pi_residual(np.eye(9), 3)) <= 1e-14
+        assert frob(pi_residual(np.eye(9))) <= 1e-14
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_projection_properties(self, n):
@@ -659,18 +659,18 @@ class TestPiResidual:
         for _ in range(10):
             z = rand_symmetric(n * n, rng)
             y = rand_symmetric(n * n, rng)
-            pz, py = pi_residual(z, n), pi_residual(y, n)
+            pz, py = pi_residual(z), pi_residual(y)
             # idempotent, self-adjoint, traceless partial traces
-            assert frob(pi_residual(pz, n) - pz) <= 1e-12 * frob(z)
+            assert frob(pi_residual(pz) - pz) <= 1e-12 * frob(z)
             assert abs(np.sum(pz * y) - np.sum(z * py)) <= 1e-12 * frob(z) * frob(y)
-            assert frob(partial_trace_1(pz, n)) <= 1e-12 * frob(z)
-            assert frob(partial_trace_2(pz, n)) <= 1e-12 * frob(z)
+            assert frob(partial_trace_1(pz)) <= 1e-12 * frob(z)
+            assert frob(partial_trace_2(pz)) <= 1e-12 * frob(z)
 
     def test_orthogonal_to_kernel(self):
         rng = np.random.default_rng(9)
         n = 3
         z = rand_symmetric(n * n, rng)
-        pz = pi_residual(z, n)
+        pz = pi_residual(z)
         a = rand_symmetric(n, rng)
         b = rand_symmetric(n, rng)
         member = kron(np.eye(n), a) + kron(b, np.eye(n))
@@ -683,8 +683,8 @@ class TestPiResidual:
         z = rand_symmetric(n * n, rng)
         q, r = rand_orthogonal(n, rng), rand_orthogonal(n, rng)
         rot = kron(r, q)
-        left = pi_residual(rot.T @ z @ rot, n)
-        right = rot.T @ pi_residual(z, n) @ rot
+        left = pi_residual(rot.T @ z @ rot)
+        right = rot.T @ pi_residual(z) @ rot
         assert frob(left - right) <= 1e-12 * frob(z)
 
 
@@ -805,7 +805,7 @@ class TestRigidity:
         p0, p1 = pair
         z0 = whitened_initial_velocity(factor_transports(p0, p1))
         assert np.array_equal(z0, z0.T)
-        expected = frob(pi_residual(z0, p0.n))
+        expected = frob(pi_residual(z0))
         report = endpoint_rigidity_classify(p0, p1)
         assert report.verdict is RigidityVerdict.DEPARTS
         assert abs(report.residual_norm - expected) <= 1e-12 * expected
@@ -819,7 +819,7 @@ class TestRigidity:
         n = p0.n
         ft = factor_transports(p0, p1)
         scale = frob(ft.p_mat) * frob(ft.q_mat)
-        expected = frob(pi_residual(whitened_initial_velocity(ft), n))
+        expected = frob(pi_residual(whitened_initial_velocity(ft)))
         got = endpoint_rigidity_classify(p0, p1).residual_norm
         assert abs(got - expected) <= 1e-12 * scale
         moving = ft.q_mat if leaf.kind is LeafKind.ROW else ft.p_mat
@@ -964,7 +964,7 @@ class TestPattern2x2:
             p0, p1 = rand_point(2, rng), rand_point(2, rng)
             z0 = whitened_initial_velocity(factor_transports(p0, p1))
             ok, _ = pattern_2x2_check(z0)
-            assert ok == (frob(pi_residual(z0, 2)) <= 1e-10)
+            assert ok == (frob(pi_residual(z0)) <= 1e-10)
 
     def test_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -985,10 +985,10 @@ class TestPattern2x2:
 
 class TestPullbackMetric:
     def test_zero_tangent(self):
-        assert pullback_metric_isotropic(2, 1.0, np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+        assert pullback_metric_isotropic(1.0, np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
 
     def test_direct_substitution(self):
-        got = pullback_metric_isotropic(2, 1.0, np.diag([1.0, -1.0]), np.zeros((2, 2)))
+        got = pullback_metric_isotropic(1.0, np.diag([1.0, -1.0]), np.zeros((2, 2)))
         assert got == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -999,7 +999,7 @@ class TestPullbackMetric:
         h_u = rand_symmetric(n, rng)
         h_u -= np.trace(h_u) / n * np.eye(n)
         h_v = rand_symmetric(n, rng)
-        got = pullback_metric_isotropic(n, s, h_u, h_v)
+        got = pullback_metric_isotropic(s, h_u, h_v)
         # Ambient Bures metric at K = sI via an explicit Lyapunov solve.
         dphi = kron(s * np.eye(n), h_u) + kron(h_v, np.eye(n))
         k = s * np.eye(n * n)
@@ -1009,13 +1009,13 @@ class TestPullbackMetric:
 
     def test_trace_not_zero(self):
         with pytest.raises(TraceNotZero):
-            pullback_metric_isotropic(2, 1.0, np.eye(2), np.zeros((2, 2)))
+            pullback_metric_isotropic(1.0, np.eye(2), np.zeros((2, 2)))
 
     def test_tangents_must_be_n_by_n(self):
         h_u = np.diag([1.0, -1.0])
-        for n, a, b in ((3, h_u, np.eye(3)), (2, h_u, np.eye(3)), (2, np.eye(3), h_u)):
-            with pytest.raises(DimensionMismatch, match="do not match n"):
-                pullback_metric_isotropic(n, 1.0, a, b)
+        for a, b in ((h_u, np.eye(3)), (np.eye(3), h_u), (np.ones((2, 2, 2)), h_u)):
+            with pytest.raises(DimensionMismatch, match="not n x n of one shape"):
+                pullback_metric_isotropic(1.0, a, b)
 
     @pytest.mark.parametrize("factor, raises", [(10.0, True), (0.1, False)])
     def test_trace_gate_boundary(self, factor, raises):
@@ -1024,9 +1024,9 @@ class TestPullbackMetric:
         h_u = np.diag([1.0 + factor * 1e-12 * np.sqrt(2.0), -1.0])
         if raises:
             with pytest.raises(TraceNotZero):
-                pullback_metric_isotropic(2, 1.0, h_u, np.zeros((2, 2)))
+                pullback_metric_isotropic(1.0, h_u, np.zeros((2, 2)))
         else:
-            assert pullback_metric_isotropic(2, 1.0, h_u, np.zeros((2, 2))) > 0.0
+            assert pullback_metric_isotropic(1.0, h_u, np.zeros((2, 2))) > 0.0
 
 
 class TestNonFiniteRejected:
@@ -1050,20 +1050,20 @@ class TestNonFiniteRejected:
         ),
         "pullback_scale": (
             lambda bad: pullback_metric_isotropic(
-                2, bad, np.diag([1.0, -1.0]), np.eye(2)
+                bad, np.diag([1.0, -1.0]), np.eye(2)
             ),
             ParameterOutOfRange,
         ),
         # A NaN passed the trace test and returned NaN.
         "pullback_h_u": (
             lambda bad: pullback_metric_isotropic(
-                2, 1.0, np.array([[1.0, bad], [bad, -1.0]]), np.eye(2)
+                1.0, np.array([[1.0, bad], [bad, -1.0]]), np.eye(2)
             ),
             ParameterOutOfRange,
         ),
         "pullback_h_v": (
             lambda bad: pullback_metric_isotropic(
-                2, 1.0, np.diag([1.0, -1.0]), np.array([[1.0, bad], [bad, 1.0]])
+                1.0, np.diag([1.0, -1.0]), np.array([[1.0, bad], [bad, 1.0]])
             ),
             ParameterOutOfRange,
         ),

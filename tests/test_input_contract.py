@@ -75,22 +75,18 @@ SLOTS = {
     "symmetrize": Slot(kb.symmetrize, M2, ParameterOutOfRange),
     "kron.a": Slot(lambda x: kb.kron(x, M2), M2, ParameterOutOfRange),
     "kron.b": Slot(lambda x: kb.kron(M2, x), M2, ParameterOutOfRange),
-    "partial_trace_1": Slot(
-        lambda x: kb.partial_trace_1(x, 2), M4, ParameterOutOfRange
-    ),
-    "partial_trace_2": Slot(
-        lambda x: kb.partial_trace_2(x, 2), M4, ParameterOutOfRange
-    ),
+    "partial_trace_1": Slot(kb.partial_trace_1, M4, ParameterOutOfRange),
+    "partial_trace_2": Slot(kb.partial_trace_2, M4, ParameterOutOfRange),
     "SpdMatrix": Slot(kb.SpdMatrix, M2, NotPositiveDefinite),
-    "pi_residual": Slot(lambda x: kb.pi_residual(x, 2), M4, ParameterOutOfRange),
+    "pi_residual": Slot(kb.pi_residual, M4, ParameterOutOfRange),
     "pattern_2x2_check": Slot(kb.pattern_2x2_check, M4, ParameterOutOfRange),
     "pullback.h_u": Slot(
-        lambda x: kb.pullback_metric_isotropic(2, 1.5, x, M2),
+        lambda x: kb.pullback_metric_isotropic(1.5, x, M2),
         TRACE_FREE,
         ParameterOutOfRange,
     ),
     "pullback.h_v": Slot(
-        lambda x: kb.pullback_metric_isotropic(2, 1.5, TRACE_FREE, x),
+        lambda x: kb.pullback_metric_isotropic(1.5, TRACE_FREE, x),
         M2,
         ParameterOutOfRange,
     ),

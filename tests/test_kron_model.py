@@ -127,7 +127,7 @@ class TestEmbedRecover:
         # ratio times MEMBERSHIP_TOL = 1e-8.
         rng = np.random.default_rng(90)
         k = embed(rand_point(3, rng)).mat
-        e = pi_residual(rand_symmetric(9, rng), 3)
+        e = pi_residual(rand_symmetric(9, rng))
         e *= ratio * 1e-8 * frob(k) / frob(e)
         if rejected:
             with pytest.raises(NotInModel):
