@@ -23,6 +23,7 @@ from .bures_metric import (
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NonPositiveCoordinate,
     NumericalConsistencyError,
     ParameterOutOfRange,
 )
@@ -51,8 +52,11 @@ def _check_weights(weights, count: int) -> np.ndarray:
     w = _check_positive("weights", weights)
     if w.shape != (count,):
         raise DimensionMismatch(f"expected {count} weights, got shape {w.shape}")
-    if abs(w.sum() - 1.0) > WEIGHT_TOL * max(1.0, count):
-        raise ParameterOutOfRange(f"weights sum to {w.sum()!r}, expected 1")
+    # A sum that overflows reads inf and fails the test.
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if abs(total - 1.0) > WEIGHT_TOL * max(1.0, count):
+        raise ParameterOutOfRange(f"weights sum to {total!r}, expected 1")
     return w
 
 
@@ -72,11 +76,16 @@ class SliceData:
 
     def __post_init__(self):
         _store_positive(self, 2, u_eigs=self.u_eigs, v_eigs=self.v_eigs)
-        _check_gauge("u eigenvalue rows", self.u_eigs)
+        _check_gauge("u eigenvalue rows", np.log(self.u_eigs))
         _store_positive(self, 1, weights=_check_weights(self.weights, self.count))
         # Constant part of the slice objective, computed once.
-        kappa = np.dot(self.weights, self.u_eigs.sum(axis=1) * self.v_eigs.sum(axis=1))
-        object.__setattr__(self, "kappa", float(kappa))
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa = float(
+                np.dot(self.weights, self.u_eigs.sum(axis=1) * self.v_eigs.sum(axis=1))
+            )
+        if not math.isfinite(kappa):
+            raise NonPositiveCoordinate("slice objective constant kappa overflows")
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def n(self) -> int:
@@ -140,8 +149,12 @@ def slice_objective(x, y, data: SliceData) -> float:
         raise DimensionMismatch(
             f"coordinate shapes {x.shape}, {y.shape} do not match n = {data.n}"
         )
-    cross = float(np.sqrt(x) @ coefficient_matrix(data) @ np.sqrt(y))
-    return float(x.sum() * y.sum() + data.kappa - 2.0 * cross)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = float(np.sqrt(x) @ coefficient_matrix(data) @ np.sqrt(y))
+        value = float(x.sum() * y.sum() + data.kappa - 2.0 * cross)
+    if not math.isfinite(value):
+        raise NonPositiveCoordinate("slice objective overflows")
+    return value
 
 
 def perron_singular_pair(c_mat) -> PerronSolution:
@@ -153,9 +166,16 @@ def perron_singular_pair(c_mat) -> PerronSolution:
     """
     c_mat = _square(c_mat)
     _check_positive("coefficient matrix", c_mat)
-    u = np.abs(np.linalg.eigh(c_mat @ c_mat.T)[1][:, -1])
-    v = c_mat.T @ u
-    sigma1 = float(np.linalg.norm(v))
+    # A product that overflows reads inf: in CC^T, before its eigh, or in sigma1.
+    with np.errstate(over="ignore"):
+        gram = c_mat @ c_mat.T
+        sigma1 = math.inf
+        if np.isfinite(gram).all():
+            u = np.abs(np.linalg.eigh(gram)[1][:, -1])
+            v = c_mat.T @ u
+            sigma1 = float(np.linalg.norm(v))
+    if not math.isfinite(sigma1):
+        raise NonPositiveCoordinate("products of the coefficient matrix overflow")
     v1 = v / sigma1
     res = max(
         float(np.linalg.norm(c_mat @ v1 - sigma1 * u)),

@@ -10,6 +10,7 @@ classification, the 2x2 pattern test, and the isotropic pullback metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,7 @@ from .spd_core import (
     SpdMatrix,
     _check_positive,
     _match_dims,
+    _positive_scalar,
     _store_positive,
     _symmetrized,
     kron,
@@ -85,8 +87,8 @@ class CommutingChart:
 
     def __post_init__(self):
         _store_positive(self, 1, u0=self.u0, u1=self.u1, v0=self.v0, v1=self.v1)
-        _check_gauge("u0", self.u0)
-        _check_gauge("u1", self.u1)
+        _check_gauge("u0", np.log(self.u0))
+        _check_gauge("u1", np.log(self.u1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +107,8 @@ class SqrtProfile:
 
     def __post_init__(self):
         _store_positive(self, 1, a=self.a, b=self.b, c=self.c, d=self.d)
-        _check_gauge("a o a", self.a * self.a)
-        _check_gauge("c o c", self.c * self.c)
+        _check_gauge("a o a", 2.0 * np.log(self.a))
+        _check_gauge("c o c", 2.0 * np.log(self.c))
 
     @classmethod
     def from_chart(cls, chart: CommutingChart) -> "SqrtProfile":
@@ -344,15 +346,19 @@ def pi_residual(z) -> np.ndarray:
 
     Pi(Z) = Z - (1/n) I (x) tr1(Z) - (1/n) tr2(Z) (x) I + tr(Z)/n^2 I for
     an n^2 x n^2 matrix Z. Both partial traces of the result vanish, and the
-    kernel is exactly the Kronecker-sum space {I (x) A + B (x) I}.
+    kernel is exactly the Kronecker-sum space {I (x) A + B (x) I}. A sum
+    that overflows raises ParameterOutOfRange.
     """
     z = symmetrize(z)
     t1 = partial_trace_1(z)
     t2 = partial_trace_2(z)
     n = t1.shape[0]
     eye = np.eye(n)
-    out = z - kron(eye, t1) / n - kron(t2, eye) / n
-    out[np.diag_indices_from(out)] += np.trace(z) / n**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = z - kron(eye, t1) / n - kron(t2, eye) / n
+        out[np.diag_indices_from(out)] += np.trace(z) / n**2
+    if not np.isfinite(out).all():
+        raise ParameterOutOfRange("partial-trace residual overflows")
     return out
 
 
@@ -445,15 +451,20 @@ def pattern_2x2_check(z0) -> tuple[bool, list[str]]:
     """Entrywise tangency relations for n = 2.
 
     Returns whether all relations hold and the list of violated ones;
-    agreement with the residual test is exact up to tolerances.
+    agreement with the residual test is exact up to tolerances. A norm of
+    Z0 that overflows raises ParameterOutOfRange; a gap that overflows is
+    violated.
     """
     z0 = symmetrize(z0)
     if z0.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4 x 4 matrix, got shape {z0.shape}")
-    scale = max(1.0, float(np.linalg.norm(z0)))
-    violated = [
-        name for name, gap in _PATTERN_RELATIONS if gap(z0) > PATTERN_TOL * scale
-    ]
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(z0)))
+        if not math.isfinite(scale):
+            raise ParameterOutOfRange("norm of the 4 x 4 matrix overflows")
+        violated = [
+            name for name, gap in _PATTERN_RELATIONS if gap(z0) > PATTERN_TOL * scale
+        ]
     return not violated, violated
 
 
@@ -461,12 +472,10 @@ def pullback_metric_isotropic(s: float, h_u, h_v) -> float:
     """Pullback metric (n/4)(s |H_U|^2 + |H_V|^2 / s) at the point (I, sI).
 
     H_U and H_V are n x n tangents of one shape. H_U must be trace-free,
-    matching the tangent space of the determinant-normalized factor.
+    matching the tangent space of the determinant-normalized factor. A
+    norm or a metric that overflows raises ParameterOutOfRange.
     """
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterOutOfRange(
-            f"isotropic scale must be finite and positive, got {s}"
-        )
+    s = _positive_scalar(s, "isotropic scale", ParameterOutOfRange)
     h_u = symmetrize(h_u)
     h_v = symmetrize(h_v)
     if h_u.ndim != 2 or h_v.shape != h_u.shape:
@@ -474,11 +483,15 @@ def pullback_metric_isotropic(s: float, h_u, h_v) -> float:
             f"tangents of shapes {h_u.shape}, {h_v.shape} are not n x n of one shape"
         )
     n = h_u.shape[0]
-    norm_u = float(np.linalg.norm(h_u))
-    if abs(float(np.trace(h_u))) > 1e-12 * max(norm_u, np.finfo(float).tiny):
-        raise TraceNotZero(f"tr(H_U) = {np.trace(h_u):.6e} is not zero")
-    norm_v = float(np.linalg.norm(h_v))
-    return 0.25 * n * (s * norm_u**2 + norm_v**2 / s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_u, norm_v = np.linalg.norm(h_u), np.linalg.norm(h_v)
+        trace_u = np.trace(h_u)
+        metric = float(0.25 * n * (s * norm_u**2 + norm_v**2 / s))
+    if not math.isfinite(metric):
+        raise ParameterOutOfRange("isotropic pullback metric overflows")
+    if abs(trace_u) > 1e-12 * max(norm_u, np.finfo(float).tiny):
+        raise TraceNotZero(f"tr(H_U) = {trace_u:.6e} is not zero")
+    return metric
 
 
 def departure_profile_rows(profile: SqrtProfile, ts):

@@ -53,11 +53,12 @@ MEMBERSHIP_TOL = 1e-8
 LEAF_TOL = 1e-8
 
 
-def _check_gauge(name: str, eigs) -> None:
-    """Reject eigenvalues, one row or a stack of rows, whose product drifts
-    from one: |sum log| may not exceed GAUGE_TOL per dimension."""
-    drift = float(np.abs(np.log(eigs).sum(axis=-1)).max())
-    if drift > GAUGE_TOL * eigs.shape[-1]:
+def _check_gauge(name: str, log_eigs) -> None:
+    """Reject the logs of eigenvalues, one row or a stack of rows, whose
+    eigenvalue product drifts from one: |sum log| may not exceed GAUGE_TOL
+    per dimension. Summing logs neither over- nor underflows."""
+    drift = float(np.abs(log_eigs.sum(axis=-1)).max())
+    if drift > GAUGE_TOL * log_eigs.shape[-1]:
         raise GaugeViolation(
             f"{name} has |log det| = {drift:.6e}, violating the unit-determinant gauge"
         )
@@ -89,7 +90,7 @@ class KroneckerPoint:
 
     def __post_init__(self):
         _match_dims(self.u_factor.dim, self.v_factor.dim)
-        _check_gauge("U", self.u_factor.eig.eigenvalues)
+        _check_gauge("U", np.log(self.u_factor.eig.eigenvalues))
 
     @property
     def n(self) -> int:
@@ -133,7 +134,7 @@ class FactorLeaf:
 
     def __post_init__(self):
         if self.kind is LeafKind.ROW:
-            _check_gauge("row-leaf anchor", self.anchor.eig.eigenvalues)
+            _check_gauge("row-leaf anchor", np.log(self.anchor.eig.eigenvalues))
 
 
 def row_leaf(u_star: SpdMatrix) -> FactorLeaf:

@@ -74,6 +74,18 @@ def _symmetrized(arr: np.ndarray) -> np.ndarray:
     return half + np.swapaxes(half, -1, -2)
 
 
+def _positive_scalar(x, what: str, error: type) -> float:
+    """x as a float, by the order of the curve-parameter rule: the dtype rule
+    of ``_float_array``, then every entry finite and positive (else error),
+    then no axis (else DimensionMismatch)."""
+    arr = _float_array(x, what)
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise error(f"{what} must be finite and positive, got {x!r}")
+    if arr.ndim != 0:
+        raise DimensionMismatch(f"{what} of shape {arr.shape} is not a scalar")
+    return float(arr)
+
+
 def _match_dims(n0: int, n1: int) -> None:
     """The one size check for two SPD matrices or two model points."""
     if n0 != n1:
@@ -249,11 +261,13 @@ class SpdMatrix:
         return float(np.trace(self.mat))
 
     def scaled(self, c: float) -> "SpdMatrix":
-        """Positive scalar multiple c * A, reusing the cached spectrum."""
-        if c <= 0.0:
-            raise NotPositiveDefinite(f"scale factor must be positive, got {c}")
-        eig = EigenDecomposition(c * self.eig.eigenvalues, self.eig.eigenvectors)
-        return SpdMatrix(c * self.mat, _eig=eig)
+        """Positive scalar multiple c * A, reusing the cached spectrum. A
+        product that overflows fails the finiteness check: NotPositiveDefinite."""
+        c = _positive_scalar(c, "scale factor", NotPositiveDefinite)
+        with np.errstate(over="ignore"):
+            eig = EigenDecomposition(c * self.eig.eigenvalues, self.eig.eigenvectors)
+            mat = c * self.mat
+        return SpdMatrix(mat, _eig=eig)
 
     @classmethod
     def identity(cls, n: int) -> "SpdMatrix":
@@ -312,8 +326,12 @@ def kron(a, b) -> np.ndarray:
 
     One broadcast product of A[q, None, r, None] and B[None, i, None, j],
     the multiply np.kron makes, without its wrapper; the bits are the same.
+    Its largest entry is max|A| max|B|, so a product that overflows raises
+    ParameterOutOfRange before it is formed.
     """
     a, b = _square(a, finite=True), _square(b, finite=True)
+    if not math.isfinite(float(np.abs(a).max()) * float(np.abs(b).max())):
+        raise ParameterOutOfRange("Kronecker product overflows")
     size = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
 
@@ -328,14 +346,24 @@ def _blocks(k) -> np.ndarray:
     return k.reshape(n, n, n, n)
 
 
+def _block_sum(subscripts: str, k) -> np.ndarray:
+    """The n x n sum of n blocks or block entries of k; a sum that
+    overflows raises ParameterOutOfRange."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.einsum(subscripts, _blocks(k))
+    if not np.isfinite(out).all():
+        raise ParameterOutOfRange("partial trace overflows")
+    return out
+
+
 def partial_trace_1(k) -> np.ndarray:
     """Sum of the n diagonal n x n blocks; satisfies tr1(V (x) U) = tr(V) U."""
-    return np.einsum("qiqj->ij", _blocks(k))
+    return _block_sum("qiqj->ij", k)
 
 
 def partial_trace_2(k) -> np.ndarray:
     """Blockwise trace [tr(K_qr)]; satisfies tr2(V (x) U) = tr(U) V."""
-    return np.einsum("qiri->qr", _blocks(k))
+    return _block_sum("qiri->qr", k)
 
 
 def gauge_normalize(u: SpdMatrix, v: SpdMatrix) -> tuple[SpdMatrix, SpdMatrix]:
