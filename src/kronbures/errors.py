@@ -16,7 +16,8 @@ class DimensionMismatch(KronburesError):
 class ParameterOutOfRange(KronburesError):
     """A parameter lies outside its admissible range: a scalar outside its
     interval, or an array argument that is not real or, where finiteness is
-    its rule, has a non-finite entry."""
+    its rule, has a non-finite entry or finite entries whose arithmetic
+    overflows."""
 
 
 class GaugeViolation(KronburesError):

@@ -79,11 +79,14 @@ def _positive_scalar(x, what: str, error: type) -> float:
     of ``_float_array``, then every entry finite and positive (else error),
     then no axis (else DimensionMismatch)."""
     arr = _float_array(x, what)
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+    # Python float comparisons, which NaN fails too, cost a fifth of a ufunc
+    # pass over a 0-d array; SpdMatrix.scaled runs this once per leaf point.
+    values = arr.ravel().tolist()
+    if not all(0.0 < v < math.inf for v in values):
         raise error(f"{what} must be finite and positive, got {x!r}")
     if arr.ndim != 0:
         raise DimensionMismatch(f"{what} of shape {arr.shape} is not a scalar")
-    return float(arr)
+    return values[0]
 
 
 def _match_dims(n0: int, n1: int) -> None:

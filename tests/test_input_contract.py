@@ -88,8 +88,12 @@ class Slot(NamedTuple):
 
 SLOTS = {
     "symmetrize": Slot(kb.symmetrize, M2, ParameterOutOfRange, None),
-    "kron.a": Slot(lambda x: kb.kron(x, M2), M2, ParameterOutOfRange, ParameterOutOfRange),
-    "kron.b": Slot(lambda x: kb.kron(M2, x), M2, ParameterOutOfRange, ParameterOutOfRange),
+    "kron.a": Slot(
+        lambda x: kb.kron(x, M2), M2, ParameterOutOfRange, ParameterOutOfRange
+    ),
+    "kron.b": Slot(
+        lambda x: kb.kron(M2, x), M2, ParameterOutOfRange, ParameterOutOfRange
+    ),
     "partial_trace_1": Slot(
         kb.partial_trace_1, M4, ParameterOutOfRange, ParameterOutOfRange
     ),

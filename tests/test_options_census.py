@@ -4,8 +4,8 @@ the package exports, of the harness's public functions, and the fields of
 
 A change that adds, removes or renames a parameter edits ``CENSUS`` here,
 so each such change is counted in one place. A parameter with exactly one
-valid value is not an option: the matrix fixes n, the harness fixes the
-ambient cutoff and the dataset size.
+valid value does not belong in it: read that value from the other inputs
+or from a module constant.
 """
 
 import dataclasses
