@@ -57,25 +57,30 @@ def _clamp_distance_sq(d2: float, scale: float) -> float:
 
 
 # The whitened product Y^T B Y, for a square-root factor Y Y^T = A, is
-# formed, symmetrized, by _whitened_product alone, and decomposed only by
-# the helpers below; see SpdMatrix for why it is never validated. Its
-# spectrum does not depend on which factor: Y^T B Y is orthogonally
-# similar to A^1/2 B A^1/2. Every caller takes Y = Q L^1/2 and, where it
-# needs one, Z = Q L^-1/2 = Y^-T from the cached A = Q L Q^T, two column
-# scalings, so the small eigendirections of A are never rounded through a
-# formed root A^-1/2. Y and B may each be one n x n matrix or a stack of
-# shape (m, n, n): Y^T B Y is then one broadcast matmul and its
-# decomposition one stacked LAPACK call, which runs the same per-matrix
-# routine as m separate calls and returns the same bits. With
-# Y^T B Y = W diag(w) W^T and r = sqrt(max(w, 0)), the transport
-# T = Z R Z^T, R = W diag(r) W^T, is the Gram product H H^T of
-# H = Z W diag(r)^1/2: the product Z W and one syrk at N = n^2. Weyl on
-# Z R Z^T gives r_min / a_max <= lambda(T) <= r_max / a_min; those bounds
-# and the check's products TA and TAT reach a GeodesicCurve only through
-# geodesic. R itself is formed only at factor size, by factor_transports,
-# and once per datum by bw_barycenter, whose fixed point sums the roots.
-# A transport from a to b decomposes the product bures_distance_sq(a, b)
-# left (spd_core._leave); one helper forms it, so the bits are the same.
+# formed by the two helpers below alone and decomposed only in this
+# module; see SpdMatrix for why it is never validated. Its spectrum does
+# not depend on which factor: Y^T B Y is orthogonally similar to A^1/2 B
+# A^1/2. _whitened_product forms it from B, symmetrized. Where B comes
+# with a root factor Y1 Y1^T = B, as a model point's factors do,
+# _gram_eigvals forms it as G^T G, G = Y1^T Y0: two products, the second
+# numpy's syrk, and no symmetrize pass (Bhatia, Jain and Lim, Expo. Math.
+# 37, 2019, for the cross term's dependence on Y1^T Y0 alone). Every
+# caller takes Y = Q L^1/2 and, where it needs one, Z = Q L^-1/2 = Y^-T
+# from the cached A = Q L Q^T, two column scalings, so the small
+# eigendirections of A are never rounded through a formed root A^-1/2. Y
+# and B (or Y0 and Y1) may each be one n x n matrix or a stack of shape
+# (m, n, n): the products are then broadcast matmuls and its decomposition
+# one stacked LAPACK call, which runs the same per-matrix routine as m
+# separate calls and returns the same bits. With Y^T B Y = W diag(w) W^T
+# and r = sqrt(max(w, 0)), the transport T = Z R Z^T, R = W diag(r) W^T,
+# is the Gram product H H^T of H = Z W diag(r)^1/2: the product Z W and
+# one syrk at N = n^2. Weyl on Z R Z^T gives r_min / a_max <= lambda(T) <=
+# r_max / a_min; those bounds and the check's products TA and TAT reach a
+# GeodesicCurve only through geodesic. R itself is formed only at factor
+# size, by factor_transports, and once per datum by bw_barycenter, whose
+# fixed point sums the roots. A transport from a to b decomposes the
+# product bures_distance_sq(a, b) left (spd_core._leave); one helper forms
+# it, so the bits are the same.
 
 
 def _whitened_product(y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,10 +89,12 @@ def _whitened_product(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _symmetrized(np.swapaxes(y, -1, -2) @ b @ y)
 
 
-def _whitened_eigvals(y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrized Y^T B Y, clipped at 0; Y and
-    B may also be (m, n, n) stacks that broadcast."""
-    return np.maximum(np.linalg.eigvalsh(_whitened_product(y, b)), 0.0)
+def _gram_eigvals(y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the whitened product Y0^T B Y0, B = Y1 Y1^T,
+    clipped at 0, as the Gram product G^T G of G = Y1^T Y0; Y0 and Y1 may
+    also be (m, n, n) stacks that broadcast."""
+    g = np.swapaxes(y1, -1, -2) @ y0
+    return np.maximum(np.linalg.eigvalsh(np.swapaxes(g, -1, -2) @ g), 0.0)
 
 
 def _whitened_root_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

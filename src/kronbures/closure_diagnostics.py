@@ -363,16 +363,28 @@ def pi_residual(z) -> np.ndarray:
 
 
 def factor_transports(p0: KroneckerPoint, p1: KroneckerPoint) -> FactorTransports:
-    """Factor Bures transports S_U, S_V and the whitened maps P, Q."""
+    """Factor Bures transports S_U, S_V and the whitened maps P, Q.
+
+    V carries a point's whole scale, so the V pair is whitened on copies
+    c V0 and c V1, for the power of four c that brings c^2 v0_max v1_max,
+    the scale of the whitened product, into [1/4, 8) (c is at most 2^1022,
+    for subnormal spectra). The scaling is exact, since c and c^1/2 are
+    powers of two, and S_V and P do not depend on it, so no V scale from
+    1e-300 to 1e300 under- or overflows their products.
+    """
     _match_dims(p0.n, p1.n)
+    top = sum(math.frexp(p.v_factor.eig.eigenvalues[0])[1] for p in (p0, p1))
+    c = math.ldexp(1.0, -2 * max(top // 4, -511))
+    v0 = p0.v_factor.scaled(c)
     # The transports whiten in p0's factor eigenbases, as transport_map
-    # does, so they have its bits.
-    s_v, eig_v, _ = _transport(p0.v_factor, p1.v_factor)
+    # does, so they have its bits wherever its products neither under- nor
+    # overflow.
+    s_v, eig_v, _ = _transport(v0, p1.v_factor.scaled(c))
     s_u, eig_u, _ = _transport(p0.u_factor, p1.u_factor)
     return FactorTransports(
         s_u=s_u,
         s_v=s_v,
-        p_mat=_whitened_transport(p0.v_factor, eig_v),
+        p_mat=_whitened_transport(v0, eig_v),
         q_mat=_whitened_transport(p0.u_factor, eig_u),
     )
 
@@ -451,20 +463,19 @@ def pattern_2x2_check(z0) -> tuple[bool, list[str]]:
     """Entrywise tangency relations for n = 2.
 
     Returns whether all relations hold and the list of violated ones;
-    agreement with the residual test is exact up to tolerances. A norm of
-    Z0 that overflows raises ParameterOutOfRange; a gap that overflows is
-    violated.
+    agreement with the residual test is exact up to tolerances. A gap is
+    violated above PATTERN_TOL * max(1, ||Z0||_F). The norm and the gaps
+    are formed on Z0 2^-e, for the least e >= 0 with max|Z0| < 2^e, so
+    none overflows; the scaling is exact, so every finite Z0 answers, with
+    the verdict of Z0 itself.
     """
     z0 = symmetrize(z0)
     if z0.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4 x 4 matrix, got shape {z0.shape}")
-    with np.errstate(over="ignore"):
-        scale = max(1.0, float(np.linalg.norm(z0)))
-        if not math.isfinite(scale):
-            raise ParameterOutOfRange("norm of the 4 x 4 matrix overflows")
-        violated = [
-            name for name, gap in _PATTERN_RELATIONS if gap(z0) > PATTERN_TOL * scale
-        ]
+    e = max(math.frexp(float(np.abs(z0).max()))[1], 0)
+    z = np.ldexp(z0, -e)
+    scale = max(math.ldexp(1.0, -e), float(np.linalg.norm(z)))
+    violated = [name for name, gap in _PATTERN_RELATIONS if gap(z) > PATTERN_TOL * scale]
     return not violated, violated
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from .bures_metric import (
     _check_parameter,
     _clamp_distance_sq,
+    _gram_eigvals,
     _root_factors,
-    _whitened_eigvals,
     bures_distance_sq,
     geodesic,
     geodesic_eval,
@@ -73,12 +73,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class KroneckerPoint:
     """Gauge-normalized factor pair (U, V) representing V (x) U.
 
-    Three private caches serve the reduced distance: the factor stack
-    (V, U) of shape (2, n, n), the stack (Y_V, Y_U) of the factors' root
-    factors Y = Q L^1/2 from ``bures_metric._root_factors`` (Y Y^T is the
-    factor), and the float tr U * tr V. Each is computed on first use and
-    read-only. The caches hold only n x n arrays; the n^2 x n^2 embedding
-    caches nothing.
+    Two private caches serve the reduced distance: the stack (Y_V, Y_U) of
+    shape (2, n, n) of the factors' root factors Y = Q L^1/2 from
+    ``bures_metric._root_factors`` (Y Y^T is the factor), which both points
+    of a pair contribute to its Gram product, and the float tr U * tr V.
+    Each is computed on first use and read-only. The caches hold only
+    n x n arrays; the n^2 x n^2 embedding caches nothing.
 
     ``pairwise_bures_sq_reduced(p0, self)`` leaves its squared distance, a
     float, on ``self`` for ``reduced_distances_sq(p0, points)``, by the one
@@ -95,10 +95,6 @@ class KroneckerPoint:
     @property
     def n(self) -> int:
         return self.u_factor.dim
-
-    @cached_property
-    def _factors(self) -> np.ndarray:
-        return _read_only(np.stack((self.v_factor.mat, self.u_factor.mat)))
 
     @cached_property
     def _y_factors(self) -> np.ndarray:
@@ -148,7 +144,7 @@ def col_leaf(v_star: SpdMatrix) -> FactorLeaf:
 @dataclass(frozen=True, eq=False)
 class PairwiseSpectrum:
     """Eigenvalues of the two whitened factor products, sorted descending,
-    as read-only views of one (2, n) array."""
+    as read-only reversed views of the rows of one ascending (2, n) array."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -195,17 +191,13 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
     return p
 
 
-def _whitened_spectrum(roots: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    # Descending along the last axis, the order PairwiseSpectrum documents.
-    return np.ascontiguousarray(_whitened_eigvals(roots, factors)[..., ::-1])
-
-
 def _reduced_sq(p0: KroneckerPoint, p1: KroneckerPoint) -> tuple[float, np.ndarray]:
     """(d^2, spectrum): the clamped squared distance by the product form
-    tr(A^1/2) tr(B^1/2) of the cross term, and the read-only (2, n)
-    spectrum of the two whitened factor products, from one stacked
-    eigvalsh of shape (2, n, n)."""
-    spectrum = _read_only(_whitened_spectrum(p0._y_factors, p1._factors))
+    tr(A^1/2) tr(B^1/2) of the cross term, and the read-only ascending
+    (2, n) spectrum of the two whitened factor products, from one Gram
+    product of the points' root stacks and one stacked eigvalsh of shape
+    (2, n, n)."""
+    spectrum = _read_only(_gram_eigvals(p0._y_factors, p1._y_factors))
     cross = np.sqrt(spectrum).sum(axis=-1)
     tr_sum = p0._trace_product + p1._trace_product
     d2 = _clamp_distance_sq(tr_sum - 2.0 * float(cross[0]) * float(cross[1]), tr_sum)
@@ -217,15 +209,17 @@ def pairwise_bures_sq_reduced(
 ) -> tuple[float, PairwiseSpectrum]:
     """Squared Bures distance between embeddings from factor-size spectra.
 
-    The whole computation costs one stacked eigendecomposition of the two
-    n x n whitened factors, plus p0's two root factors on its first use.
+    The whole computation costs one stacked Gram product of the two
+    points' root factors and one stacked eigendecomposition of the two
+    n x n whitened factors, plus each point's two root factors on its
+    first use.
     The squared distance is left on p1 (``spd_core._leave``) for
     ``reduced_distances_sq(p0, ...)``.
     """
     _match_dims(p0.n, p1.n)
     d2, spectrum = _reduced_sq(p0, p1)
     _leave(p1, p0, d2)
-    return d2, PairwiseSpectrum(alpha=spectrum[0], beta=spectrum[1])
+    return d2, PairwiseSpectrum(alpha=spectrum[0, ::-1], beta=spectrum[1, ::-1])
 
 
 def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:

@@ -34,8 +34,8 @@ from kronbures.bench_cli import gen_spd
 from kronbures.bures_metric import (
     _clamp_distance_sq,
     _geodesic_bounds,
+    _gram_eigvals,
     _root_factors,
-    _whitened_eigvals,
     _whitened_product,
     _whitened_root_eig,
 )
@@ -255,11 +255,11 @@ class TestStackedWhitening:
         rng = np.random.default_rng(seed)
         s = spd_sqrt(rand_spd(n, rng))
         stack = np.stack([rand_spd(n, rng).mat for _ in range(count)])
-        eigvals = _whitened_eigvals(s, stack)
+        eigvals = _gram_eigvals(s, stack)
         w, r = _whitened_root_eig(_whitened_product(s, stack))
         assert eigvals.shape == r.shape == (count, n) and w.shape == (count, n, n)
         for i in range(count):
-            assert np.array_equal(eigvals[i], _whitened_eigvals(s, stack[i]))
+            assert np.array_equal(eigvals[i], _gram_eigvals(s, stack[i]))
             wi, ri = _whitened_root_eig(_whitened_product(s, stack[i]))
             assert np.array_equal(w[i], wi) and np.array_equal(r[i], ri)
 
@@ -271,12 +271,31 @@ class TestStackedWhitening:
         y = np.stack([_root_factors(rand_spd(n, rng))[0] for _ in range(2)])
         b = np.stack([rand_spd(n, rng).mat for _ in range(2)])
         assert not np.array_equal(y[0], y[0].T)
-        eigvals = _whitened_eigvals(y, b)
+        eigvals = _gram_eigvals(y, b)
         w, r = _whitened_root_eig(_whitened_product(y, b))
         for i in range(2):
-            assert np.array_equal(eigvals[i], _whitened_eigvals(y[i], b[i]))
+            assert np.array_equal(eigvals[i], _gram_eigvals(y[i], b[i]))
             wi, ri = _whitened_root_eig(_whitened_product(y[i], b[i]))
             assert np.array_equal(w[i], wi) and np.array_equal(r[i], ri)
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 16),
+        count=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_stack_bitwise_equal_to_each_matrix(self, n, count, seed):
+        # The reduced distance's route: both sides are stacks of root
+        # factors Y = Q L^1/2, which are not symmetric, and one root
+        # factor also broadcasts against a stack.
+        rng = np.random.default_rng(seed)
+        y0 = np.stack([_root_factors(rand_spd(n, rng))[0] for _ in range(count)])
+        y1 = np.stack([_root_factors(rand_spd(n, rng))[0] for _ in range(count)])
+        stacked, broadcast = _gram_eigvals(y0, y1), _gram_eigvals(y0[0], y1)
+        assert stacked.shape == broadcast.shape == (count, n)
+        for i in range(count):
+            assert np.array_equal(stacked[i], _gram_eigvals(y0[i], y1[i]))
+            assert np.array_equal(broadcast[i], _gram_eigvals(y0[0], y1[i]))
 
 
 class TestClampDistances:

@@ -691,8 +691,8 @@ class TestPiResidual:
 class TestFactorTransports:
     def test_each_root_of_p0_taken_once(self, monkeypatch):
         # Each call takes the root factors of p0's two factors once, inside
-        # the transports, and forms no principal root: neither module that
-        # builds them imports spd_sqrt.
+        # the transports, V0's on a copy scaled by a power of four, and forms
+        # no principal root: neither module that builds them imports spd_sqrt.
         assert not hasattr(bures_metric, "spd_sqrt")
         assert not hasattr(closure_diagnostics, "spd_sqrt")
         calls = []
@@ -706,10 +706,12 @@ class TestFactorTransports:
         rng = np.random.default_rng(13)
         p0, p1, p2 = (rand_point(3, rng) for _ in range(3))
         ft = factor_transports(p0, p1)
-        want = [("_root_factors", p0.v_factor), ("_root_factors", p0.u_factor)]
-        assert calls == want
+        (_, v0), (_, u0) = calls
+        c = v0.mat[0, 0] / p0.v_factor.mat[0, 0]
+        assert math.frexp(c)[0] == 0.5 and math.frexp(c)[1] % 2 == 1
+        assert np.array_equal(v0.mat, c * p0.v_factor.mat) and u0 is p0.u_factor
         factor_transports(p0, p2)
-        assert calls == want * 2
+        assert len(calls) == 4 and calls[3][1] is p0.u_factor
         # Same bits as the transports computed by transport_map.
         assert np.array_equal(ft.s_v.mat, transport_map(p0.v_factor, p1.v_factor).mat)
         assert np.array_equal(ft.s_u.mat, transport_map(p0.u_factor, p1.u_factor).mat)
@@ -886,6 +888,30 @@ class TestRigidity:
             expected = RigidityVerdict.COMMON_COL_LEAF
         assert endpoint_rigidity_classify(p0, p1).verdict is expected
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 1e-170, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e170, 1e300]
+    )
+    def test_v_scale_sweep(self, scale, action):
+        # V carries a point's whole scale, and S_V and P do not depend on
+        # it: V1 = 2 V0 shares V0's column leaf at every scale, with the P
+        # of the unit-scale pair, and a V1 that is no multiple of V0 departs.
+        rng = np.random.default_rng(47)
+        v, other = rand_spd(3, rng), rand_spd(3, rng)
+        u0, u1 = rand_spd(3, rng, normalized=True), rand_spd(3, rng, normalized=True)
+        unit = factor_transports(KroneckerPoint(u0, v), KroneckerPoint(u1, v.scaled(2.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            v0 = SpdMatrix(scale * v.mat)
+            p0 = KroneckerPoint(u0, v0)
+            on = KroneckerPoint(u1, SpdMatrix(2.0 * v0.mat))
+            off = KroneckerPoint(u1, SpdMatrix(scale * other.mat))
+            report = endpoint_rigidity_classify(p0, on)
+            p_mat = factor_transports(p0, on).p_mat
+            assert report.verdict is RigidityVerdict.COMMON_COL_LEAF
+            assert frob(p_mat - unit.p_mat) <= 1e-12 * frob(unit.p_mat)
+            assert endpoint_rigidity_classify(p0, off).verdict is RigidityVerdict.DEPARTS
+
     def test_misconfigured_tolerance_raises(self, monkeypatch):
         # A coarse RESIDUAL_TOL accepts the residual of a mildly perturbed U
         # factor, which the factor comparison rejects; the conflict must surface.
@@ -951,6 +977,17 @@ class TestPattern2x2:
     def test_zero_matrix(self):
         ok, violated = pattern_2x2_check(np.zeros((4, 4)))
         assert ok and not violated
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_norm_beyond_1e154_answers(self, action):
+        # ||Z0||_F = 4e200 is a float although its sum of squares is not; a
+        # power-of-two scale of the worked example keeps its verdict.
+        z0 = whitened_initial_velocity(factor_transports(*example_noncommuting_pair()))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert pattern_2x2_check(np.full((4, 4), 1e200)) == (False, ["z14=0", "z23=0"])
+            for e in (600, 1000):
+                assert pattern_2x2_check(np.ldexp(z0, e)) == pattern_2x2_check(z0)
 
     def test_worked_example_violates(self):
         z0 = whitened_initial_velocity(factor_transports(*example_noncommuting_pair()))

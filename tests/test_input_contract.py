@@ -105,9 +105,7 @@ SLOTS = {
         lambda x: A.scaled(x), 2.0, NotPositiveDefinite, NotPositiveDefinite
     ),
     "pi_residual": Slot(kb.pi_residual, M4, ParameterOutOfRange, ParameterOutOfRange),
-    "pattern_2x2_check": Slot(
-        kb.pattern_2x2_check, M4, ParameterOutOfRange, ParameterOutOfRange
-    ),
+    "pattern_2x2_check": Slot(kb.pattern_2x2_check, M4, ParameterOutOfRange, None),
     "pullback.s": Slot(
         lambda x: kb.pullback_metric_isotropic(x, TRACE_FREE, M2),
         1.5,
