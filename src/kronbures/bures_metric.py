@@ -93,8 +93,9 @@ def _gram_eigvals(y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the whitened product Y0^T B Y0, B = Y1 Y1^T,
     clipped at 0, as the Gram product G^T G of G = Y1^T Y0; Y0 and Y1 may
     also be (m, n, n) stacks that broadcast."""
-    g = np.swapaxes(y1, -1, -2) @ y0
-    return np.maximum(np.linalg.eigvalsh(np.swapaxes(g, -1, -2) @ g), 0.0)
+    g = y1.swapaxes(-1, -2) @ y0
+    w = np.linalg.eigvalsh(g.swapaxes(-1, -2) @ g)
+    return np.maximum(w, 0.0, out=w)
 
 
 def _whitened_root_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
