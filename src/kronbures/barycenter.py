@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bures_metric import (
-    _root_factors,
     _whitened_product,
     _whitened_root_eig,
     transport_map,
@@ -240,16 +239,15 @@ def bw_barycenter(mats, weights) -> SpdMatrix:
     eye = np.eye(n)
     best = (np.inf, v)
     for _ in range(BW_MAX_ITER):
-        y, z = _root_factors(v)
-        h = np.sqrt(v.eig.eigenvalues)
-        # All N roots (Y^T M_i Y)^1/2 from one stacked eigh.
-        g = _weighted_root_sum(*_whitened_root_eig(_whitened_product(y, stack)), w)
+        q, h = v.eig.eigenvectors, np.sqrt(v.eig.eigenvalues)
+        # All N roots (Y^T M_i Y)^1/2, Y = Q diag(h), from one stacked eigh.
+        g = _weighted_root_sum(*_whitened_root_eig(_whitened_product(q * h, stack)), w)
         residual = float(np.linalg.norm(g / np.multiply.outer(h, h) - eye))
         if residual < best[0]:
             best = (residual, v)
         if residual <= BW_TOL:
             return v
-        half = z @ g
+        half = (q / h) @ g
         v = SpdMatrix(half @ half.T)
     raise NoConvergence(
         f"fixed point not stationary after {BW_MAX_ITER} iterations; residual "

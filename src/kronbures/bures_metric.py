@@ -62,7 +62,7 @@ def _clamp_distance_sq(d2: float, scale: float) -> float:
 # not depend on which factor: Y^T B Y is orthogonally similar to A^1/2 B
 # A^1/2. _whitened_product forms it from B, symmetrized. Where B comes
 # with a root factor Y1 Y1^T = B, as a model point's factors do,
-# _gram_eigvals forms it as G^T G, G = Y1^T Y0: two products, the second
+# _gram_product forms it as G^T G, G = Y1^T Y0: two products, the second
 # numpy's syrk, and no symmetrize pass (Bhatia, Jain and Lim, Expo. Math.
 # 37, 2019, for the cross term's dependence on Y1^T Y0 alone). Every
 # caller takes Y = Q L^1/2 and, where it needs one, Z = Q L^-1/2 = Y^-T
@@ -76,9 +76,10 @@ def _clamp_distance_sq(d2: float, scale: float) -> float:
 # is the Gram product H H^T of H = Z W diag(r)^1/2: the product Z W and
 # one syrk at N = n^2. Weyl on Z R Z^T gives r_min / a_max <= lambda(T) <=
 # r_max / a_min; those bounds and the check's products TA and TAT reach a
-# GeodesicCurve only through geodesic. R itself is formed only at factor
-# size, by factor_transports, and once per datum by bw_barycenter, whose
-# fixed point sums the roots. A transport from a to b decomposes the
+# GeodesicCurve only through geodesic. factor_transports forms S_U and
+# S_V so, with those bounds and check, from one stacked eigh of the Gram
+# products, and R for its P and Q; bw_barycenter forms R once per datum,
+# as its fixed point sums the roots. transport_map(a, b) decomposes the
 # product bures_distance_sq(a, b) left (spd_core._leave); one helper forms
 # it, so the bits are the same.
 
@@ -89,12 +90,17 @@ def _whitened_product(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _symmetrized(np.swapaxes(y, -1, -2) @ b @ y)
 
 
-def _gram_eigvals(y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the whitened product Y0^T B Y0, B = Y1 Y1^T,
-    clipped at 0, as the Gram product G^T G of G = Y1^T Y0; Y0 and Y1 may
-    also be (m, n, n) stacks that broadcast."""
+def _gram_product(y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """The whitened product Y0^T B Y0, B = Y1 Y1^T, as the Gram product
+    G^T G of G = Y1^T Y0; Y0 and Y1 may also be (m, n, n) stacks that
+    broadcast."""
     g = y1.swapaxes(-1, -2) @ y0
-    w = np.linalg.eigvalsh(g.swapaxes(-1, -2) @ g)
+    return g.swapaxes(-1, -2) @ g
+
+
+def _gram_eigvals(y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of _gram_product(y0, y1), clipped at 0."""
+    w = np.linalg.eigvalsh(_gram_product(y0, y1))
     return np.maximum(w, 0.0, out=w)
 
 
@@ -112,18 +118,15 @@ def _extremes(a: SpdMatrix) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def _root_factors(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Y = Q L^1/2 and Z = Q L^-1/2 from A's cached eigendecomposition:
-    Y Y^T = A and Z = Y^-T."""
-    q = a.eig.eigenvectors
-    h = np.sqrt(a.eig.eigenvalues)
-    return q * h, q / h
+def _root_factors(a: SpdMatrix) -> np.ndarray:
+    """Y = Q L^1/2 from A's cached eigendecomposition A = Q L Q^T: Y Y^T = A."""
+    return a.eig.eigenvectors * np.sqrt(a.eig.eigenvalues)
 
 
 def bures_distance_sq(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Bures-Wasserstein distance tr(A) + tr(B) - 2 tr((A^1/2 B A^1/2)^1/2)."""
     _match_dims(a.dim, b.dim)
-    m = _whitened_product(_root_factors(a)[0], b.mat)
+    m = _whitened_product(_root_factors(a), b.mat)
     m.setflags(write=False)
     _leave(a, b, m)
     w = np.maximum(np.linalg.eigvalsh(m), 0.0)
@@ -137,38 +140,24 @@ def transport_map(
 ) -> SpdMatrix:
     """Optimal transport T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2, with T A T = B.
 
+    T = H H^T, H = Z W diag(r)^1/2 for Y^T B Y = W diag(r^2) W^T, bounded
+    by r_min / a_max and r_max / a_min and checked by ``_check_transport``.
+
     ``_parts``, a list, receives the products TA and TAT that the check
     formed and T's spectral bounds; ``geodesic`` passes it, and no other
     caller keeps them.
     """
     _match_dims(a.dim, b.dim)
-    t, _, parts = _transport(a, b)
-    if _parts is not None:
-        _parts.extend(parts)
-    return t
-
-
-def _transport(
-    a: SpdMatrix, b: SpdMatrix
-) -> tuple[SpdMatrix, tuple[np.ndarray, np.ndarray], tuple]:
-    """(T, (W, r), (TA, TAT, bounds)) for transport_map(a, b): T = H H^T with
-    H = Z W diag(r)^1/2, from the eigenvectors W and root eigenvalues r of
-    Y^T B Y, the products TA and TAT of the check ||TAT - B||_F <=
-    TRANSPORT_CHECK_TOL ||B||_F, and the bounds
-    r_min / a_max <= lambda(T) <= r_max / a_min, which validate T when they
-    prove the margin."""
-    y, z = _root_factors(a)
     m = _take(a, b)
     if m is None:
-        m = _whitened_product(y, b.mat)
-    # Y is freed before the eigh, M after it, and Z and then H before the
-    # check allocates TA and TAT: a curve and one point peak at six N x N
-    # arrays.
-    del y
-    q, r = _whitened_root_eig(m)
+        m = _whitened_product(_root_factors(a), b.mat)
+    # Y lives only inside the product, M is freed after the eigh, and Z,
+    # W and then H before the check allocates TA and TAT: a curve and one
+    # point peak at six N x N arrays.
+    w, r = _whitened_root_eig(m)
     del m
-    h = z @ q
-    del z
+    h = (a.eig.eigenvectors / np.sqrt(a.eig.eigenvalues)) @ w
+    del w
     h *= np.sqrt(r)
     a_max, a_min = _extremes(a)
     bounds = _Deferred(float(r[0]) / a_max, float(r[-1]) / a_min)
@@ -177,13 +166,22 @@ def _transport(
     del h
     ta = t.mat @ a.mat
     tat = ta @ t.mat
-    defect = np.linalg.norm(tat - b.mat)
-    if defect > TRANSPORT_CHECK_TOL * np.linalg.norm(b.mat):
-        raise NumericalConsistencyError(
-            f"transport defining property violated: relative defect "
-            f"{defect / np.linalg.norm(b.mat):.6e}"
-        )
-    return t, (q, r), (ta, tat, bounds)
+    _check_transport(tat, b.mat)
+    if _parts is not None:
+        _parts.extend((ta, tat, bounds))
+    return t
+
+
+def _check_transport(sas: np.ndarray, b: np.ndarray) -> None:
+    """The check ||S A S - B||_F <= TRANSPORT_CHECK_TOL ||B||_F of a
+    transport S, on each matrix of S A S and B, n x n or (m, n, n)."""
+    for x, y in zip(sas.reshape(-1, *b.shape[-2:]), b.reshape(-1, *b.shape[-2:])):
+        defect = np.linalg.norm(x - y) / np.linalg.norm(y)
+        # NaN fails the comparison too.
+        if not defect <= TRANSPORT_CHECK_TOL:
+            raise NumericalConsistencyError(
+                f"transport defining property violated: relative defect {defect:.6e}"
+            )
 
 
 def geodesic(a: SpdMatrix, b: SpdMatrix) -> GeodesicCurve:

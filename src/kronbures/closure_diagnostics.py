@@ -16,7 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .bures_metric import _check_parameter, _curve_parameter, _transport
+from .bures_metric import (
+    _check_parameter,
+    _check_transport,
+    _curve_parameter,
+    _gram_product,
+    _whitened_root_eig,
+)
 from .errors import (
     DimensionMismatch,
     InconsistentVerdict,
@@ -29,6 +35,7 @@ from .errors import (
 from .kron_model import KroneckerPoint, LeafKind, _check_gauge, _on_leaf
 from .spd_core import (
     SpdMatrix,
+    _Deferred,
     _check_positive,
     _match_dims,
     _positive_scalar,
@@ -46,7 +53,7 @@ PATTERN_TOL = 1e-10
 # Bound on ||Pi(Z0)||_F relative to ||P||_F ||Q||_F, the size of the terms
 # of Z0 that cancel on a common leaf. On exact leaf pairs it is round-off:
 # with bench_cli.gen_spd factors (seeds 0-39; p1 shares p0's U, or V up to
-# scale) at most 4.4e-12, 6.5e-12 and 2.1e-11 at n = 8, 16 and 32, while
+# scale) at most 8.9e-12, 6.3e-12 and 9.3e-12 at n = 8, 16 and 32, while
 # pairs of independent points stay at or above 0.966, 1.12 and 1.26. The
 # value must sit between the two.
 RESIDUAL_TOL = 1e-8
@@ -127,8 +134,8 @@ class FactorTransports:
     P = V0^-1/2 S_V V0^1/2 and Q = U0^-1/2 S_U U0^1/2 share the spectra of
     S_V and S_U; the ambient transport factorizes as S_V (x) S_U. With
     V0 = E L E^T, S_V = Z R Z^T for Z = E L^-1/2 and the whitened root
-    R = (Y^T V1 Y)^1/2 = W diag(r) W^T, Y = E L^1/2. The transport hands
-    back W and r, R is formed from them here at factor size, and P is
+    R = (Y^T V1 Y)^1/2 = W diag(r) W^T, Y = E L^1/2. One eigh gives W and
+    r with U's, R is formed from them here at factor size, and P is
     E L^-1 R E^T; Q likewise. No root of V0 or U0 is formed.
     """
 
@@ -365,36 +372,33 @@ def pi_residual(z) -> np.ndarray:
 def factor_transports(p0: KroneckerPoint, p1: KroneckerPoint) -> FactorTransports:
     """Factor Bures transports S_U, S_V and the whitened maps P, Q.
 
-    V carries a point's whole scale, so the V pair is whitened on copies
-    c V0 and c V1, for the power of four c that brings c^2 v0_max v1_max,
-    the scale of the whitened product, into [1/4, 8) (c is at most 2^1022,
-    for subnormal spectra). The scaling is exact, since c and c^1/2 are
-    powers of two, and S_V and P do not depend on it, so no V scale from
-    1e-300 to 1e300 under- or overflows their products.
+    One stacked eigh of the Gram products of the points' cached root
+    stacks gives (W, r) for V and U; each S is bounded and checked as
+    transport_map's T is. The V pair is whitened as c V0 and c V1, for the
+    power of four c <= 2^1022 that brings c^2 v0_max v1_max into [1/4, 8),
+    by c^1/2 on the V rows of copies of the root stacks: exact, and S_V and
+    P do not depend on c, so no V scale from 1e-300 to 1e300 under- or
+    overflows their products.
     """
     _match_dims(p0.n, p1.n)
     top = sum(math.frexp(p.v_factor.eig.eigenvalues[0])[1] for p in (p0, p1))
-    c = math.ldexp(1.0, -2 * max(top // 4, -511))
-    v0 = p0.v_factor.scaled(c)
-    # The transports whiten in p0's factor eigenbases, as transport_map
-    # does, so they have its bits wherever its products neither under- nor
-    # overflow.
-    s_v, eig_v, _ = _transport(v0, p1.v_factor.scaled(c))
-    s_u, eig_u, _ = _transport(p0.u_factor, p1.u_factor)
-    return FactorTransports(
-        s_u=s_u,
-        s_v=s_v,
-        p_mat=_whitened_transport(v0, eig_v),
-        q_mat=_whitened_transport(p0.u_factor, eig_u),
+    root_c = np.array([math.ldexp(1.0, -max(top // 4, -511)), 1.0])[:, None, None]
+    c = root_c * root_c
+    w, r = _whitened_root_eig(_gram_product(*(p._y_factors * root_c for p in (p0, p1))))
+    # Eigenvalues (descending) and eigenvectors of c V0 and U0.
+    lam = c[:, 0] * np.stack((p0.v_factor.eig.eigenvalues, p0.u_factor.eig.eigenvalues))
+    e = np.stack((p0.v_factor.eig.eigenvectors, p0.u_factor.eig.eigenvectors))
+    h = (e / np.sqrt(lam)[:, None, :]) @ w * np.sqrt(r)[:, None, :]
+    s_v, s_u = (
+        SpdMatrix(hi @ hi.T, _eig=_Deferred(ri[0] / li[0], ri[-1] / li[-1]))
+        for hi, ri, li in zip(h, r.tolist(), lam.tolist())
     )
-
-
-def _whitened_transport(a: SpdMatrix, root_eig) -> np.ndarray:
-    """A^-1/2 S A^1/2 = E L^-1 R E^T for the transport S = Z R Z^T from
-    A = E L E^T, given its whitened root R = W diag(r) W^T as (W, r)."""
-    w, r = root_eig
-    e = a.eig.eigenvectors
-    return (e / a.eig.eigenvalues) @ ((w * r) @ w.T) @ e.T
+    t = np.stack((s_v.mat, s_u.mat))
+    a, b = (c * np.stack((p.v_factor.mat, p.u_factor.mat)) for p in (p0, p1))
+    _check_transport(t @ a @ t, b)
+    root = (w * r[:, None, :]) @ w.swapaxes(-1, -2)
+    p_mat, q_mat = (e / lam[:, None, :]) @ root @ e.swapaxes(-1, -2)
+    return FactorTransports(s_u=s_u, s_v=s_v, p_mat=p_mat, q_mat=q_mat)
 
 
 def whitened_initial_velocity(ft: FactorTransports) -> np.ndarray:

@@ -99,7 +99,7 @@ class KroneckerPoint:
     @cached_property
     def _y_factors(self) -> np.ndarray:
         return _read_only(
-            np.stack((_root_factors(self.v_factor)[0], _root_factors(self.u_factor)[0]))
+            np.stack((_root_factors(self.v_factor), _root_factors(self.u_factor)))
         )
 
     @cached_property

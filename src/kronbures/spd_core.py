@@ -191,9 +191,9 @@ class SpdMatrix:
     Their entries are symmetrized and tested for finiteness either way.
     They pass ``_Deferred(lower, upper)``, Weyl bounds on the extreme
     eigenvalues of the exact matrix, taken from spectra the construction
-    already holds (see ``bures_metric._transport`` and
-    ``_geodesic_bounds``). The margin is proved when
-    lower > (``PD_TOLERANCE`` + 64 N eps) * upper, for N x N entries and
+    already holds (see ``bures_metric.transport_map``, ``_geodesic_bounds``
+    and ``closure_diagnostics.factor_transports``). The margin is proved
+    when lower > (``PD_TOLERANCE`` + 64 N eps) * upper, for N x N entries and
     normal bounds; the 64 N eps covers the round-off of forming the
     matrix, so a proved matrix also passes the ``eigvalsh`` test. Bounds
     that do not decide, NaN among them, run that ``eigvalsh``. Most of
@@ -285,7 +285,7 @@ def _leave(holder, partner, value) -> None:
 
     The one hand-off rule of the pair caches: ``bures_distance_sq(a, b)``
     leaves its whitened product, which it marks read-only, on a for
-    ``_transport(a, b)``, and ``pairwise_bures_sq_reduced(p0, p1)`` its
+    ``transport_map(a, b)``, and ``pairwise_bures_sq_reduced(p0, p1)`` its
     squared distance on p1 for ``reduced_distances_sq(p0, ...)``; neither
     call both leaves and takes. The slot ``_memo`` holds
     ``(weakref.ref(partner), value)`` until the next ``_leave`` on holder

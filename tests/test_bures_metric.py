@@ -19,6 +19,7 @@ from kronbures import (
     SpdMatrix,
     bures_distance_sq,
     embed,
+    factor_transports,
     geodesic,
     geodesic_eval,
     leaf_geodesic,
@@ -29,7 +30,7 @@ from kronbures import (
     spd_sqrt,
     transport_map,
 )
-from kronbures import bures_metric, spd_core
+from kronbures import bures_metric, closure_diagnostics, spd_core
 from kronbures.bench_cli import gen_spd
 from kronbures.bures_metric import (
     _clamp_distance_sq,
@@ -49,6 +50,7 @@ from conftest import (
     frob,
     linalg_calls,
     rand_orthogonal,
+    rand_point,
     rand_spd,
 )
 
@@ -150,11 +152,13 @@ class TestTransport:
         assert frob(t_ab @ a.mat @ t_ab - b.mat) <= 1e-10 * frob(b.mat)
         assert frob(t_ba @ b.mat @ t_ba - a.mat) <= 1e-10 * frob(a.mat)
 
+    @pytest.mark.parametrize("route", ["transport_map", "factor_transports"])
     @pytest.mark.parametrize("factor, rejected", [(10.0, True), (0.1, False)])
-    def test_check_gate_boundary(self, monkeypatch, factor, rejected):
+    def test_check_gate_boundary(self, monkeypatch, factor, rejected, route):
         # Scaling the whitened root r by 1 + eta scales T by 1 + eta, so
         # TAT - B = ((1 + eta)^2 - 1) B: a relative defect of about 2 eta,
         # here factor times the gate TRANSPORT_CHECK_TOL = 1e-10.
+        # factor_transports runs the same check on both factor transports.
         eta = 0.5 * factor * 1e-10
         root_eig = bures_metric._whitened_root_eig
 
@@ -162,15 +166,29 @@ class TestTransport:
             q, r = root_eig(m)
             return q, r * (1.0 + eta)
 
-        monkeypatch.setattr(bures_metric, "_whitened_root_eig", scaled_root)
+        for module in (bures_metric, closure_diagnostics):
+            monkeypatch.setattr(module, "_whitened_root_eig", scaled_root)
         rng = np.random.default_rng(37)
-        a, b = rand_spd(4, rng), rand_spd(4, rng)
+        if route == "transport_map":
+            a, b = rand_spd(4, rng), rand_spd(4, rng)
+            pairs = [(a, b)]
+        else:
+            p0, p1 = rand_point(4, rng), rand_point(4, rng)
+            pairs = [(p0.v_factor, p1.v_factor), (p0.u_factor, p1.u_factor)]
+
+        def transports():
+            if route == "transport_map":
+                return [transport_map(a, b)]
+            ft = factor_transports(p0, p1)
+            return [ft.s_v, ft.s_u]
+
         if rejected:
             with pytest.raises(NumericalConsistencyError):
-                transport_map(a, b)
+                transports()
         else:
-            t = transport_map(a, b).mat
-            assert frob(t @ a.mat @ t - b.mat) > 0.5 * factor * 1e-10 * frob(b.mat)
+            for t, (a, b) in zip(transports(), pairs):
+                t = t.mat
+                assert frob(t @ a.mat @ t - b.mat) > 0.5 * factor * 1e-10 * frob(b.mat)
 
     def test_ill_conditioned_whitened_product(self):
         # On a row leaf, A^1/2 B A^1/2 = (V0^1/2 V1 V0^1/2) (x) U^2 squares the
@@ -268,7 +286,7 @@ class TestStackedWhitening:
         # Y = Q L^1/2 is not symmetric, so a stack of them must be
         # transposed matrix by matrix, not along every axis.
         rng = np.random.default_rng(75 + n)
-        y = np.stack([_root_factors(rand_spd(n, rng))[0] for _ in range(2)])
+        y = np.stack([_root_factors(rand_spd(n, rng)) for _ in range(2)])
         b = np.stack([rand_spd(n, rng).mat for _ in range(2)])
         assert not np.array_equal(y[0], y[0].T)
         eigvals = _gram_eigvals(y, b)
@@ -289,8 +307,8 @@ class TestStackedWhitening:
         # factors Y = Q L^1/2, which are not symmetric, and one root
         # factor also broadcasts against a stack.
         rng = np.random.default_rng(seed)
-        y0 = np.stack([_root_factors(rand_spd(n, rng))[0] for _ in range(count)])
-        y1 = np.stack([_root_factors(rand_spd(n, rng))[0] for _ in range(count)])
+        y0 = np.stack([_root_factors(rand_spd(n, rng)) for _ in range(count)])
+        y1 = np.stack([_root_factors(rand_spd(n, rng)) for _ in range(count)])
         stacked, broadcast = _gram_eigvals(y0, y1), _gram_eigvals(y0[0], y1)
         assert stacked.shape == broadcast.shape == (count, n)
         for i in range(count):

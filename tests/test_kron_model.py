@@ -607,7 +607,7 @@ class TestRootCache:
         assert roots is p._y_factors
         assert roots.shape == (2, 4, 4)
         for y, factor in zip(roots, (p.v_factor, p.u_factor)):
-            assert np.array_equal(y, _root_factors(factor)[0])
+            assert np.array_equal(y, _root_factors(factor))
             assert frob(y @ y.T - factor.mat) <= RECON_TOL * frob(factor.mat)
         with pytest.raises(ValueError):
             roots[0, 0, 0] = 1.0

@@ -98,20 +98,23 @@ class TestSqrt:
         s = spd_sqrt(a)
         assert frob(s @ s - a.mat) <= 1e-12 * frob(a.mat)
 
-    # No inverse root A^-1/2 is formed: the inverse root enters only as
-    # the factor Z = Q L^-1/2 = Y^-T of bures_metric._root_factors, with
-    # Z^T A Z = I. The inv_sqrt tests check that factor.
+    # No inverse root A^-1/2 is formed: roots enter as the root factor
+    # Y = Q L^1/2 of bures_metric._root_factors, with Y Y^T = A, and the
+    # inverse only as Z = Q L^-1/2 = Y^-T, which transport_map,
+    # factor_transports and bw_barycenter form by the same column scaling.
 
-    def test_inv_sqrt_identity_and_diag(self):
-        assert np.array_equal(_root_factors(SpdMatrix.identity(4))[1], np.eye(4))
-        z = _root_factors(SpdMatrix([[4.0]]))[1]
-        assert abs(z[0, 0]) == pytest.approx(0.5, abs=1e-15)
+    def test_root_factor_identity_and_diag(self):
+        assert np.array_equal(_root_factors(SpdMatrix.identity(4)), np.eye(4))
+        y = _root_factors(SpdMatrix([[4.0]]))
+        assert abs(y[0, 0]) == pytest.approx(2.0, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_inv_sqrt_multiply_back(self, seed):
+    def test_root_factor_multiply_back(self, seed):
         rng = np.random.default_rng(100 + seed)
         a = rand_spd(7, rng)
-        z = _root_factors(a)[1]
+        y = _root_factors(a)
+        assert frob(y @ y.T - a.mat) <= 1e-11 * frob(a.mat)
+        z = a.eig.eigenvectors / np.sqrt(a.eig.eigenvalues)
         assert frob(z.T @ a.mat @ z - np.eye(7)) <= 1e-11
 
     @pytest.mark.parametrize("root", [spd_sqrt])
@@ -122,9 +125,11 @@ class TestSqrt:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_routes_agree(self, seed):
+        # Z by the column scaling, against the inverse of Y.
         rng = np.random.default_rng(200 + seed)
-        y, z = _root_factors(rand_spd(6, rng))
-        via_inverse = np.linalg.inv(y).T
+        a = rand_spd(6, rng)
+        z = a.eig.eigenvectors / np.sqrt(a.eig.eigenvalues)
+        via_inverse = np.linalg.inv(_root_factors(a)).T
         assert frob(z - via_inverse) <= 1e-10 * frob(z)
 
 

@@ -5,7 +5,8 @@ No linter runs on the package, and a function body that reads an
 undefined global fails only when a call reaches that line. The compiler's
 symbol tables list each scope's global reads without running anything.
 The converse check reads each module's syntax tree: an import no line
-reads is left over from code that has gone. ``__init__`` imports only to
+reads is left over from code that has gone, and so is a module-level
+private function that no other line of the package reads. ``__init__`` imports only to
 export, so it is exempt. The same trees show that only ``spd_core`` names
 the pair-cache slot, and that only its converter ``_float_array`` turns an
 array-like into a float array.
@@ -67,6 +68,43 @@ def _unread_imports(path):
 )
 def test_imports_are_read(path):
     assert _unread_imports(path) == []
+
+
+def _name_reads(path):
+    """(name, line) for each name a module loads, bare or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+            node.ctx, ast.Load
+        ):
+            yield (node.id if isinstance(node, ast.Name) else node.attr), node.lineno
+
+
+def _unread_private_functions(path):
+    """Module-level private functions of path that no line of the package
+    outside their own definition reads, sorted."""
+    defs = [
+        node
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    reads = {(p, name, line) for p in SOURCES for name, line in _name_reads(p)}
+    return sorted(
+        d.name
+        for d in defs
+        if not any(
+            name == d.name and not (p == path and d.lineno <= line <= d.end_lineno)
+            for p, name, line in reads
+        )
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_functions_are_read(path):
+    # A private helper whose last caller has gone is dead code that no
+    # test of the public API reaches.
+    assert _unread_private_functions(path) == []
 
 
 def _memo_mentions(path):
