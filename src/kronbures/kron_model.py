@@ -64,11 +64,6 @@ def _check_gauge(name: str, log_eigs) -> None:
         )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class KroneckerPoint:
     """Gauge-normalized factor pair (U, V) representing V (x) U.
@@ -98,9 +93,9 @@ class KroneckerPoint:
 
     @cached_property
     def _y_factors(self) -> np.ndarray:
-        return _read_only(
-            np.stack((_root_factors(self.v_factor), _root_factors(self.u_factor)))
-        )
+        y = np.stack((_root_factors(self.v_factor), _root_factors(self.u_factor)))
+        y.setflags(write=False)
+        return y
 
     @cached_property
     def _trace_product(self) -> float:
@@ -139,15 +134,6 @@ def row_leaf(u_star: SpdMatrix) -> FactorLeaf:
 
 def col_leaf(v_star: SpdMatrix) -> FactorLeaf:
     return FactorLeaf(kind=LeafKind.COL, anchor=v_star)
-
-
-@dataclass(frozen=True, eq=False)
-class PairwiseSpectrum:
-    """Eigenvalues of the two whitened factor products, sorted descending,
-    as read-only reversed views of the rows of one ascending (2, n) array."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
 
 
 def embed(p: KroneckerPoint) -> SpdMatrix:
@@ -193,11 +179,10 @@ def recover_factors(k: SpdMatrix) -> KroneckerPoint:
 
 def _reduced_sq(p0: KroneckerPoint, p1: KroneckerPoint) -> tuple[float, np.ndarray]:
     """(d^2, spectrum): the clamped squared distance by the product form
-    tr(A^1/2) tr(B^1/2) of the cross term, and the read-only ascending
-    (2, n) spectrum of the two whitened factor products, from one Gram
-    product of the points' root stacks and one stacked eigvalsh of shape
-    (2, n, n)."""
-    spectrum = _read_only(_gram_eigvals(p0._y_factors, p1._y_factors))
+    tr(A^1/2) tr(B^1/2) of the cross term, and the ascending (2, n)
+    spectrum of the whitened V (row 0) and U (row 1) products, from one
+    Gram product of the root stacks and one stacked eigvalsh."""
+    spectrum = _gram_eigvals(p0._y_factors, p1._y_factors)
     cross = np.sqrt(spectrum).sum(axis=-1)
     tr_sum = p0._trace_product + p1._trace_product
     d2 = _clamp_distance_sq(tr_sum - 2.0 * float(cross[0]) * float(cross[1]), tr_sum)
@@ -206,20 +191,20 @@ def _reduced_sq(p0: KroneckerPoint, p1: KroneckerPoint) -> tuple[float, np.ndarr
 
 def pairwise_bures_sq_reduced(
     p0: KroneckerPoint, p1: KroneckerPoint
-) -> tuple[float, PairwiseSpectrum]:
-    """Squared Bures distance between embeddings from factor-size spectra.
+) -> tuple[float, np.ndarray]:
+    """(d^2, spectrum) of ``_reduced_sq``: the squared Bures distance
+    between embeddings, and the whitened factor spectra as a fresh array.
 
     The whole computation costs one stacked Gram product of the two
     points' root factors and one stacked eigendecomposition of the two
     n x n whitened factors, plus each point's two root factors on its
-    first use.
-    The squared distance is left on p1 (``spd_core._leave``) for
-    ``reduced_distances_sq(p0, ...)``.
+    first use. The squared distance is left on p1 (``spd_core._leave``)
+    for ``reduced_distances_sq(p0, ...)``.
     """
     _match_dims(p0.n, p1.n)
     d2, spectrum = _reduced_sq(p0, p1)
     _leave(p1, p0, d2)
-    return d2, PairwiseSpectrum(alpha=spectrum[0, ::-1], beta=spectrum[1, ::-1])
+    return d2, spectrum
 
 
 def reduced_distances_sq(p: KroneckerPoint, points) -> np.ndarray:

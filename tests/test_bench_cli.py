@@ -68,6 +68,35 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="writes no profile"):
             ExperimentConfig(experiment=experiment, profile_out="profile.csv")
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"experiment": "pairwise", "sizes": (2.5,), "trials": 1}, "sizes"),
+            ({"experiment": "departure", "trials": 2.0, "sizes": (4,)}, "trials"),
+            ({"experiment": "pairwise", "trials": True}, "trials"),
+            ({"experiment": "pairwise", "seed": 1.5}, "seed"),
+            ({"experiment": "pairwise", "seed": "7"}, "seed"),
+            ({"experiment": "pairwise", "sizes": 4}, "sizes"),
+            ({"experiment": "pairwise", "sizes": "48"}, "sizes"),
+            ({"experiment": "pairwise", "sizes": (8, False)}, "sizes"),
+        ],
+    )
+    def test_non_integers_rejected(self, kwargs, match):
+        # Each failed later with a bare TypeError from the trial loop, numpy's
+        # SeedSequence or the sizes check itself.
+        with pytest.raises(ConfigError, match=f"{match} must be"):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_ints(self):
+        cfg = ExperimentConfig(
+            experiment="pairwise",
+            seed=np.int64(3),
+            trials=np.int32(2),
+            sizes=[np.int64(4), 8],
+        )
+        assert (cfg.seed, cfg.trials, cfg.sizes) == (3, 2, (4, 8))
+        assert all(type(v) is int for v in (cfg.seed, cfg.trials, *cfg.sizes))
+
 
 class TestPairwiseExperiment:
     def test_rows_and_accuracy(self):

@@ -485,6 +485,19 @@ class TestGeodesicPoints:
         want = spd_core.symmetrize((t @ a.mat) @ t)
         assert np.array_equal(geodesic_eval(curve, 1.0).mat, want)
 
+    def test_both_weyl_forms_decide(self):
+        # On this pair only form (B) of _geodesic_bounds proves the margin
+        # at t = 0 and only form (A) at t = 1, so dropping either form
+        # fails one of the two asserts.
+        rng = np.random.default_rng(3)
+        k0, k1 = (
+            embed(KroneckerPoint.from_factors(gen_spd(3, rng), gen_spd(3, rng)))
+            for _ in range(2)
+        )
+        curve = geodesic(k0, k1)
+        assert _geodesic_bounds(curve, 0.0).proves_margin(9)
+        assert _geodesic_bounds(curve, 1.0).proves_margin(9)
+
     @PROPERTY_SETTINGS
     @given(pair=spread_pairs())
     def test_matches_congruence(self, pair):

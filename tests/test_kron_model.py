@@ -260,8 +260,9 @@ class TestPairwiseReduction:
         reduced, spectrum = pairwise_bures_sq_reduced(p0, p1)
         ambient = bures_distance_sq(embed(p0), embed(p1))
         assert abs(reduced - ambient) <= 1e-12 * ambient
-        assert np.allclose(np.sort(spectrum.alpha), [1.0, 3.0])
-        assert np.allclose(np.sort(spectrum.beta), [0.5, 2.0])
+        # Row 0 is the V product's spectrum and row 1 the U product's, ascending.
+        assert spectrum.shape == (2, 2)
+        assert np.allclose(spectrum, [[1.0, 3.0], [0.5, 2.0]])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_matches_ambient(self, n):
@@ -330,8 +331,8 @@ class TestPairwiseReduction:
 def _per_factor_reduced(p0, p1):
     """The reduced formula one factor at a time: one Gram spectrum per
     factor from both points' cached root factors, and the trace sum from
-    four traces. The spectra are returned descending, as PairwiseSpectrum
-    holds them."""
+    four traces. The spectra are returned ascending, as the rows of the
+    spectrum pairwise_bures_sq_reduced returns."""
     (y0_v, y0_u), (y1_v, y1_u) = p0._y_factors, p1._y_factors
     alpha = kron_model._gram_eigvals(y0_v, y1_v)
     beta = kron_model._gram_eigvals(y0_u, y1_u)
@@ -340,7 +341,7 @@ def _per_factor_reduced(p0, p1):
         + p1.u_factor.trace() * p1.v_factor.trace()
     )
     d2 = tr_sum - 2.0 * float(np.sqrt(alpha).sum()) * float(np.sqrt(beta).sum())
-    return _clamp_distance_sq(d2, tr_sum), alpha[::-1], beta[::-1]
+    return _clamp_distance_sq(d2, tr_sum), alpha, beta
 
 
 class TestStackedReductionOracle:
@@ -352,8 +353,23 @@ class TestStackedReductionOracle:
         d2, spectrum = pairwise_bures_sq_reduced(*pair)
         want_d2, want_alpha, want_beta = _per_factor_reduced(*pair)
         assert d2 == want_d2
-        assert spectrum.alpha.tolist() == want_alpha.tolist()
-        assert spectrum.beta.tolist() == want_beta.tolist()
+        assert spectrum[0].tolist() == want_alpha.tolist()
+        assert spectrum[1].tolist() == want_beta.tolist()
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+    def test_returns_the_gram_spectrum(self, n, seed):
+        # The returned array is the stacked Gram spectrum itself, bit for
+        # bit, and the distance has the bits reduced_distances_sq computes.
+        # The batched call runs first, so no left distance serves it.
+        rng = np.random.default_rng(seed)
+        p0, p1 = rand_point(n, rng), rand_point(n, rng)
+        batched = reduced_distances_sq(p0, [p1])
+        d2, spectrum = pairwise_bures_sq_reduced(p0, p1)
+        want = kron_model._gram_eigvals(p0._y_factors, p1._y_factors)
+        assert spectrum.shape == (2, n)
+        assert spectrum.tolist() == want.tolist()
+        assert d2 == batched[0]
 
     @pytest.mark.parametrize(
         "v0, v1", [(1.0, 4.0), (2.0, 9.0), (0.3, 7.5), (1e-3, 1e3), (5.0, 0.2)]
@@ -369,7 +385,7 @@ class TestStackedReductionOracle:
         batched = reduced_distances_sq(p0, [p1])
         d2, spectrum = pairwise_bures_sq_reduced(p0, p1)
         assert abs(d2 - want) <= 1e-15 * want
-        assert spectrum.beta.tolist() == [1.0]
+        assert spectrum[1].tolist() == [1.0]
         assert batched.tolist() == [d2]
 
 
@@ -507,7 +523,7 @@ class TestSpectrumSlot:
     def test_equal_copy_and_reversed_pair_miss(self, monkeypatch):
         p, (q,) = self._problem(64, count=1)
         calls = _count_spectra(monkeypatch)
-        # The spectrum of (q, p) sits on p and is not the spectrum of (p, q).
+        # The distance of (q, p) sits on p and is not the distance of (p, q).
         pairwise_bures_sq_reduced(q, p)
         reduced_distances_sq(p, [q])
         assert len(calls) == 2
@@ -589,13 +605,23 @@ class TestSpectrumSlot:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
 
-    def test_spectrum_is_read_only(self):
+    def test_spectrum_is_fresh(self):
+        # The spectrum is the caller's own array: writing to it changes
+        # neither point's caches nor what a later call returns.
         p, (q,) = self._problem(68, count=1)
-        _, spectrum = pairwise_bures_sq_reduced(p, q)
-        with pytest.raises(ValueError):
-            spectrum.alpha[0] = 1.0
-        with pytest.raises(ValueError):
-            spectrum.beta[0] = 1.0
+        roots = [r.copy() for r in (p._y_factors, q._y_factors)]
+        traces = [p._trace_product, q._trace_product]
+        d2, spectrum = pairwise_bures_sq_reduced(p, q)
+        want = spectrum.copy()
+        spectrum[:] = -1.0
+        assert [r.tolist() for r in (p._y_factors, q._y_factors)] == [
+            r.tolist() for r in roots
+        ]
+        assert [p._trace_product, q._trace_product] == traces
+        again, fresh = pairwise_bures_sq_reduced(p, q)
+        assert fresh is not spectrum
+        assert fresh.tolist() == want.tolist()
+        assert again == d2
 
 
 class TestRootCache:

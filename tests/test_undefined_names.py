@@ -6,10 +6,10 @@ undefined global fails only when a call reaches that line. The compiler's
 symbol tables list each scope's global reads without running anything.
 The converse check reads each module's syntax tree: an import no line
 reads is left over from code that has gone, and so is a module-level
-private function that no other line of the package reads. ``__init__`` imports only to
-export, so it is exempt. The same trees show that only ``spd_core`` names
-the pair-cache slot, and that only its converter ``_float_array`` turns an
-array-like into a float array.
+private function, class or constant that no other line of the package
+reads. ``__init__`` imports only to export, so it is exempt. The same
+trees show that only ``spd_core`` names the pair-cache slot, and that only
+its converter ``_float_array`` turns an array-like into a float array.
 """
 
 import ast
@@ -79,22 +79,34 @@ def _name_reads(path):
             yield (node.id if isinstance(node, ast.Name) else node.attr), node.lineno
 
 
-def _unread_private_functions(path):
-    """Module-level private functions of path that no line of the package
-    outside their own definition reads, sorted."""
-    defs = [
-        node
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-    ]
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_defs(path, kinds):
+    """(name, definition node) for each module-level private name of path
+    that a statement of one of kinds binds: a def or class by its name, an
+    assignment by each bare name it targets."""
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, kinds):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        yield from ((name, node) for name in names if _private(name))
+
+
+def _unread_private(path, kinds):
+    """Module-level private names of path bound by kinds that no line of the
+    package outside their own definition reads, sorted."""
     reads = {(p, name, line) for p in SOURCES for name, line in _name_reads(p)}
     return sorted(
-        d.name
-        for d in defs
+        defined
+        for defined, d in _private_defs(path, kinds)
         if not any(
-            name == d.name and not (p == path and d.lineno <= line <= d.end_lineno)
+            name == defined and not (p == path and d.lineno <= line <= d.end_lineno)
             for p, name, line in reads
         )
     )
@@ -104,7 +116,14 @@ def _unread_private_functions(path):
 def test_private_functions_are_read(path):
     # A private helper whose last caller has gone is dead code that no
     # test of the public API reaches.
-    assert _unread_private_functions(path) == []
+    assert _unread_private(path, ast.FunctionDef) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_classes_and_constants_are_read(path):
+    # A private class or constant (a tolerance, a column list, a table)
+    # whose last reader has gone is left over in the same way.
+    assert _unread_private(path, (ast.ClassDef, ast.Assign, ast.AnnAssign)) == []
 
 
 def _memo_mentions(path):
